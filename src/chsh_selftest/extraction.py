@@ -26,8 +26,9 @@ class ExtractedOperators:
     """Candidate X'/Z' pairs, one per tested qubit.
 
     Entries 1..n/2 act on Alice's side (dim_a), entries n/2+1..n on
-    Bob's (dim_b).  Lists are 0-indexed internally; the apply helpers
-    take the 1-indexed qubit number used everywhere else.
+    Bob's (dim_b).  Lists are 0-indexed internally; ``apply`` takes the
+    1-indexed qubit number used everywhere else.  Every action of an
+    extracted operator on a state goes through ``apply``.
     """
 
     n: int
@@ -36,32 +37,20 @@ class ExtractedOperators:
     x_ops: tuple
     z_ops: tuple
 
-    def _apply(self, op: np.ndarray, k: int, psi: np.ndarray) -> np.ndarray:
+    def apply(self, kind: str, k: int, w: np.ndarray) -> np.ndarray:
+        """Apply X'_k (kind "x") or Z'_k (kind "z") to states shaped
+        (..., dim_a, dim_b); qubits 1..n/2 are Alice's, the rest Bob's."""
+        op = (self.x_ops if kind == "x" else self.z_ops)[k - 1]
         if k <= self.n // 2:
-            return apply_on_a(op, psi, self.dim_a, self.dim_b)
-        return apply_on_b(op, psi, self.dim_a, self.dim_b)
+            return apply_on_a(op, w)
+        return apply_on_b(op, w)
 
-    def apply_x(self, k: int, psi: np.ndarray) -> np.ndarray:
-        return self._apply(self.x_ops[k - 1], k, psi)
-
-    def apply_z(self, k: int, psi: np.ndarray) -> np.ndarray:
-        return self._apply(self.z_ops[k - 1], k, psi)
-
-    def apply_x_string(self, s: str, psi: np.ndarray) -> np.ndarray:
-        """Apply the ordered product X'^s (ascending index leftmost)."""
-        out = psi
+    def apply_string(self, kind: str, s: str, w: np.ndarray) -> np.ndarray:
+        """Apply the ordered product X'^s or Z'^s (ascending index leftmost)."""
         for k in range(self.n, 0, -1):  # rightmost factor acts first
             if s[k - 1] == "1":
-                out = self.apply_x(k, out)
-        return out
-
-    def apply_z_string(self, t: str, psi: np.ndarray) -> np.ndarray:
-        """Apply the ordered product Z'^t (ascending index leftmost)."""
-        out = psi
-        for k in range(self.n, 0, -1):
-            if t[k - 1] == "1":
-                out = self.apply_z(k, out)
-        return out
+                w = self.apply(kind, k, w)
+        return w
 
 
 def build_xz(strategy: Strategy) -> ExtractedOperators:
@@ -71,7 +60,7 @@ def build_xz(strategy: Strategy) -> ExtractedOperators:
     all-ones questions.  Bob: the all-zeros/all-ones sum gives the
     operator that plays the Z role (it lines up with Alice's all-ones
     observable on the test state) and the difference gives X; both are
-    sign-normalized back to Hermitian unitaries.
+    halved and sign-normalized back to Hermitian unitaries.
     """
     m = strategy.half
     zeros_q, ones_q = bits.zeros(m), bits.ones(m)
@@ -80,8 +69,9 @@ def build_xz(strategy: Strategy) -> ExtractedOperators:
     for k in range(m):
         n0 = strategy.bob_obs[zeros_q][k]
         n1 = strategy.bob_obs[ones_q][k]
-        x_ops.append(sign_normalize(n0 - n1))
-        z_ops.append(sign_normalize(n0 + n1))
+        # halving keeps the Hermiticity residual within the validation ceiling
+        x_ops.append(sign_normalize((n0 - n1) / 2))
+        z_ops.append(sign_normalize((n0 + n1) / 2))
     return ExtractedOperators(n=strategy.n, dim_a=strategy.dim_a,
                               dim_b=strategy.dim_b,
                               x_ops=tuple(x_ops), z_ops=tuple(z_ops))
@@ -129,25 +119,6 @@ def relabel_bob_bit(strategy: Strategy, k: int) -> Strategy:
 
 # ---------------------------------------------------------------------------
 # pigeonhole searches
-
-def qb_score(strategy: Strategy, q_b: str) -> float:
-    """Average subtest expectation seen by Bob's question q_b.
-
-    (1 / (n 2^(n/2-1))) * sum over q_a and k of the subtest values; its
-    mean over q_b is the exact game value, so the best q_b scores at
-    least that.
-    """
-    table = subtest_table(strategy)
-    b = bits.to_int(q_b)
-    return float(table[:, b, :].sum()) / (strategy.n * (1 << (strategy.half - 1)))
-
-
-def qa_score(strategy: Strategy, q_a: str) -> float:
-    """Average subtest expectation of q_a against the all-zeros q_b."""
-    table = subtest_table(strategy)
-    a = bits.to_int(q_a)
-    return float(table[a, 0, :].sum()) * 2.0 / strategy.n
-
 
 def find_best_qb(strategy: Strategy) -> str:
     """Bob question with the highest average score (lexicographic ties)."""

@@ -18,6 +18,10 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 #: when an operator is sign-normalized
 DEFAULT_ZERO_TOL = 1e-10
 
+#: residual ceiling for Hermiticity, unitarity, commutation and
+#: normalization; a strategy within it is valid and every stage accepts it
+VALIDATION_TOL = 1e-8
+
 
 def dagger(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
@@ -62,70 +66,36 @@ def commutation_residual(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a @ b - b @ a)))
 
 
-def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
-    return hermiticity_residual(m) <= tol
+def is_hermitian(m: np.ndarray) -> bool:
+    return hermiticity_residual(m) <= VALIDATION_TOL
 
 
-def _eigh_checked(m: np.ndarray, tol: float):
+def sign_normalize(m: np.ndarray, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
+    """Hermitian unitary with the same eigenvectors as m and +-1 eigenvalues.
+
+    m must be Hermitian to within VALIDATION_TOL; it is symmetrized to
+    (m + m^dag)/2 before diagonalizing.  Eigenvalues with magnitude below
+    zero_tol are treated as +zero_tol, so a (near-)null direction maps to
+    +1 rather than producing a division blow-up or an arbitrary sign.
+    """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian")
-    return np.linalg.eigh(m)
-
-
-def operator_abs(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Positive-semidefinite square root of m^2 for Hermitian m."""
-    vals, vecs = _eigh_checked(m, tol)
-    return (vecs * np.abs(vals)) @ dagger(vecs)
-
-
-def sign_normalize(m: np.ndarray, zero_tol: float = DEFAULT_ZERO_TOL,
-                   tol: float = 1e-10) -> np.ndarray:
-    """Hermitian unitary with the same eigenvectors as m and +-1 eigenvalues.
-
-    Eigenvalues with magnitude below zero_tol are treated as +zero_tol, so
-    a (near-)null direction maps to +1 rather than producing a division
-    blow-up or an arbitrary sign.
-    """
-    vals, vecs = _eigh_checked(m, tol)
+    vals, vecs = np.linalg.eigh((m + dagger(m)) / 2)
     signs = np.where(np.abs(vals) < zero_tol, 1.0, np.sign(vals))
     return (vecs * signs) @ dagger(vecs)
 
 
-def ordered_product(ops, t) -> np.ndarray:
-    """Product of ops[k] over positions where t has a 1, index ascending.
-
-    The factor with the smallest index is leftmost, i.e. applied last to a
-    column vector.  All selected operators must share one square dimension.
-    ``t`` is a bit string (or iterable of 0/1) with one entry per operator.
-    """
-    ops = list(ops)
-    tbits = [int(c) for c in t]
-    if len(tbits) != len(ops):
-        raise ValueError("selector and operator family lengths differ")
-    if any(b not in (0, 1) for b in tbits):
-        raise ValueError("selector must be over {0, 1}")
-    dim = np.asarray(ops[0]).shape[0] if ops else 1
-    out = np.eye(dim, dtype=complex)
-    for op, b in zip(ops, tbits):
-        op = np.asarray(op, dtype=complex)
-        if op.ndim != 2 or op.shape != (dim, dim):
-            raise ValueError("operator dimensions disagree")
-        if b:
-            out = out @ op
-    return out
+def apply_on_a(m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Apply (m tensor I) to states shaped (..., dim_a, dim_b)."""
+    return m @ w
 
 
-def apply_on_a(m: np.ndarray, psi: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
-    """Apply (m tensor I) to a joint state in A-major ordering."""
-    return (m @ psi.reshape(dim_a, dim_b)).reshape(-1)
-
-
-def apply_on_b(m: np.ndarray, psi: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
-    """Apply (I tensor m) to a joint state in A-major ordering."""
-    return (psi.reshape(dim_a, dim_b) @ m.T).reshape(-1)
+def apply_on_b(m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Apply (I tensor m) to states shaped (..., dim_a, dim_b)."""
+    return w @ m.T
 
 
 def pair_expectation(m_a: np.ndarray, m_b: np.ndarray, psi: np.ndarray,

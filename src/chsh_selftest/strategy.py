@@ -23,6 +23,7 @@ from . import bits, jsonio
 from .linalg import (
     PAULI_X,
     PAULI_Z,
+    VALIDATION_TOL,
     commutation_residual,
     embed_qubit_op,
     haar_unitary,
@@ -31,9 +32,6 @@ from .linalg import (
 )
 
 NOISE_MODELS = ("none", "bob-rotation", "partial-entanglement")
-
-#: residual ceiling below which a strategy counts as valid
-VALIDATION_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StrategyDiagnostics:
-    """Worst-case residuals over all observables of one strategy."""
+    """Worst-case residuals over all observables of one strategy.
+
+    A non-finite amplitude or matrix entry makes a residual NaN or
+    infinite, and such a residual is never ok.
+    """
 
     hermiticity: float
     unitarity: float
@@ -118,9 +120,8 @@ class StrategyDiagnostics:
 
     @property
     def ok(self) -> bool:
-        worst = max(self.hermiticity, self.unitarity,
-                    self.commutation, self.normalization)
-        return worst <= VALIDATION_TOL
+        return all(r <= VALIDATION_TOL for r in (self.hermiticity, self.unitarity,
+                                                 self.commutation, self.normalization))
 
 
 def ideal_state(n: int) -> np.ndarray:
@@ -231,17 +232,17 @@ def random_strategy(n: int, rng: np.random.Generator,
 def validate(strategy: Strategy) -> StrategyDiagnostics:
     """Worst residuals for Hermiticity, unitarity, same-question
     commutation, and state normalization."""
-    herm = unit = comm = 0.0
+    herm, unit, comm = [0.0], [0.0], [0.0]
     for table in (strategy.alice_obs, strategy.bob_obs):
         for family in table.values():
             for i, obs in enumerate(family):
-                herm = max(herm, hermiticity_residual(obs))
-                unit = max(unit, unitarity_residual(obs))
-                for other in family[i + 1:]:
-                    comm = max(comm, commutation_residual(obs, other))
+                herm.append(hermiticity_residual(obs))
+                unit.append(unitarity_residual(obs))
+                comm.extend(commutation_residual(obs, other) for other in family[i + 1:])
     normres = abs(float(np.linalg.norm(strategy.state)) - 1.0)
-    return StrategyDiagnostics(hermiticity=herm, unitarity=unit,
-                               commutation=comm, normalization=normres)
+    # np.max, unlike the builtin max, keeps a NaN residual
+    return StrategyDiagnostics(hermiticity=float(np.max(herm)), unitarity=float(np.max(unit)),
+                               commutation=float(np.max(comm)), normalization=normres)
 
 
 def _observables(strategy: Strategy, party: str, question: str) -> tuple:
@@ -385,6 +386,9 @@ def _pairs_to_array(pairs, shape) -> np.ndarray:
 def strategy_from_text(text: str) -> Strategy:
     doc = jsonio.loads(text)
     try:
+        for key in ("n", "dim_A", "dim_B"):
+            if type(doc[key]) is not int:  # also rejects bool and float
+                raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
         n = doc["n"]
         da, db = doc["dim_A"], doc["dim_B"]
         state = _pairs_to_array(doc["state"], (-1,))

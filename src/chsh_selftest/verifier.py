@@ -11,7 +11,7 @@ operators are from the ideal pair (up to a junk register).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,6 +27,9 @@ MAX_CERTIFY_N = 8
 MAX_EXHAUSTIVE_N = 6
 
 DEFAULT_GENERAL_SAMPLES = 10_000
+
+#: distance pairs per report: all 4^n when that is no more, else a seeded sample
+DISTANCE_PAIRS = 256
 
 #: slack for comparing measured norms against certified ceilings
 BOUND_SLACK = 1e-9
@@ -73,62 +76,38 @@ def _partner(k: int, n: int) -> int:
 
 def measure_epsilons(strategy: Strategy, ops: ExtractedOperators) -> ConditionNorms:
     """Worst single-qubit condition norms (general fields left unset)."""
-    psi = strategy.state
+    psi = strategy.state.reshape(ops.dim_a, ops.dim_b)
     n = ops.n
     eps1 = 0.0
     for k in range(1, n + 1):
-        xk = ops.apply_x(k, psi)
+        xk = ops.apply("x", k, psi)
         for ell in range(1, n + 1):
             if ell == k:
                 continue
-            diff = ops.apply_z(ell, xk) - ops.apply_x(k, ops.apply_z(ell, psi))
+            diff = ops.apply("z", ell, xk) - ops.apply("x", k, ops.apply("z", ell, psi))
             eps1 = max(eps1, float(np.linalg.norm(diff)))
-    eps2 = max(float(np.linalg.norm(ops.apply_x(k, psi)
-                                    - ops.apply_z(_partner(k, n), psi)))
+    eps2 = max(float(np.linalg.norm(ops.apply("x", k, psi)
+                                    - ops.apply("z", _partner(k, n), psi)))
                for k in range(1, n + 1))
-    eps3 = max(float(np.linalg.norm(ops.apply_z(k, ops.apply_x(k, psi))
-                                    + ops.apply_x(k, ops.apply_z(k, psi))))
+    eps3 = max(float(np.linalg.norm(ops.apply("z", k, ops.apply("x", k, psi))
+                                    + ops.apply("x", k, ops.apply("z", k, psi))))
                for k in range(1, n + 1))
     return ConditionNorms(eps1=eps1, eps2=eps2, eps3=eps3)
 
 
-def _string_table(ops: ExtractedOperators, kind: str, psi: np.ndarray) -> np.ndarray:
-    """table[s] = (X'^s or Z'^s) applied to psi, for every integer s.
+def _string_table(ops: ExtractedOperators, kind: str, w: np.ndarray) -> np.ndarray:
+    """table[s] = (X'^s or Z'^s) applied to w, for every integer s.
 
     Built by recursion on the most significant set bit, which is the
     leftmost (last applied) factor of the ordered product.
     """
     n = ops.n
-    apply_one = ops.apply_x if kind == "x" else ops.apply_z
-    table = np.empty((1 << n, psi.size), dtype=complex)
-    table[0] = psi
+    table = np.empty((1 << n,) + w.shape, dtype=complex)
+    table[0] = w
     for s in range(1, 1 << n):
         pos = s.bit_length() - 1
-        table[s] = apply_one(n - pos, table[s - (1 << pos)])
+        table[s] = ops.apply(kind, n - pos, table[s - (1 << pos)])
     return table
-
-
-def _apply_one_batch(ops: ExtractedOperators, kind: str, k: int,
-                     batch: np.ndarray) -> np.ndarray:
-    """Apply one X'_k or Z'_k to a (rows, D) batch of joint states."""
-    rows = batch.shape[0]
-    out = batch.reshape(rows, ops.dim_a, ops.dim_b)
-    op = (ops.x_ops if kind == "x" else ops.z_ops)[k - 1]
-    if k <= ops.n // 2:
-        out = np.einsum("ij,rjb->rib", op, out)
-    else:
-        out = np.einsum("ij,rbj->rbi", op, out)
-    return out.reshape(rows, -1)
-
-
-def _apply_string_batch(ops: ExtractedOperators, kind: str, s: str,
-                        batch: np.ndarray) -> np.ndarray:
-    """Apply an ordered string product to a (rows, D) batch of states."""
-    out = batch
-    for k in range(ops.n, 0, -1):  # rightmost factor acts first
-        if s[k - 1] == "1":
-            out = _apply_one_batch(ops, kind, k, out)
-    return out
 
 
 def _sign_grid(n: int) -> np.ndarray:
@@ -142,17 +121,15 @@ def _sign_grid(n: int) -> np.ndarray:
 def measure_general_conditions(strategy: Strategy, ops: ExtractedOperators,
                                coverage: str = "auto",
                                samples: int = DEFAULT_GENERAL_SAMPLES,
-                               seed: int = 0,
-                               base: ConditionNorms | None = None) -> ConditionNorms:
+                               seed: int = 0) -> ConditionNorms:
     """Worst string-product condition norms over (s, t) pairs.
 
     Exhaustive for n <= 6 (or on request); otherwise a seeded uniform
     sample of (s, t) pairs.  Returns a ConditionNorms with the general
-    fields (and coverage) filled in, copying eps1..eps3 from ``base`` or
-    measuring them fresh.
+    fields (and coverage) filled in and eps1..eps3 measured alongside.
     """
     n = ops.n
-    psi = strategy.state
+    psi = strategy.state.reshape(ops.dim_a, ops.dim_b)
     if coverage == "auto":
         coverage = "exhaustive" if n <= MAX_EXHAUSTIVE_N else "sampled"
     if coverage not in ("exhaustive", "sampled"):
@@ -161,40 +138,36 @@ def measure_general_conditions(strategy: Strategy, ops: ExtractedOperators,
     x_table = _string_table(ops, "x", psi)
     z_table = _string_table(ops, "z", psi)
 
+    # the (s, t) tables are the largest arrays of a certify run, so the
+    # signed differences below are formed in place
     signs = _sign_grid(n)
     if coverage == "exhaustive":
         if n > MAX_EXHAUSTIVE_N:
             raise ValueError(f"exhaustive coverage limited to n <= {MAX_EXHAUSTIVE_N}")
-        size = 1 << n
-        zx = np.empty((size, size, psi.size), dtype=complex)  # zx[t, s] = Z'^t X'^s psi
-        xz = np.empty_like(zx)                                # xz[s, t] = X'^s Z'^t psi
-        zx[0] = x_table
-        xz[0] = z_table
-        for v in range(1, size):
-            pos = v.bit_length() - 1
-            prev = v - (1 << pos)
-            zx[v] = _apply_one_batch(ops, "z", n - pos, zx[prev])
-            xz[v] = _apply_one_batch(ops, "x", n - pos, xz[prev])
-        diff = zx - signs[:, :, None] * xz.transpose(1, 0, 2)
-        anticommute_max = float(np.max(np.linalg.norm(diff, axis=2)))
-        s_all = np.arange(size)
+        zx = _string_table(ops, "z", x_table)  # zx[t, s] = Z'^t X'^s psi
+        xz = _string_table(ops, "x", z_table)  # xz[s, t] = X'^s Z'^t psi
+        xz *= signs[:, :, None, None]
+        zx -= xz.transpose(1, 0, 2, 3)
+        anticommute_max = float(np.max(np.linalg.norm(zx, axis=(2, 3))))
+        s_all = np.arange(1 << n)
         cov = Coverage(mode="exhaustive")
     else:
         rng = np.random.default_rng(seed)
         s_draw = rng.integers(0, 1 << n, size=samples)
         t_draw = rng.integers(0, 1 << n, size=samples)
-        left = np.empty((samples, psi.size), dtype=complex)
+        left = np.empty((samples,) + psi.shape, dtype=complex)
         right = np.empty_like(left)
         for t in np.unique(t_draw):
             rows = t_draw == t
-            left[rows] = _apply_string_batch(ops, "z", bits.from_int(int(t), n),
-                                             x_table[s_draw[rows]])
+            left[rows] = ops.apply_string("z", bits.from_int(int(t), n),
+                                          x_table[s_draw[rows]])
         for s in np.unique(s_draw):
             rows = s_draw == s
-            right[rows] = _apply_string_batch(ops, "x", bits.from_int(int(s), n),
-                                              z_table[t_draw[rows]])
-        diff = left - signs[s_draw, t_draw][:, None] * right
-        anticommute_max = float(np.max(np.linalg.norm(diff, axis=1)))
+            right[rows] = ops.apply_string("x", bits.from_int(int(s), n),
+                                           z_table[t_draw[rows]])
+        right *= signs[s_draw, t_draw][:, None, None]
+        left -= right
+        anticommute_max = float(np.max(np.linalg.norm(left, axis=(1, 2))))
         s_all = np.unique(s_draw)
         cov = Coverage(mode="sampled", count=samples, seed=seed)
 
@@ -205,14 +178,11 @@ def measure_general_conditions(strategy: Strategy, ops: ExtractedOperators,
     halves_dot = np.array([bin((s >> m) & (s & lowmask)).count("1")
                            for s in s_all])
     signs2 = np.where(halves_dot % 2, -1.0, 1.0)
-    diff2 = z_table[swapped] - signs2[:, None] * x_table[s_all]
-    swap_max = float(np.max(np.linalg.norm(diff2, axis=1)))
+    diff2 = z_table[swapped] - signs2[:, None, None] * x_table[s_all]
+    swap_max = float(np.max(np.linalg.norm(diff2, axis=(1, 2))))
 
-    if base is None:
-        base = measure_epsilons(strategy, ops)
-    return ConditionNorms(eps1=base.eps1, eps2=base.eps2, eps3=base.eps3,
-                          general_anticommute_max=anticommute_max,
-                          general_swap_max=swap_max, coverage=cov)
+    return replace(measure_epsilons(strategy, ops), general_anticommute_max=anticommute_max,
+                   general_swap_max=swap_max, coverage=cov)
 
 
 def certified_bounds(delta: float) -> dict:
@@ -231,32 +201,21 @@ def swap_isometry_apply(ops: ExtractedOperators, v: np.ndarray) -> np.ndarray:
     """Append n |0> ancillas and run the swap circuit for each qubit.
 
     For k = 1..n: Hadamard on ancilla k, controlled Z'_k, Hadamard,
-    controlled X'_k.  The output is ordered device-major with the
-    ancilla register (qubit 1 most significant) last, and has the same
-    norm as ``v``.
+    controlled X'_k.  Ancilla k is still |0> when stage k starts, so the
+    stage only touches the 2^(k-1) branches that can be nonzero; these
+    lead the working array, ahead of the device axes.  The output is
+    ordered device-major with the ancilla register (qubit 1 most
+    significant) last, and has the same norm as ``v``.
     """
-    da, db, n = ops.dim_a, ops.dim_b, ops.n
+    da, db = ops.dim_a, ops.dim_b
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    w = np.zeros((da, db, 1 << n), dtype=complex)
-    w[:, :, 0] = np.asarray(v, dtype=complex).reshape(da, db)
-    for k in range(1, n + 1):
-        w = w.reshape(da, db, 1 << (k - 1), 2, 1 << (n - k))
-        b0 = w[:, :, :, 0, :]
-        b1 = w[:, :, :, 1, :]
-        h0 = (b0 + b1) * inv_sqrt2
-        h1 = (b0 - b1) * inv_sqrt2
-        h1 = _on_device(ops.z_ops[k - 1], k, n, h1)
-        g0 = (h0 + h1) * inv_sqrt2
-        g1 = (h0 - h1) * inv_sqrt2
-        g1 = _on_device(ops.x_ops[k - 1], k, n, g1)
-        w = np.stack([g0, g1], axis=3)
-    return w.reshape(-1)
-
-
-def _on_device(op: np.ndarray, k: int, n: int, w: np.ndarray) -> np.ndarray:
-    if k <= n // 2:
-        return np.einsum("xy,y...->x...", op, w)
-    return np.einsum("xy,ay...->ax...", op, w)
+    w = np.asarray(v, dtype=complex).reshape(1, da, db)
+    for k in range(1, ops.n + 1):
+        h = w * inv_sqrt2
+        zh = ops.apply("z", k, h)
+        g1 = ops.apply("x", k, (h - zh) * inv_sqrt2)
+        w = np.stack([(h + zh) * inv_sqrt2, g1], axis=1).reshape(-1, da, db)
+    return w.reshape(1 << ops.n, -1).T.reshape(-1)
 
 
 def pauli_target(n: int, p: str, q: str) -> np.ndarray:
@@ -291,26 +250,24 @@ def compute_junk(strategy: Strategy, ops: ExtractedOperators) -> tuple[np.ndarra
 
 
 def extraction_distance(strategy: Strategy, ops: ExtractedOperators,
-                        p: str, q: str, junk_policy: str = "fixed",
-                        junk: np.ndarray | None = None) -> float:
-    """Distance between the extracted and ideal Pauli actions.
+                        p: str, q: str, junk: np.ndarray) -> tuple[float, float]:
+    """Distances between the extracted and ideal Pauli actions.
 
-    Measures || Phi(X'^q Z'^p psi') - junk (x) X^q Z^p psi || where Phi
-    is the swap isometry.  Policy "fixed" uses the supplied junk vector
-    (or computes the p = q = 0 one); "optimal" minimizes over unit junk,
-    which gives sqrt(|out|^2 + 1 - 2 |<target-overlap>|).
+    Runs the swap isometry Phi once on X'^q Z'^p psi' and returns
+    (fixed, optimal).  fixed is || out - junk (x) target || with
+    out = Phi(X'^q Z'^p psi'), target = X^q Z^p psi and the supplied junk
+    vector; optimal minimizes over unit junk.  With out split as
+    overlap (x) target + rest, rest orthogonal to every junk (x) target,
+    optimal = sqrt((|overlap| - 1)^2 + |rest|^2); unlike the expanded
+    sqrt(|out|^2 + 1 - 2 |overlap|) it keeps full precision near zero.
     """
-    out = swap_isometry_apply(ops, ops.apply_x_string(q, ops.apply_z_string(p, strategy.state)))
+    psi = strategy.state.reshape(ops.dim_a, ops.dim_b)
+    out = swap_isometry_apply(ops, ops.apply_string("x", q, ops.apply_string("z", p, psi)))
     target = pauli_target(ops.n, p, q)
-    if junk_policy == "optimal":
-        overlap = np.linalg.norm(out.reshape(-1, 1 << ops.n) @ target.conj())
-        gap = float(np.vdot(out, out).real) + 1.0 - 2.0 * float(overlap)
-        return math.sqrt(max(0.0, gap))
-    if junk_policy != "fixed":
-        raise ValueError(f"unknown junk policy {junk_policy!r}")
-    if junk is None:
-        junk, _ = compute_junk(strategy, ops)
-    return float(np.linalg.norm(out - np.kron(junk, target)))
+    fixed = float(np.linalg.norm(out - np.kron(junk, target)))
+    overlap = out.reshape(-1, 1 << ops.n) @ target.conj()
+    rest = float(np.linalg.norm(out - np.kron(overlap, target)))
+    return fixed, math.hypot(float(np.linalg.norm(overlap)) - 1.0, rest)
 
 
 # ---------------------------------------------------------------------------
@@ -382,27 +339,26 @@ class SelfTestReport:
             fh.write(self.to_text())
 
 
-def _distance_pairs(n: int, limit: int, seed: int) -> tuple[list, Coverage]:
+def _distance_pairs(n: int, seed: int) -> tuple[list, Coverage]:
     total = 1 << (2 * n)
-    if total <= limit:
+    if total <= DISTANCE_PAIRS:
         pairs = [(p, q) for p in bits.all_strings(n) for q in bits.all_strings(n)]
         return pairs, Coverage(mode="exhaustive")
     rng = np.random.default_rng(seed)
-    draws = rng.integers(0, 1 << n, size=(limit, 2))
+    draws = rng.integers(0, 1 << n, size=(DISTANCE_PAIRS, 2))
     pairs = [(bits.from_int(int(a), n), bits.from_int(int(b), n)) for a, b in draws]
-    return pairs, Coverage(mode="sampled", count=limit, seed=seed)
+    return pairs, Coverage(mode="sampled", count=DISTANCE_PAIRS, seed=seed)
 
 
 def certify(strategy: Strategy, coverage: str = "auto",
-            samples: int = DEFAULT_GENERAL_SAMPLES, seed: int = 0,
-            distance_pairs: int = 256) -> SelfTestReport:
+            samples: int = DEFAULT_GENERAL_SAMPLES, seed: int = 0) -> SelfTestReport:
     """Run the full self-test pipeline on one strategy.
 
     Computes the exact value and its shortfall, canonicalizes, checks
     the pigeonhole guarantees, extracts operators, measures condition
-    norms against their certified ceilings, and evaluates extraction
-    distances under both junk policies.  Guarantee violations come back
-    as False flags, never exceptions.
+    norms against their certified ceilings, and evaluates the fixed-junk
+    and optimal-junk extraction distances of each Pauli pair.  Guarantee
+    violations come back as False flags, never exceptions.
     """
     n = strategy.n
     if n > MAX_CERTIFY_N:
@@ -431,13 +387,10 @@ def certify(strategy: Strategy, coverage: str = "auto",
         flags[name] = getattr(measured, name) <= certified[name] + BOUND_SLACK
 
     junk, junk_norm = compute_junk(canonical, ops)
-    pairs, dist_cov = _distance_pairs(n, distance_pairs, seed)
+    pairs, dist_cov = _distance_pairs(n, seed)
     dist_fixed, dist_opt = {}, {}
     for p, q in pairs:
-        dist_fixed[(p, q)] = extraction_distance(canonical, ops, p, q,
-                                                 junk_policy="fixed", junk=junk)
-        dist_opt[(p, q)] = extraction_distance(canonical, ops, p, q,
-                                               junk_policy="optimal")
+        dist_fixed[(p, q)], dist_opt[(p, q)] = extraction_distance(canonical, ops, p, q, junk)
     return SelfTestReport(n=n, value=value, epsilon=epsilon,
                           delta_cert=delta_cert, transcript=transcript,
                           q_b_star=searches.q_b_star, q_a_star=searches.q_a_star,

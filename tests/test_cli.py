@@ -3,11 +3,19 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
-from chsh_selftest import NoiseSpec, Strategy, ideal_strategy, save_strategy
+from chsh_selftest import (
+    NoiseSpec,
+    Strategy,
+    ideal_strategy,
+    save_strategy,
+    strategy_to_text,
+    validate,
+)
 from chsh_selftest.cli import main
 
 
@@ -195,3 +203,50 @@ def test_unknown_command_exits_nonzero(capsys):
     code = main(["frobnicate"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("field", ["state", "matrix"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_strategy_fails_validation(capsys, tmp_path, field, bad):
+    doc = json.loads(strategy_to_text(ideal_strategy(2)))
+    if field == "state":
+        doc["state"][0][0] = bad
+    else:
+        doc["alice_obs"]["0"][0][1][0] = bad
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(doc))  # the stdlib writes NaN / Infinity tokens
+    code, out, err = run(capsys, "value", "--strategy", str(path))
+    assert code == 3
+    assert "validation" in err
+    assert "nan" not in out.lower()
+
+
+@pytest.mark.parametrize("key", ["n", "dim_A", "dim_B"])
+@pytest.mark.parametrize("bad", ["2", 2.0, True])
+def test_non_integer_size_field_is_a_config_error(capsys, tmp_path, key, bad):
+    doc = json.loads(strategy_to_text(ideal_strategy(2)))
+    doc[key] = bad
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "value", "--strategy", str(path))
+    assert code == 2
+    assert f"{key} must be an integer" in err
+
+
+@pytest.mark.parametrize("residual", [3e-9, 9e-9])
+def test_hermiticity_residual_within_validation_certifies(capsys, tmp_path, residual):
+    # Bob's all-zeros and all-ones observables pick up opposite tiny phases,
+    # so their sum and difference carry twice the per-observable residual
+    s = ideal_strategy(2)
+    phi = residual / math.sqrt(2.0)  # entries of Bob's observables have modulus 1/sqrt(2)
+    bob = {q: [(1 + 1j * phi if q[k] == "0" else 1 - 1j * phi) * np.asarray(o)
+               for k, o in enumerate(fam)]
+           for q, fam in s.bob_obs.items()}
+    skewed = Strategy(n=2, dim_a=2, dim_b=2, state=s.state, alice_obs=s.alice_obs,
+                      bob_obs=bob)
+    diag = validate(skewed)
+    assert diag.ok and diag.hermiticity == pytest.approx(residual, rel=1e-6)
+    path = tmp_path / "skewed.json"
+    save_strategy(skewed, str(path))
+    code, _, err = run(capsys, "certify", "--strategy", str(path))
+    assert code in (0, 1), err

@@ -23,10 +23,10 @@ from chsh_selftest import (
     relabel_alice_bit,
     relabel_bob_bit,
     search_questions,
+    subtest_table,
     subtest_value,
 )
 from chsh_selftest import bits
-from chsh_selftest.extraction import qa_score, qb_score
 from chsh_selftest.linalg import PAULI_X, PAULI_Z
 
 
@@ -121,7 +121,11 @@ def test_best_question_beats_average():
         s = random_strategy(2, np.random.default_rng(200 + seed))
         v = exact_value(s).value
         best = find_best_qb(s)
-        assert qb_score(s, best) >= v - 1e-12
+        # average subtest expectation seen by Bob's question; its mean over
+        # Bob's questions is the game value
+        score = (float(subtest_table(s)[:, bits.to_int(best), :].sum())
+                 / (s.n * (1 << (s.half - 1))))
+        assert score >= v - 1e-12
 
 
 def test_canonicalize_moves_best_questions_to_zero():

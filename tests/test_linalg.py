@@ -1,4 +1,4 @@
-"""Matrix utilities: tensors, embeddings, spectral maps, ordered products."""
+"""Matrix utilities: tensors, embeddings, spectral maps, one-sided actions."""
 
 import numpy as np
 import pytest
@@ -43,18 +43,6 @@ def test_residuals():
     assert linalg.unitarity_residual(half) == 0.75
 
 
-def test_operator_abs():
-    m = np.diag([2.0, -3.0]).astype(complex)
-    assert np.allclose(linalg.operator_abs(m), np.diag([2.0, 3.0]))
-    # |sigma_z| = I
-    assert np.allclose(linalg.operator_abs(linalg.PAULI_Z), np.eye(2))
-    # |sigma_x + sigma_z| = sqrt(2) * I  (eigenvalues are ±sqrt(2))
-    m = linalg.PAULI_X + linalg.PAULI_Z
-    assert np.allclose(linalg.operator_abs(m), np.sqrt(2) * np.eye(2))
-    with pytest.raises(ValueError):
-        linalg.operator_abs(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
 def test_sign_normalize():
     m = (linalg.PAULI_X + linalg.PAULI_Z) / np.sqrt(2)
     out = linalg.sign_normalize(2 * m)
@@ -67,6 +55,16 @@ def test_sign_normalize():
     assert np.allclose(out, np.eye(2))
 
 
+def test_sign_normalize_uses_the_validation_ceiling():
+    skew = np.array([[0, 1], [-1, 0]], dtype=complex)  # Hermiticity residual 2
+    m = linalg.PAULI_Z + (0.4 * linalg.VALIDATION_TOL) * skew
+    # (m + m^dag)/2 is exactly sigma_z; diagonalizing one triangle of m
+    # instead would tilt the output by about 4e-9
+    assert np.max(np.abs(linalg.sign_normalize(m) - linalg.PAULI_Z)) < 1e-15
+    with pytest.raises(ValueError, match="not Hermitian"):
+        linalg.sign_normalize(linalg.PAULI_Z + linalg.VALIDATION_TOL * skew)
+
+
 def test_sign_normalize_squares_to_identity():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -76,28 +74,21 @@ def test_sign_normalize_squares_to_identity():
     assert linalg.hermiticity_residual(out) < 1e-12
 
 
-def test_ordered_product_order():
-    X, Z = linalg.PAULI_X, linalg.PAULI_Z
-    # selector "11": index-1 factor leftmost
-    m = linalg.ordered_product([X, Z], "11")
-    assert np.allclose(m, X @ Z)
-    assert not np.allclose(m, Z @ X)
-    assert np.allclose(linalg.ordered_product([X, Z], "00"), np.eye(2))
-    assert np.allclose(linalg.ordered_product([X, Z], "01"), Z)
-    with pytest.raises(ValueError):
-        linalg.ordered_product([X], "11")
-
-
 def test_apply_on_sides():
     rng = np.random.default_rng(1)
     psi = rng.normal(size=8) + 1j * rng.normal(size=8)
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     # A side: dim_a=2, dim_b=4
     expect = (np.kron(m, np.eye(4)) @ psi)
-    assert np.allclose(linalg.apply_on_a(m, psi, 2, 4), expect)
+    assert np.allclose(linalg.apply_on_a(m, psi.reshape(2, 4)).reshape(-1), expect)
     # B side: dim_a=4, dim_b=2
     expect = (np.kron(np.eye(4), m) @ psi)
-    assert np.allclose(linalg.apply_on_b(m, psi, 4, 2), expect)
+    assert np.allclose(linalg.apply_on_b(m, psi.reshape(4, 2)).reshape(-1), expect)
+    # leading axes are a batch of independent states
+    batch = rng.normal(size=(3, 5, 4, 2)) + 1j * rng.normal(size=(3, 5, 4, 2))
+    out = linalg.apply_on_b(m, batch)
+    assert out.shape == batch.shape
+    assert np.allclose(out[2, 4].reshape(-1), np.kron(np.eye(4), m) @ batch[2, 4].reshape(-1))
 
 
 def test_pair_expectation_matches_dense():

@@ -1,9 +1,11 @@
 """Commutation norms, certified ceilings, the swap isometry, and reports."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chsh_selftest import (
     MAX_CERTIFY_N,
@@ -107,14 +109,102 @@ def test_general_conditions_sampled_mode_is_deterministic():
     assert a.general_swap_max <= full.general_swap_max + 1e-12
 
 
-def test_swap_isometry_preserves_norm():
-    rng = np.random.default_rng(1)
-    s = random_strategy(2, rng)
+# ---------------------------------------------------------------------------
+# dense oracles: X'_k and Z'_k as full (dim_a dim_b)^2 matrices
+
+
+def dense_op(ops, kind, k):
+    op = (ops.x_ops if kind == "x" else ops.z_ops)[k - 1]
+    if k <= ops.n // 2:
+        return np.kron(op, np.eye(ops.dim_b))
+    return np.kron(np.eye(ops.dim_a), op)
+
+
+def dense_string(ops, kind, s):
+    out = np.eye(ops.dim_a * ops.dim_b, dtype=complex)
+    for k in range(1, ops.n + 1):
+        if s[k - 1] == "1":
+            out = out @ dense_op(ops, kind, k)
+    return out
+
+
+def dense_swap_circuit(ops, v):
+    """The swap circuit as one dense matrix on device (x) ancillas."""
+    n, dim = ops.n, ops.dim_a * ops.dim_b
+    had = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+
+    def on_ancilla(one_qubit, k):
+        return np.kron(np.kron(np.eye(1 << (k - 1)), one_qubit), np.eye(1 << (n - k)))
+
+    ket0, ket1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    h_all = lambda k: np.kron(np.eye(dim), on_ancilla(had, k))
+    controlled = lambda u, k: (np.kron(np.eye(dim), on_ancilla(ket0, k))
+                               + np.kron(u, on_ancilla(ket1, k)))
+    circuit = np.eye(dim << n, dtype=complex)
+    for k in range(1, n + 1):
+        stage = (controlled(dense_op(ops, "x", k), k) @ h_all(k)
+                 @ controlled(dense_op(ops, "z", k), k) @ h_all(k))
+        circuit = stage @ circuit
+    start = np.zeros(1 << n)
+    start[0] = 1.0
+    return circuit @ np.kron(v, start)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_apply_string_matches_dense_products(n):
+    rng = np.random.default_rng(40 + n)
+    s = random_strategy(n, rng)
     ops = build_xz(s)
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    psi = s.state.reshape(s.dim_a, s.dim_b)
+    for kind in ("x", "z"):
+        for string in bits.all_strings(n):
+            got = ops.apply_string(kind, string, psi).reshape(-1)
+            want = dense_string(ops, kind, string) @ s.state
+            assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_swap_isometry_matches_dense_circuit(n):
+    rng = np.random.default_rng(50 + n)
+    s = random_strategy(n, rng)
+    ops = build_xz(s)
+    for v in (s.state, ops.apply_string("x", "1" * n, s.state.reshape(s.dim_a, s.dim_b))):
+        got = swap_isometry_apply(ops, v)
+        want = dense_swap_circuit(ops, np.reshape(v, -1))
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# properties over random and noise-model strategies
+
+
+@st.composite
+def strategies_and_pairs(draw):
+    """A random or noise-model strategy at n in {2, 4, 6} plus Pauli pairs."""
+    n = draw(st.sampled_from([2, 4, 6]))
+    family = draw(st.sampled_from(["random", "bob-rotation", "partial-entanglement"]))
+    if family == "random":
+        strat = random_strategy(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    elif family == "bob-rotation":
+        strat = noisy_strategy(n, NoiseSpec(model=family, param=draw(st.floats(-1.0, 1.0))))
+    else:
+        strat = noisy_strategy(n, NoiseSpec(model=family,
+                                            param=draw(st.floats(0.05, math.pi / 4))))
+    string = st.text("01", min_size=n, max_size=n)
+    return strat, draw(st.lists(st.tuples(string, string), min_size=1, max_size=3))
+
+
+@settings(max_examples=12, deadline=None)
+@given(strategies_and_pairs(), st.integers(0, 2**32 - 1))
+def test_swap_isometry_preserves_norm(case, seed):
+    s, _ = case
+    rng = np.random.default_rng(seed)
+    ops = build_xz(s)
+    size = s.dim_a * s.dim_b
+    v = rng.normal(size=size) + 1j * rng.normal(size=size)
     v /= np.linalg.norm(v)
     out = swap_isometry_apply(ops, v)
-    assert out.shape == (4 * 4,)
+    assert out.shape == (size << s.n,)
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -153,23 +243,23 @@ def test_extraction_distances_vanish_on_ideal():
     junk, _ = compute_junk(s, ops)
     for p in bits.all_strings(2):
         for q in bits.all_strings(2):
-            d_fixed = extraction_distance(s, ops, p, q, junk_policy="fixed",
-                                          junk=junk)
-            d_opt = extraction_distance(s, ops, p, q, junk_policy="optimal")
-            assert d_fixed < 1e-7
-            assert d_opt < 1e-7
+            d_fixed, d_opt = extraction_distance(s, ops, p, q, junk)
+            assert d_fixed < 1e-12
+            assert d_opt < 1e-12
 
 
-def test_optimal_distance_never_beats_fixed():
-    s = noisy_strategy(2, NoiseSpec(model="partial-entanglement", param=0.6))
+@settings(max_examples=12, deadline=None)
+@given(strategies_and_pairs())
+@example((noisy_strategy(2, NoiseSpec(model="partial-entanglement", param=0.6)),
+          [(p, q) for p in bits.all_strings(2) for q in bits.all_strings(2)]))
+@example((ideal_strategy(2), [("00", "00")]))  # both distances are roundoff here
+def test_optimal_distance_never_beats_fixed(case):
+    s, pairs = case
     ops = build_xz(s)
     junk, _ = compute_junk(s, ops)
-    for p in bits.all_strings(2):
-        for q in bits.all_strings(2):
-            d_fixed = extraction_distance(s, ops, p, q, junk_policy="fixed",
-                                          junk=junk)
-            d_opt = extraction_distance(s, ops, p, q, junk_policy="optimal")
-            assert d_opt <= d_fixed + 1e-12
+    for p, q in pairs:
+        d_fixed, d_opt = extraction_distance(s, ops, p, q, junk)
+        assert d_opt <= d_fixed + 1e-12
 
 
 def test_distance_regression_bob_rotation():
