@@ -25,45 +25,6 @@ def bit(s: str, k: int) -> int:
     return int(s[k - 1])
 
 
-def halves(s: str) -> tuple[str, str]:
-    """Split an even-length string into its first and second half."""
-    if len(s) % 2 != 0:
-        raise ValueError(f"cannot halve odd-length string {s!r}")
-    m = len(s) // 2
-    return s[:m], s[m:]
-
-
-def dot(a: str, b: str) -> int:
-    """Inner product sum_j a_j b_j over the integers."""
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    return sum(int(x) & int(y) for x, y in zip(a, b))
-
-
-def weight(s: str) -> int:
-    """Hamming weight."""
-    return s.count("1")
-
-
-def xor(a: str, b: str) -> str:
-    """Bitwise exclusive or."""
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    return "".join("1" if x != y else "0" for x, y in zip(a, b))
-
-
-def unit(n: int, k: int) -> str:
-    """The length-n string with a single 1 at position k (1-indexed)."""
-    if not 1 <= k <= n:
-        raise ValueError(f"position {k} out of range for length {n}")
-    return "0" * (k - 1) + "1" + "0" * (n - k)
-
-
-def flip(s: str, k: int) -> str:
-    """Flip bit k of ``s``."""
-    return xor(s, unit(len(s), k))
-
-
 def complement(s: str) -> str:
     """Flip every bit."""
     return "".join("1" if c == "0" else "0" for c in s)

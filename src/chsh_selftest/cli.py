@@ -36,6 +36,10 @@ SWEEP_COLUMNS = ("n,model,param,value,epsilon,delta_cert,"
                  "dist_fixed_max,dist_opt_max,junk_norm")
 
 
+class _ConfigError(Exception):
+    """A bad flag or environment setting; main reports it and exits 2."""
+
+
 def _fail(msg: str, code: int) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return code
@@ -43,15 +47,24 @@ def _fail(msg: str, code: int) -> int:
 
 def _seed_from(args) -> int | None:
     """--seed wins over the SEED environment variable."""
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("SEED")
+        if env is None:
             return None
-    return None
+        try:
+            seed = int(env)
+        except ValueError:
+            raise _ConfigError("SEED must be an integer") from None
+    if seed < 0:
+        raise _ConfigError("the seed must be non-negative")
+    return seed
+
+
+def _samples_from(args) -> int:
+    if args.samples < 1:
+        raise _ConfigError("--samples must be a positive integer")
+    return args.samples
 
 
 def _resolve_strategy(args) -> tuple[Strategy | None, int]:
@@ -134,6 +147,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    samples = _samples_from(args)
     strat, code = _resolve_strategy(args)
     if strat is None:
         return code
@@ -142,7 +156,7 @@ def cmd_certify(args) -> int:
     seed = _seed_from(args)
     try:
         report = certify(strat, coverage=args.coverage or "auto",
-                         samples=args.samples, seed=0 if seed is None else seed)
+                         samples=samples, seed=0 if seed is None else seed)
     except ValueError as exc:
         return _fail(str(exc), EXIT_CONFIG)
     model, param = ("file", 0.0) if args.strategy else (args.noise, args.noise_param)
@@ -166,6 +180,7 @@ def _float_list(text: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
+    samples = _samples_from(args)
     try:
         ns = _int_list(args.n or "")
         params = _float_list(args.noise_param_list if args.noise_param_list is not None
@@ -186,9 +201,12 @@ def cmd_sweep(args) -> int:
                 noise = NoiseSpec(model=args.noise, param=param)
             except ValueError as exc:
                 return _fail(str(exc), EXIT_CONFIG)
-            report = certify(noisy_strategy(n, noise),
-                             coverage=args.coverage or "auto",
-                             samples=args.samples, seed=seed)
+            try:
+                report = certify(noisy_strategy(n, noise),
+                                 coverage=args.coverage or "auto",
+                                 samples=samples, seed=seed)
+            except ValueError as exc:
+                return _fail(str(exc), EXIT_CONFIG)
             rows.append(_report_row(report, args.noise, param))
             if not report.passed:
                 worst = EXIT_BOUND_VIOLATION
@@ -279,7 +297,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _ConfigError as exc:
+        return _fail(str(exc), EXIT_CONFIG)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bits
-from .game import TSIRELSON, subtest_table, subtest_value
+from .game import PIGEONHOLE_SLACK, TSIRELSON, subtest_table
+from .game import subtest_value  # not called; perfbench/tracer.py patches this binding
 from .linalg import apply_on_a, apply_on_b, sign_normalize
 from .strategy import Strategy
 
@@ -78,119 +79,58 @@ def build_xz(strategy: Strategy) -> ExtractedOperators:
 
 
 # ---------------------------------------------------------------------------
-# relabeling symmetries
+# relabeling symmetry and pigeonhole searches
 
-def relabel_alice_bit(strategy: Strategy, k: int) -> Strategy:
-    """Flip bit k in every question on Alice's side.
+def relabel(strategy: Strategy, q_a: str, q_b: str) -> Strategy:
+    """Flip the bits of q_b in Bob's questions, then those of q_a in Alice's.
 
-    Alice's table is re-keyed by q_a -> q_a xor 1_k; Bob's k-th
-    observable picks up the sign (-1)^{q_b[k]}.  The game value is
-    unchanged.
+    Alice's table is re-keyed by x -> x xor q_a and Bob's by y -> y xor q_b;
+    observable k of either player picks up a sign when bit k is set both
+    in that player's question (Alice's before her flip, Bob's after his)
+    and in the other player's flip mask.  The game value is unchanged, and
+    the subtest table of the result is F[x xor q_a, y xor q_b, k] with F
+    the table of ``strategy``.
     """
     m = strategy.half
-    if not 1 <= k <= m:
-        raise ValueError(f"bit {k} out of range")
-    alice = {q: strategy.alice_obs[bits.flip(q, k)] for q in strategy.alice_obs}
-    bob = {}
-    for q, family in strategy.bob_obs.items():
-        family = list(family)
-        if bits.bit(q, k):
-            family[k - 1] = -family[k - 1]
-        bob[q] = tuple(family)
+    if len(bits.check(q_a)) != m or len(bits.check(q_b)) != m:
+        raise ValueError(f"flip masks must have length {m}")
+    alice, bob = {}, {}
+    for q in bits.all_strings(m):
+        src_a = bits.from_int(bits.to_int(q) ^ bits.to_int(q_a), m)
+        src_b = bits.from_int(bits.to_int(q) ^ bits.to_int(q_b), m)
+        alice[q] = tuple(-obs if src_a[k] == q_b[k] == "1" else obs
+                         for k, obs in enumerate(strategy.alice_obs[src_a]))
+        bob[q] = tuple(-obs if q[k] == q_a[k] == "1" else obs
+                       for k, obs in enumerate(strategy.bob_obs[src_b]))
     return Strategy(n=strategy.n, dim_a=strategy.dim_a, dim_b=strategy.dim_b,
                     state=strategy.state, alice_obs=alice, bob_obs=bob)
 
 
-def relabel_bob_bit(strategy: Strategy, k: int) -> Strategy:
-    """Flip bit k in every question on Bob's side (mirror image)."""
-    m = strategy.half
-    if not 1 <= k <= m:
-        raise ValueError(f"bit {k} out of range")
-    bob = {q: strategy.bob_obs[bits.flip(q, k)] for q in strategy.bob_obs}
-    alice = {}
-    for q, family in strategy.alice_obs.items():
-        family = list(family)
-        if bits.bit(q, k):
-            family[k - 1] = -family[k - 1]
-        alice[q] = tuple(family)
-    return Strategy(n=strategy.n, dim_a=strategy.dim_a, dim_b=strategy.dim_b,
-                    state=strategy.state, alice_obs=alice, bob_obs=bob)
+def _best(scores: np.ndarray) -> int:
+    """Smallest index whose score is within PIGEONHOLE_SLACK of the maximum."""
+    return int(np.flatnonzero(scores >= np.max(scores) - PIGEONHOLE_SLACK)[0])
 
 
-# ---------------------------------------------------------------------------
-# pigeonhole searches
+def find_pair_question(table: np.ndarray, k: int, ell: int) -> tuple[str, float]:
+    """Best Alice question with bit k = 0 and bit ell = 1, and its score.
 
-def find_best_qb(strategy: Strategy) -> str:
-    """Bob question with the highest average score (lexicographic ties)."""
-    table = subtest_table(strategy)
-    scores = table.sum(axis=(0, 2))
-    return bits.from_int(int(np.argmax(scores)), strategy.half)
-
-
-def find_best_qa(strategy: Strategy) -> str:
-    """Alice question scoring best against all-zeros q_b (post-remap)."""
-    table = subtest_table(strategy)
-    scores = table[:, 0, :].sum(axis=1)
-    return bits.from_int(int(np.argmax(scores)), strategy.half)
-
-
-def canonicalize(strategy: Strategy) -> tuple[Strategy, list[dict]]:
-    """Relabel so the best questions sit at all-zeros, Bob first.
-
-    Returns the relabeled strategy and the ordered transcript of
-    relabeling steps, each a {"party", "bit"} record.  Scores are
-    recomputed from the relabeled strategy between the two stages.
+    ``table`` is the subtest table of the canonical strategy.  The score
+    of q is the smaller of f(q, 0..0, k) and f(q, 0..0, ell); ties go to
+    the lexicographically smallest question.  Since subtest values are
+    complement-invariant, restricting the search to the (0, 1) bit
+    pattern loses nothing.
     """
-    transcript: list[dict] = []
-    best_b = find_best_qb(strategy)
-    for k in range(1, strategy.half + 1):
-        if bits.bit(best_b, k):
-            strategy = relabel_bob_bit(strategy, k)
-            transcript.append({"party": "B", "bit": k})
-    best_a = find_best_qa(strategy)
-    for k in range(1, strategy.half + 1):
-        if bits.bit(best_a, k):
-            strategy = relabel_alice_bit(strategy, k)
-            transcript.append({"party": "A", "bit": k})
-    return strategy, transcript
-
-
-def per_subtest_deltas(strategy: Strategy) -> np.ndarray:
-    """Shortfall max(0, 2 sqrt(2) - f(0..0, 0..0, k)) for each pair k.
-
-    Meant for canonicalized strategies, where each entry is at most
-    (n/2) times the overall shortfall.
-    """
-    m = strategy.half
-    zeros_q = bits.zeros(m)
-    return np.array([max(0.0, TSIRELSON - subtest_value(strategy, zeros_q, zeros_q, k))
-                     for k in range(1, m + 1)])
-
-
-def find_pair_question(strategy: Strategy, k: int, ell: int) -> str:
-    """Best Alice question with bit k = 0 and bit ell = 1.
-
-    Maximizes the smaller of the two subtest values f(q_a, 0..0, k) and
-    f(q_a, 0..0, ell); ties go to the lexicographically smallest.  Since
-    subtest values are complement-invariant, restricting the search to
-    the (0, 1) bit pattern loses nothing.
-    """
-    m = strategy.half
+    m = table.shape[-1]
     if k == ell:
         raise ValueError("pair question needs two distinct subtests")
     if not (1 <= k <= m and 1 <= ell <= m):
         raise ValueError("subtest index out of range")
-    zeros_q = bits.zeros(m)
-    best_q, best_score = None, -math.inf
-    for q in bits.all_strings(m):
-        if bits.bit(q, k) != 0 or bits.bit(q, ell) != 1:
-            continue
-        score = min(subtest_value(strategy, q, zeros_q, k),
-                    subtest_value(strategy, q, zeros_q, ell))
-        if score > best_score:
-            best_q, best_score = q, score
-    assert best_q is not None
-    return best_q
+    idx = np.arange(1 << m)
+    allowed = (((idx >> (m - k)) & 1) == 0) & (((idx >> (m - ell)) & 1) == 1)
+    scores = np.where(allowed, np.minimum(table[:, 0, k - 1], table[:, 0, ell - 1]),
+                      -np.inf)
+    best = _best(scores)
+    return bits.from_int(best, m), float(scores[best])
 
 
 def log_question_set(n: int) -> list[str]:
@@ -215,29 +155,42 @@ def log_question_set(n: int) -> list[str]:
 
 @dataclass(frozen=True)
 class QuestionSearchResult:
-    """Distinguished questions found by the pigeonhole searches."""
+    """Distinguished questions found by the pigeonhole searches.
+
+    ``pair_scores`` holds, per pair, the score that selected its question.
+    """
 
     q_b_star: str
     q_a_star: str
     per_subtest_delta: tuple
     pair_questions: dict
+    pair_scores: dict
 
 
 def search_questions(strategy: Strategy) -> tuple[Strategy, list[dict], QuestionSearchResult]:
-    """Canonicalize and collect all distinguished-question data."""
-    canonical, transcript = canonicalize(strategy)
-    # the flip sets in the transcript are exactly the best questions found
+    """Pick the distinguished questions and relabel them to all-zeros.
+
+    One subtest table F drives every choice: q_b* maximizes Bob's total
+    score, q_a* Alice's total against q_b*, and each pair question is
+    read off the canonical table F[x xor q_a*, y xor q_b*, k].  Returns
+    the canonical strategy, the transcript of relabeled bits (Bob's
+    first) and the search result.
+    """
     m = strategy.half
-    flips_b = {step["bit"] for step in transcript if step["party"] == "B"}
-    flips_a = {step["bit"] for step in transcript if step["party"] == "A"}
-    best_b = "".join("1" if k in flips_b else "0" for k in range(1, m + 1))
-    best_a = "".join("1" if k in flips_a else "0" for k in range(1, m + 1))
-    deltas = per_subtest_deltas(canonical)
-    pairs = {}
-    for k in range(1, strategy.half + 1):
-        for ell in range(k + 1, strategy.half + 1):
-            pairs[(k, ell)] = find_pair_question(canonical, k, ell)
-    result = QuestionSearchResult(q_b_star=best_b, q_a_star=best_a,
+    table = subtest_table(strategy)
+    qb = _best(table.sum(axis=(0, 2)))
+    qa = _best(table[:, qb, :].sum(axis=1))
+    q_b_star, q_a_star = bits.from_int(qb, m), bits.from_int(qa, m)
+    transcript = ([{"party": "B", "bit": k} for k in range(1, m + 1) if bits.bit(q_b_star, k)]
+                  + [{"party": "A", "bit": k} for k in range(1, m + 1) if bits.bit(q_a_star, k)])
+    idx = np.arange(1 << m)
+    canon_table = table[(idx ^ qa)[:, None], (idx ^ qb)[None, :], :]
+    deltas = np.maximum(0.0, TSIRELSON - canon_table[0, 0, :])
+    pairs, scores = {}, {}
+    for k in range(1, m + 1):
+        for ell in range(k + 1, m + 1):
+            pairs[(k, ell)], scores[(k, ell)] = find_pair_question(canon_table, k, ell)
+    result = QuestionSearchResult(q_b_star=q_b_star, q_a_star=q_a_star,
                                   per_subtest_delta=tuple(float(d) for d in deltas),
-                                  pair_questions=pairs)
-    return canonical, transcript, result
+                                  pair_questions=pairs, pair_scores=scores)
+    return relabel(strategy, q_a_star, q_b_star), transcript, result

@@ -19,6 +19,11 @@ from .strategy import Strategy, _sample_bits
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
+#: roundoff allowance for the pigeonhole searches and guarantees: scores
+#: this close to the best count as ties, and the guarantees, exact
+#: inequalities in real arithmetic, are checked up to it
+PIGEONHOLE_SLACK = 1e-12
+
 #: exhaustive value sums are refused above this size
 MAX_EXACT_N = 12
 
@@ -92,15 +97,14 @@ def expectation_table(strategy: Strategy) -> np.ndarray:
     return np.einsum("akij,bkij->abk", left, right).real
 
 
-def subtest_table(strategy: Strategy, expectations: np.ndarray | None = None) -> np.ndarray:
+def subtest_table(strategy: Strategy) -> np.ndarray:
     """F[a, b, k] = subtest expectation for every question pair and k.
 
     Built from the expectation table with the same canonical term order
     as :func:`subtest_value`, so F is exactly complement-symmetric in
     both question indices.
     """
-    if expectations is None:
-        expectations = expectation_table(strategy)
+    expectations = expectation_table(strategy)
     m = strategy.half
     q_count = 1 << m
     mask = q_count - 1

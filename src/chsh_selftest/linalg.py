@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 #: eigenvalues smaller than this in magnitude are treated as +zero_tol
@@ -103,10 +101,6 @@ def pair_expectation(m_a: np.ndarray, m_b: np.ndarray, psi: np.ndarray,
     """Real part of <psi| m_a tensor m_b |psi>."""
     mat = psi.reshape(dim_a, dim_b)
     return float(np.vdot(mat, m_a @ mat @ m_b.T).real)
-
-
-def norm(v: np.ndarray) -> float:
-    return float(np.linalg.norm(v))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -233,12 +233,15 @@ def validate(strategy: Strategy) -> StrategyDiagnostics:
     """Worst residuals for Hermiticity, unitarity, same-question
     commutation, and state normalization."""
     herm, unit, comm = [0.0], [0.0], [0.0]
-    for table in (strategy.alice_obs, strategy.bob_obs):
-        for family in table.values():
-            for i, obs in enumerate(family):
-                herm.append(hermiticity_residual(obs))
-                unit.append(unitarity_residual(obs))
-                comm.extend(commutation_residual(obs, other) for other in family[i + 1:])
+    # non-finite entries give NaN or inf residuals, which fail below; the
+    # arithmetic that produces them is expected, not worth a warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        for table in (strategy.alice_obs, strategy.bob_obs):
+            for family in table.values():
+                for i, obs in enumerate(family):
+                    herm.append(hermiticity_residual(obs))
+                    unit.append(unitarity_residual(obs))
+                    comm.extend(commutation_residual(obs, other) for other in family[i + 1:])
     normres = abs(float(np.linalg.norm(strategy.state)) - 1.0)
     # np.max, unlike the builtin max, keeps a NaN residual
     return StrategyDiagnostics(hermiticity=float(np.max(herm)), unitarity=float(np.max(unit)),

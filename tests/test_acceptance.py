@@ -142,10 +142,9 @@ def test_criterion_07_relabel_invariance():
     for seed in range(100):
         s = cs.random_strategy(2, np.random.default_rng(seed))
         v = cs.exact_value(s).value
-        for flip in (lambda t: cs.relabel_alice_bit(t, 1),
-                     lambda t: cs.relabel_bob_bit(t, 1)):
-            worst = max(worst, abs(cs.exact_value(flip(s)).value - v))
-            twice = flip(flip(s))
+        for q_a, q_b in (("1", "0"), ("0", "1")):
+            worst = max(worst, abs(cs.exact_value(cs.relabel(s, q_a, q_b)).value - v))
+            twice = cs.relabel(cs.relabel(s, q_a, q_b), q_a, q_b)
             for q in s.alice_obs:
                 if not (np.array_equal(twice.alice_obs[q][0], s.alice_obs[q][0])
                         and np.array_equal(twice.bob_obs[q][0], s.bob_obs[q][0])):

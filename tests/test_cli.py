@@ -205,6 +205,55 @@ def test_unknown_command_exits_nonzero(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ("certify", "--n", "2"),
+    ("certify", "--n", "8", "--coverage", "sampled"),
+    ("sweep", "--n", "2", "--noise-param", "0", "--coverage", "sampled"),
+])
+def test_samples_below_one_is_a_config_error(capsys, argv, samples):
+    code, out, err = run(capsys, *argv, "--samples", samples)
+    assert code == 2
+    assert err.strip() == "error: --samples must be a positive integer"
+    assert out == ""
+
+
+def test_sweep_reports_certify_errors_as_config_errors(capsys):
+    code, out, err = run(capsys, "sweep", "--n", "8", "--noise-param", "0",
+                         "--coverage", "exhaustive")
+    assert code == 2
+    assert err.startswith("error: exhaustive coverage limited to n <= 6")
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--n", "2", "--rounds", "10"),
+    ("certify", "--n", "2"),
+    ("sweep", "--n", "2", "--noise-param", "0"),
+])
+def test_non_integer_seed_env_is_a_config_error(capsys, monkeypatch, argv):
+    monkeypatch.setenv("SEED", "abc")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.strip() == "error: SEED must be an integer"
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--n", "2", "--rounds", "10"),
+    ("certify", "--n", "2"),
+])
+def test_negative_seed_is_a_config_error(capsys, monkeypatch, argv):
+    monkeypatch.delenv("SEED", raising=False)
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert err.strip() == "error: the seed must be non-negative"
+    assert out == ""
+    monkeypatch.setenv("SEED", "-1")
+    assert run(capsys, *argv)[0] == 2
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("field", ["state", "matrix"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_strategy_fails_validation(capsys, tmp_path, field, bad):

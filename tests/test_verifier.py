@@ -24,7 +24,7 @@ from chsh_selftest import (
     noisy_strategy,
     pauli_target,
     random_strategy,
-    relabel_alice_bit,
+    relabel,
     swap_isometry_apply,
 )
 from chsh_selftest import bits, jsonio
@@ -307,14 +307,25 @@ def test_certify_passes_across_noise_models():
 def test_certify_is_relabel_invariant_in_substance():
     s = noisy_strategy(2, NoiseSpec(model="bob-rotation", param=0.2))
     rep0 = certify(s)
-    rep1 = certify(relabel_alice_bit(s, 1))
+    rep1 = certify(relabel(s, "1", "0"))
     assert rep1.value == pytest.approx(rep0.value, abs=1e-9)
     assert rep1.epsilon == pytest.approx(rep0.epsilon, abs=1e-9)
     assert rep1.measured.eps2 == pytest.approx(rep0.measured.eps2, abs=1e-9)
     assert rep1.passed
-    # this model scores every question identically, so no flips are needed
-    # even after relabeling; the questions keep their canonical names
+    # these models score every question identically, so no flips are needed,
+    # even after relabeling; the questions keep their canonical names, and
+    # ties that differ only by roundoff go to the smallest question
     assert rep1.q_b_star == "0" and rep1.q_a_star == "0"
+    for n, model, param in ((4, "bob-rotation", 0.04), (6, "bob-rotation", 0.01),
+                            (4, "partial-entanglement", 0.5),
+                            (8, "partial-entanglement", 0.39)):
+        rep = certify(noisy_strategy(n, NoiseSpec(model=model, param=param)))
+        m = n // 2
+        assert rep.transcript == [], (n, model, param)
+        assert rep.q_a_star == rep.q_b_star == bits.zeros(m)
+        assert rep.pair_questions == {
+            (k, ell): bits.from_int(1 << (m - ell), m)
+            for k in range(1, m + 1) for ell in range(k + 1, m + 1)}
 
 
 def test_certify_rejects_large_n():
