@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 
 def check(s: str) -> str:
     """Validate that ``s`` is a nonempty bit string and return it unchanged."""
@@ -23,19 +25,6 @@ def bit(s: str, k: int) -> int:
     if not 1 <= k <= len(s):
         raise ValueError(f"bit index {k} out of range for length {len(s)}")
     return int(s[k - 1])
-
-
-def complement(s: str) -> str:
-    """Flip every bit."""
-    return "".join("1" if c == "0" else "0" for c in s)
-
-
-def zeros(n: int) -> str:
-    return "0" * n
-
-
-def ones(n: int) -> str:
-    return "1" * n
 
 
 def to_int(s: str) -> int:
@@ -54,3 +43,23 @@ def all_strings(n: int) -> Iterator[str]:
     """All length-n bit strings in lexicographic (= numeric) order."""
     for i in range(1 << n):
         yield from_int(i, n)
+
+
+def bit_table(n: int) -> np.ndarray:
+    """table[i, k] = bit k + 1 of the n-bit integer i, for every i < 2^n."""
+    return (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+
+
+def parity(v) -> np.ndarray:
+    """1 where a nonnegative integer (or each entry of an integer array, up
+    to 63 bits) has an odd number of set bits, else 0."""
+    v = np.asarray(v, dtype=np.int64)
+    for shift in (32, 16, 8, 4, 2, 1):
+        v = v ^ (v >> shift)
+    return v & 1
+
+
+def sign_grid(n: int) -> np.ndarray:
+    """signs[s, t] = (-1)^{s . t} over all n-bit integers s, t."""
+    idx = np.arange(1 << n)
+    return np.where(parity(idx[:, None] & idx[None, :]), -1.0, 1.0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bits
-from .game import PIGEONHOLE_SLACK, TSIRELSON, subtest_table
+from .game import PIGEONHOLE_SLACK, TSIRELSON, subtest_table, table_value
 from .game import subtest_value  # not called; perfbench/tracer.py patches this binding
 from .linalg import apply_on_a, apply_on_b, sign_normalize
 from .strategy import Strategy
@@ -63,13 +63,9 @@ def build_xz(strategy: Strategy) -> ExtractedOperators:
     observable on the test state) and the difference gives X; both are
     halved and sign-normalized back to Hermitian unitaries.
     """
-    m = strategy.half
-    zeros_q, ones_q = bits.zeros(m), bits.ones(m)
-    x_ops = list(strategy.alice_obs[zeros_q])
-    z_ops = list(strategy.alice_obs[ones_q])
-    for k in range(m):
-        n0 = strategy.bob_obs[zeros_q][k]
-        n1 = strategy.bob_obs[ones_q][k]
+    x_ops = list(strategy.alice[0])
+    z_ops = list(strategy.alice[-1])
+    for n0, n1 in zip(strategy.bob[0], strategy.bob[-1]):
         # halving keeps the Hermiticity residual within the validation ceiling
         x_ops.append(sign_normalize((n0 - n1) / 2))
         z_ops.append(sign_normalize((n0 + n1) / 2))
@@ -84,26 +80,24 @@ def build_xz(strategy: Strategy) -> ExtractedOperators:
 def relabel(strategy: Strategy, q_a: str, q_b: str) -> Strategy:
     """Flip the bits of q_b in Bob's questions, then those of q_a in Alice's.
 
-    Alice's table is re-keyed by x -> x xor q_a and Bob's by y -> y xor q_b;
-    observable k of either player picks up a sign when bit k is set both
-    in that player's question (Alice's before her flip, Bob's after his)
-    and in the other player's flip mask.  The game value is unchanged, and
+    Alice's family at x is her old one at x xor q_a, and Bob's at y his
+    old one at y xor q_b (one gather per player); observable k of either
+    player picks up a sign when bit k is set both in that player's
+    question (Alice's before her flip, Bob's after his) and in the other
+    player's flip mask.  The game value is unchanged, and
     the subtest table of the result is F[x xor q_a, y xor q_b, k] with F
     the table of ``strategy``.
     """
     m = strategy.half
     if len(bits.check(q_a)) != m or len(bits.check(q_b)) != m:
         raise ValueError(f"flip masks must have length {m}")
-    alice, bob = {}, {}
-    for q in bits.all_strings(m):
-        src_a = bits.from_int(bits.to_int(q) ^ bits.to_int(q_a), m)
-        src_b = bits.from_int(bits.to_int(q) ^ bits.to_int(q_b), m)
-        alice[q] = tuple(-obs if src_a[k] == q_b[k] == "1" else obs
-                         for k, obs in enumerate(strategy.alice_obs[src_a]))
-        bob[q] = tuple(-obs if q[k] == q_a[k] == "1" else obs
-                       for k, obs in enumerate(strategy.bob_obs[src_b]))
-    return Strategy(n=strategy.n, dim_a=strategy.dim_a, dim_b=strategy.dim_b,
-                    state=strategy.state, alice_obs=alice, bob_obs=bob)
+    qa, qb = bits.to_int(q_a), bits.to_int(q_b)
+    idx, table = np.arange(1 << m), bits.bit_table(m)
+    alice, bob = strategy.alice[idx ^ qa], strategy.bob[idx ^ qb]
+    for stack, questions, mask in ((alice, idx ^ qa, qb), (bob, idx, qa)):
+        flip = (table[questions] & table[mask]).astype(bool)
+        np.negative(stack, out=stack, where=flip[:, :, None, None])
+    return Strategy(state=strategy.state, alice=alice, bob=bob)
 
 
 def _best(scores: np.ndarray) -> int:
@@ -125,8 +119,8 @@ def find_pair_question(table: np.ndarray, k: int, ell: int) -> tuple[str, float]
         raise ValueError("pair question needs two distinct subtests")
     if not (1 <= k <= m and 1 <= ell <= m):
         raise ValueError("subtest index out of range")
-    idx = np.arange(1 << m)
-    allowed = (((idx >> (m - k)) & 1) == 0) & (((idx >> (m - ell)) & 1) == 1)
+    bit = bits.bit_table(m)
+    allowed = (bit[:, k - 1] == 0) & (bit[:, ell - 1] == 1)
     scores = np.where(allowed, np.minimum(table[:, 0, k - 1], table[:, 0, ell - 1]),
                       -np.inf)
     best = _best(scores)
@@ -157,9 +151,11 @@ def log_question_set(n: int) -> list[str]:
 class QuestionSearchResult:
     """Distinguished questions found by the pigeonhole searches.
 
+    ``value`` is the game value read off the same subtest table, and
     ``pair_scores`` holds, per pair, the score that selected its question.
     """
 
+    value: float
     q_b_star: str
     q_a_star: str
     per_subtest_delta: tuple
@@ -170,9 +166,10 @@ class QuestionSearchResult:
 def search_questions(strategy: Strategy) -> tuple[Strategy, list[dict], QuestionSearchResult]:
     """Pick the distinguished questions and relabel them to all-zeros.
 
-    One subtest table F drives every choice: q_b* maximizes Bob's total
-    score, q_a* Alice's total against q_b*, and each pair question is
-    read off the canonical table F[x xor q_a*, y xor q_b*, k].  Returns
+    One subtest table F gives the game value and drives every choice:
+    q_b* maximizes Bob's total score, q_a* Alice's total against q_b*, and
+    each pair question is read off the canonical table
+    F[x xor q_a*, y xor q_b*, k].  Returns
     the canonical strategy, the transcript of relabeled bits (Bob's
     first) and the search result.
     """
@@ -190,7 +187,8 @@ def search_questions(strategy: Strategy) -> tuple[Strategy, list[dict], Question
     for k in range(1, m + 1):
         for ell in range(k + 1, m + 1):
             pairs[(k, ell)], scores[(k, ell)] = find_pair_question(canon_table, k, ell)
-    result = QuestionSearchResult(q_b_star=q_b_star, q_a_star=q_a_star,
+    result = QuestionSearchResult(value=table_value(table),
+                                  q_b_star=q_b_star, q_a_star=q_a_star,
                                   per_subtest_delta=tuple(float(d) for d in deltas),
                                   pair_questions=pairs, pair_scores=scores)
     return relabel(strategy, q_a_star, q_b_star), transcript, result

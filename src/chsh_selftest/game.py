@@ -64,18 +64,18 @@ def subtest_value(strategy: Strategy, q_a: str, q_b: str, k: int) -> float:
     exactly invariant under complementing q_a or q_b.
     """
     m = strategy.half
-    if len(q_a) != m or len(q_b) != m:
+    if len(bits.check(q_a)) != m or len(bits.check(q_b)) != m:
         raise ValueError(f"questions must have length {m}")
     if not 1 <= k <= m:
         raise ValueError(f"subtest {k} out of range")
-    pair_a = sorted({q_a, bits.complement(q_a)})
-    pair_b = sorted({q_b, bits.complement(q_b)})
+    mask = (1 << m) - 1
+    qa, qb = bits.to_int(q_a), bits.to_int(q_b)
     total = 0.0
-    for ra in pair_a:
-        for rb in pair_b:
-            sign = -1.0 if bits.bit(ra, k) & bits.bit(rb, k) else 1.0
+    for ra in sorted({qa, qa ^ mask}):
+        for rb in sorted({qb, qb ^ mask}):
+            sign = -1.0 if ((ra & rb) >> (m - k)) & 1 else 1.0
             total += sign * pair_expectation(
-                strategy.alice_obs[ra][k - 1], strategy.bob_obs[rb][k - 1],
+                strategy.alice[ra, k - 1], strategy.bob[rb, k - 1],
                 strategy.state, strategy.dim_a, strategy.dim_b)
     return total
 
@@ -85,16 +85,9 @@ def expectation_table(strategy: Strategy) -> np.ndarray:
 
     Indices a, b are the big-endian integer encodings of the questions.
     """
-    m = strategy.half
-    q_count = 1 << m
     psi = strategy.state.reshape(strategy.dim_a, strategy.dim_b)
-    left = np.empty((q_count, m, strategy.dim_b, strategy.dim_b), dtype=complex)
-    right = np.empty_like(left)
-    for a, q in enumerate(bits.all_strings(m)):
-        for k in range(m):
-            left[a, k] = psi.conj().T @ (strategy.alice_obs[q][k] @ psi)
-            right[a, k] = strategy.bob_obs[q][k]
-    return np.einsum("akij,bkij->abk", left, right).real
+    left = psi.conj().T @ (strategy.alice @ psi)  # [a, k] = psi^dag M^a_k psi
+    return np.einsum("akij,bkij->abk", left, strategy.bob).real
 
 
 def subtest_table(strategy: Strategy) -> np.ndarray:
@@ -111,8 +104,7 @@ def subtest_table(strategy: Strategy) -> np.ndarray:
     idx = np.arange(q_count)
     lo = np.minimum(idx, mask - idx)
     hi = np.maximum(idx, mask - idx)
-    shifts = m - 1 - np.arange(m)
-    bit_of = ((idx[:, None] >> shifts[None, :]) & 1).astype(float)  # (q, k)
+    bit_of = bits.bit_table(m).astype(float)  # (q, k)
 
     def signed(a_sel, b_sel):
         sgn = 1.0 - 2.0 * bit_of[a_sel][:, None, :] * bit_of[b_sel][None, :, :]
@@ -124,13 +116,17 @@ def subtest_table(strategy: Strategy) -> np.ndarray:
     return total
 
 
+def table_value(table: np.ndarray) -> float:
+    """Game value from a subtest table: (1/(n 2^(n-1))) * sum of its entries."""
+    n = 2 * table.shape[-1]
+    return float(table.sum()) / (n * (1 << (n - 1)))
+
+
 def exact_value(strategy: Strategy) -> GameValue:
     """Exhaustive game value: (1/(n 2^(n-1))) * sum of all subtest terms."""
-    n = strategy.n
-    if n > MAX_EXACT_N:
+    if strategy.n > MAX_EXACT_N:
         raise ValueError(f"exhaustive value limited to n <= {MAX_EXACT_N}")
-    total = float(subtest_table(strategy).sum())
-    value = total / (n * (1 << (n - 1)))
+    value = table_value(subtest_table(strategy))
     return GameValue(value=value, mode="exact", stderr=0.0,
                      win_rate=(value + 4.0) / 8.0)
 

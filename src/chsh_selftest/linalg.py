@@ -22,7 +22,8 @@ VALIDATION_TOL = 1e-8
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
+    """Adjoint of a matrix, or of each matrix in a (..., d, d) stack."""
+    return np.asarray(m).conj().swapaxes(-1, -2)
 
 
 def tensor(*factors: np.ndarray) -> np.ndarray:
@@ -48,19 +49,19 @@ def embed_qubit_op(op: np.ndarray, k: int, num_qubits: int) -> np.ndarray:
 
 
 def hermiticity_residual(m: np.ndarray) -> float:
-    """Largest entrywise deviation of m from its own adjoint."""
+    """Largest entrywise deviation of m, or of a (..., d, d) stack, from its adjoint."""
     m = np.asarray(m)
     return float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
 
 
 def unitarity_residual(m: np.ndarray) -> float:
-    """Largest entrywise deviation of m^dag m from the identity."""
+    """Largest entrywise deviation of m^dag m from the identity, over a stack too."""
     m = np.asarray(m)
-    return float(np.max(np.abs(dagger(m) @ m - np.eye(m.shape[0]))))
+    return float(np.max(np.abs(dagger(m) @ m - np.eye(m.shape[-1]))))
 
 
 def commutation_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest entrywise magnitude of the commutator [a, b]."""
+    """Largest entrywise magnitude of the commutator [a, b], over stacks too."""
     return float(np.max(np.abs(a @ b - b @ a)))
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -54,52 +53,63 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class Strategy:
-    """Shared state plus per-question observable families for both players.
+    """Shared state plus per-question observable stacks for both players.
 
-    alice_obs / bob_obs map each length-(n/2) question string to a tuple
-    of n/2 observables; Alice's act on dim_a, Bob's on dim_b.  The state
-    is A-major: index = i_A * dim_b + i_B.  Instances are treated as
-    immutable; the arrays are marked read-only on construction.
+    ``alice[q, k]`` is Alice's observable for subtest k + 1 at the question
+    with big-endian integer index q, so ``alice`` has shape
+    (2^(n/2), n/2, dim_a, dim_a); ``bob`` likewise with dim_b.  The state
+    is A-major: index = i_A * dim_b + i_B.  n, dim_a and dim_b are read off
+    the shapes.  The arrays are copied and marked read-only on construction.
     """
 
-    n: int
-    dim_a: int
-    dim_b: int
     state: np.ndarray
-    alice_obs: Mapping[str, tuple]
-    bob_obs: Mapping[str, tuple]
+    alice: np.ndarray
+    bob: np.ndarray
 
     def __post_init__(self):
-        if self.n < 2 or self.n % 2 != 0:
-            raise ValueError("n must be even and at least 2")
-        m = self.n // 2
-        state = np.asarray(self.state, dtype=complex).reshape(-1)
+        for name in ("alice", "bob"):
+            obs = _frozen(getattr(self, name))
+            m = obs.shape[1] if obs.ndim == 4 else 0
+            if m < 1 or obs.shape[0] != 1 << m or obs.shape[2] != obs.shape[3]:
+                raise ValueError(f"{name} must have shape (2^m, m, d, d) with m >= 1, "
+                                 f"got {obs.shape}")
+            object.__setattr__(self, name, obs)
+        if self.alice.shape[1] != self.bob.shape[1]:
+            raise ValueError("alice and bob must answer questions of the same length")
+        state = _frozen(np.reshape(self.state, -1))
         if state.size != self.dim_a * self.dim_b:
             raise ValueError("state length does not match dim_a * dim_b")
-        object.__setattr__(self, "state", _frozen(state))
-        expected = set(bits.all_strings(m))
-        for name, table, dim in (("alice_obs", self.alice_obs, self.dim_a),
-                                 ("bob_obs", self.bob_obs, self.dim_b)):
-            if set(table) != expected:
-                raise ValueError(f"{name} must have one entry per length-{m} question")
-            fixed = {}
-            for q, family in table.items():
-                family = tuple(np.asarray(o, dtype=complex) for o in family)
-                if len(family) != m:
-                    raise ValueError(f"{name}[{q}] must hold {m} observables")
-                for o in family:
-                    if o.shape != (dim, dim):
-                        raise ValueError(f"{name}[{q}] has an observable of shape "
-                                         f"{o.shape}, expected {(dim, dim)}")
-                fixed[q] = tuple(_frozen(o) for o in family)
-            object.__setattr__(self, name, fixed)
+        object.__setattr__(self, "state", state)
 
     @property
     def half(self) -> int:
-        return self.n // 2
+        return self.alice.shape[1]
+
+    @property
+    def n(self) -> int:
+        return 2 * self.half
+
+    @property
+    def dim_a(self) -> int:
+        return self.alice.shape[2]
+
+    @property
+    def dim_b(self) -> int:
+        return self.bob.shape[2]
+
+    # Read-only {question string: tuple of observables} views of the stacks,
+    # kept only for perfbench/workloads.write_strategy; nothing in the
+    # package reads them, and the next change to the benchmark deletes them.
+    @property
+    def alice_obs(self) -> dict:
+        return dict(zip(bits.all_strings(self.half), map(tuple, self.alice)))
+
+    @property
+    def bob_obs(self) -> dict:
+        return dict(zip(bits.all_strings(self.half), map(tuple, self.bob)))
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def _frozen(a) -> np.ndarray:
     a = np.array(a, dtype=complex)
     a.setflags(write=False)
     return a
@@ -131,74 +141,52 @@ def ideal_state(n: int) -> np.ndarray:
     tensor product of one two-qubit graph state per tested pair, with
     Alice's halves grouped in front.
     """
-    m = n // 2
-    dim = 1 << m
-    amp = np.empty((dim, dim))
-    for ia in range(dim):
-        for ib in range(dim):
-            amp[ia, ib] = -1.0 if bin(ia & ib).count("1") % 2 else 1.0
-    return (amp / math.sqrt(1 << n)).astype(complex).reshape(-1)
+    return (bits.sign_grid(n // 2) / math.sqrt(1 << n)).astype(complex).reshape(-1)
 
 
-def _local_tables(n: int, single_a, single_b) -> tuple[dict, dict]:
-    """Build question tables from per-bit one-qubit observables.
+def _local_stack(m: int, single) -> np.ndarray:
+    """(2^m, m, 2^m, 2^m) stack whose entry [q, k] is single[bit k+1 of q]
+    acting on qubit k+1, gathered from the 2 m embedded one-qubit operators."""
+    embedded = np.array([[embed_qubit_op(op, k + 1, m) for k in range(m)] for op in single])
+    return embedded[bits.bit_table(m), np.arange(m)]
 
-    single_a / single_b are pairs (obs for question bit 0, for bit 1).
-    """
-    m = n // 2
-    alice, bob = {}, {}
-    for q in bits.all_strings(m):
-        alice[q] = tuple(embed_qubit_op(single_a[int(c)], k + 1, m)
-                         for k, c in enumerate(q))
-        bob[q] = tuple(embed_qubit_op(single_b[int(c)], k + 1, m)
-                       for k, c in enumerate(q))
-    return alice, bob
+
+_BOB_PAIR = ((PAULI_Z + PAULI_X) / math.sqrt(2), (PAULI_Z - PAULI_X) / math.sqrt(2))
 
 
 def ideal_strategy(n: int) -> Strategy:
     """The reference strategy reaching the Tsirelson value 2*sqrt(2)."""
-    b0 = (PAULI_Z + PAULI_X) / math.sqrt(2)
-    b1 = (PAULI_Z - PAULI_X) / math.sqrt(2)
-    alice, bob = _local_tables(n, (PAULI_X, PAULI_Z), (b0, b1))
-    dim = 1 << (n // 2)
-    return Strategy(n=n, dim_a=dim, dim_b=dim, state=ideal_state(n),
-                    alice_obs=alice, bob_obs=bob)
+    m = n // 2
+    return Strategy(state=ideal_state(n), alice=_local_stack(m, (PAULI_X, PAULI_Z)),
+                    bob=_local_stack(m, _BOB_PAIR))
 
 
 def noisy_strategy(n: int, noise: NoiseSpec) -> Strategy:
     """Ideal strategy deformed by one of the supported noise models.
 
-    bob-rotation conjugates both of Bob's one-qubit observables on every
-    pair by exp(-i eta sigma_y / 2); partial-entanglement keeps the ideal
-    measurements but replaces each pair state by the cos/sin weighted
-    superposition cos(theta)|0,+> + sin(theta)|1,->.
+    Every tested pair shares one two-qubit state, and Bob measures both of
+    his one-qubit observables conjugated by exp(-i eta sigma_y / 2).
+    bob-rotation sets eta; partial-entanglement keeps eta = 0 and replaces
+    the pair state by cos(theta)|0,+> + sin(theta)|1,->; none is eta = 0
+    on the ideal pair state, which is ``ideal_strategy(n)``.
     """
-    if noise.model == "none":
-        return ideal_strategy(n)
-    dim = 1 << (n // 2)
-    if noise.model == "bob-rotation":
-        eta = noise.param
-        rot = np.array([[math.cos(eta / 2), -math.sin(eta / 2)],
-                        [math.sin(eta / 2), math.cos(eta / 2)]], dtype=complex)
-        b0 = rot @ ((PAULI_Z + PAULI_X) / math.sqrt(2)) @ rot.conj().T
-        b1 = rot @ ((PAULI_Z - PAULI_X) / math.sqrt(2)) @ rot.conj().T
-        alice, bob = _local_tables(n, (PAULI_X, PAULI_Z), (b0, b1))
-        return Strategy(n=n, dim_a=dim, dim_b=dim, state=ideal_state(n),
-                        alice_obs=alice, bob_obs=bob)
-    # partial entanglement: same measurements, skewed pair state
-    theta = noise.param
-    s = 1 / math.sqrt(2)
-    pair = np.array([[math.cos(theta) * s, math.cos(theta) * s],
-                     [math.sin(theta) * s, -math.sin(theta) * s]], dtype=complex)
-    state = np.ones((1, 1), dtype=complex)
-    for _ in range(n // 2):
+    m = n // 2
+    eta = noise.param if noise.model == "bob-rotation" else 0.0
+    if noise.model == "partial-entanglement":
+        s = 1 / math.sqrt(2)
+        c, d = math.cos(noise.param) * s, math.sin(noise.param) * s
+        pair = np.array([[c, c], [d, -d]])
+    else:
+        pair = np.array([[0.5, 0.5], [0.5, -0.5]])  # the state of ideal_state(2)
+    state = np.ones((1, 1))
+    for _ in range(m):
         state = np.einsum("ij,ab->iajb", state, pair)
         state = state.reshape(state.shape[0] * 2, -1)
-    b0 = (PAULI_Z + PAULI_X) / math.sqrt(2)
-    b1 = (PAULI_Z - PAULI_X) / math.sqrt(2)
-    alice, bob = _local_tables(n, (PAULI_X, PAULI_Z), (b0, b1))
-    return Strategy(n=n, dim_a=dim, dim_b=dim, state=state.reshape(-1),
-                    alice_obs=alice, bob_obs=bob)
+    rot = np.array([[math.cos(eta / 2), -math.sin(eta / 2)],
+                    [math.sin(eta / 2), math.cos(eta / 2)]], dtype=complex)
+    bob_pair = tuple(rot @ b @ rot.conj().T for b in _BOB_PAIR)
+    return Strategy(state=state.astype(complex), alice=_local_stack(m, (PAULI_X, PAULI_Z)),
+                    bob=_local_stack(m, bob_pair))
 
 
 def random_strategy(n: int, rng: np.random.Generator,
@@ -214,46 +202,40 @@ def random_strategy(n: int, rng: np.random.Generator,
     dim_b = dim_b or (1 << m)
     state = rng.normal(size=dim_a * dim_b) + 1j * rng.normal(size=dim_a * dim_b)
     state = state / np.linalg.norm(state)
-    tables = []
+    stacks = []
     for dim in (dim_a, dim_b):
-        table = {}
-        for q in bits.all_strings(m):
+        stack = np.empty((1 << m, m, dim, dim), dtype=complex)
+        for q in range(1 << m):
             u = haar_unitary(dim, rng)
-            fam = []
-            for _ in range(m):
+            for k in range(m):
                 signs = rng.choice([-1.0, 1.0], size=dim)
-                fam.append((u * signs) @ u.conj().T)
-            table[q] = tuple(fam)
-        tables.append(table)
-    return Strategy(n=n, dim_a=dim_a, dim_b=dim_b, state=state,
-                    alice_obs=tables[0], bob_obs=tables[1])
+                stack[q, k] = (u * signs) @ u.conj().T
+        stacks.append(stack)
+    return Strategy(state=state, alice=stacks[0], bob=stacks[1])
 
 
 def validate(strategy: Strategy) -> StrategyDiagnostics:
     """Worst residuals for Hermiticity, unitarity, same-question
-    commutation, and state normalization."""
+    commutation, and state normalization.
+
+    Batched over questions, one subtest (pair) at a time, so temporaries
+    hold one observable per question.
+    """
+    m = strategy.half
     herm, unit, comm = [0.0], [0.0], [0.0]
     # non-finite entries give NaN or inf residuals, which fail below; the
     # arithmetic that produces them is expected, not worth a warning
     with np.errstate(invalid="ignore", over="ignore"):
-        for table in (strategy.alice_obs, strategy.bob_obs):
-            for family in table.values():
-                for i, obs in enumerate(family):
-                    herm.append(hermiticity_residual(obs))
-                    unit.append(unitarity_residual(obs))
-                    comm.extend(commutation_residual(obs, other) for other in family[i + 1:])
+        for stack in (strategy.alice, strategy.bob):
+            for k in range(m):
+                herm.append(hermiticity_residual(stack[:, k]))
+                unit.append(unitarity_residual(stack[:, k]))
+                comm.extend(commutation_residual(stack[:, k], stack[:, j])
+                            for j in range(k + 1, m))
     normres = abs(float(np.linalg.norm(strategy.state)) - 1.0)
     # np.max, unlike the builtin max, keeps a NaN residual
     return StrategyDiagnostics(hermiticity=float(np.max(herm)), unitarity=float(np.max(unit)),
                                commutation=float(np.max(comm)), normalization=normres)
-
-
-def _observables(strategy: Strategy, party: str, question: str) -> tuple:
-    if party == "A":
-        return strategy.alice_obs[bits.check(question)]
-    if party == "B":
-        return strategy.bob_obs[bits.check(question)]
-    raise ValueError(f"party must be 'A' or 'B', got {party!r}")
 
 
 def joint_projector(strategy: Strategy, party: str, question: str,
@@ -263,7 +245,11 @@ def joint_projector(strategy: Strategy, party: str, question: str,
     Product over k of (I + (-1)^{answer_k} M_k) / 2, which is an honest
     projector because observables within one question family commute.
     """
-    family = _observables(strategy, party, question)
+    if party not in ("A", "B"):
+        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
+    if len(bits.check(question)) != strategy.half:
+        raise ValueError(f"questions must have length {strategy.half}")
+    family = (strategy.alice if party == "A" else strategy.bob)[bits.to_int(question)]
     if len(answer) != len(family):
         raise ValueError("answer length does not match question length")
     for i, obs in enumerate(family):
@@ -311,16 +297,15 @@ def _sample_bits(strategy: Strategy, qa_idx: np.ndarray, qb_idx: np.ndarray,
         hi = min(rounds, lo + chunk)
         states = np.tile(psi, (hi - lo, 1, 1))
         weights = np.einsum("rij,rij->r", states.conj(), states).real
-        for party, qidx, answers, col0 in (("A", qa_idx, x, 0),
-                                           ("B", qb_idx, y, m)):
+        for party, stack, qidx, answers, col0 in (("A", strategy.alice, qa_idx, x, 0),
+                                                  ("B", strategy.bob, qb_idx, y, m)):
             for q in np.unique(qidx[lo:hi]):
                 rows = np.nonzero(qidx[lo:hi] == q)[0]
-                family = _observables(strategy, party, bits.from_int(int(q), m))
                 for k in range(m):
                     if party == "A":
-                        moved = np.einsum("ij,rjc->ric", family[k], states[rows])
+                        moved = np.einsum("ij,rjc->ric", stack[q, k], states[rows])
                     else:
-                        moved = np.einsum("ij,rcj->rci", family[k], states[rows])
+                        moved = np.einsum("ij,rcj->rci", stack[q, k], states[rows])
                     branch0 = 0.5 * (states[rows] + moved)
                     w0 = np.einsum("rij,rij->r", branch0.conj(), branch0).real
                     p0 = w0 / weights[rows]
@@ -359,31 +344,50 @@ def strategy_to_text(strategy: Strategy) -> str:
     That many digits pins down each double exactly, so a load of the dump
     reproduces every array bit for bit.
     """
-    def matrices(table):
-        return {q: [_mat_to_pairs(o) for o in table[q]] for q in sorted(table)}
+    def families(stack):
+        return {q: [_to_pairs(o) for o in family]
+                for q, family in zip(bits.all_strings(strategy.half), stack)}
 
     doc = {
         "n": strategy.n,
         "dim_A": strategy.dim_a,
         "dim_B": strategy.dim_b,
-        "state": _vec_to_pairs(strategy.state),
-        "alice_obs": matrices(strategy.alice_obs),
-        "bob_obs": matrices(strategy.bob_obs),
+        "state": _to_pairs(strategy.state),
+        "alice_obs": families(strategy.alice),
+        "bob_obs": families(strategy.bob),
     }
     return jsonio.dumps(doc, float_digits=17)
 
 
-def _vec_to_pairs(v: np.ndarray) -> list:
-    return [[float(c.real), float(c.imag)] for c in v]
+def _to_pairs(a: np.ndarray) -> list:
+    """[[re, im], ...] over the entries of a complex array, row-major."""
+    return np.ascontiguousarray(a).view(float).reshape(-1, 2).tolist()
 
 
-def _mat_to_pairs(m: np.ndarray) -> list:
-    return _vec_to_pairs(m.reshape(-1))  # row-major
+def _from_pairs(obj, what: str) -> np.ndarray:
+    """Complex array from nested lists that end in [re, im] number pairs."""
+    try:
+        raw = np.array(obj)  # no dtype: a float dtype would parse "1.0" and map null to nan
+        ok = raw.dtype.kind in "biuf" and raw.shape[-1:] == (2,)
+    except ValueError:  # ragged nesting
+        ok = False
+    if not ok:
+        raise ValueError(f"{what} must hold nested lists of [re, im] number pairs")
+    return np.ascontiguousarray(raw, dtype=float).view(complex)[..., 0]
 
 
-def _pairs_to_array(pairs, shape) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in pairs])
-    return flat.reshape(shape)
+def _stack_from_doc(families, what: str, m: int, dim: int) -> np.ndarray:
+    """One player's (2^m, m, dim, dim) observable stack from its question map."""
+    if not isinstance(families, dict):
+        raise ValueError(f"{what} must be an object keyed by question")
+    questions = sorted(families)
+    stack = _from_pairs([families[q] for q in questions], what)
+    # m is compared first, so a huge n in the document never builds 2^(n/2) questions
+    if (stack.shape[1:2] != (m,) or stack.shape != (1 << m, m, dim * dim)
+            or questions != list(bits.all_strings(m))):
+        raise ValueError(f"{what} must hold {m} flat {dim}x{dim} matrices "
+                         f"for each length-{m} question")
+    return stack.reshape(1 << m, m, dim, dim)
 
 
 def strategy_from_text(text: str) -> Strategy:
@@ -392,17 +396,17 @@ def strategy_from_text(text: str) -> Strategy:
         for key in ("n", "dim_A", "dim_B"):
             if type(doc[key]) is not int:  # also rejects bool and float
                 raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
-        n = doc["n"]
-        da, db = doc["dim_A"], doc["dim_B"]
-        state = _pairs_to_array(doc["state"], (-1,))
-        alice = {q: tuple(_pairs_to_array(m, (da, da)) for m in fams)
-                 for q, fams in doc["alice_obs"].items()}
-        bob = {q: tuple(_pairs_to_array(m, (db, db)) for m in fams)
-               for q, fams in doc["bob_obs"].items()}
+        n, da, db = doc["n"], doc["dim_A"], doc["dim_B"]
+        if n < 2 or n % 2 != 0:
+            raise ValueError("n must be even and at least 2")
+        state = _from_pairs(doc["state"], "state")
+        if state.shape != (da * db,):
+            raise ValueError("state must hold dim_A * dim_B amplitudes")
+        alice = _stack_from_doc(doc["alice_obs"], "alice_obs", n // 2, da)
+        bob = _stack_from_doc(doc["bob_obs"], "bob_obs", n // 2, db)
+        return Strategy(state=state, alice=alice, bob=bob)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed strategy document: {exc}") from exc
-    return Strategy(n=n, dim_a=da, dim_b=db, state=state,
-                    alice_obs=alice, bob_obs=bob)
 
 
 def save_strategy(strategy: Strategy, path) -> None:

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import bits, jsonio
 from .extraction import ExtractedOperators, build_xz, search_questions
-from .game import PIGEONHOLE_SLACK, TSIRELSON, exact_value
+from .game import PIGEONHOLE_SLACK, TSIRELSON
+from .game import exact_value  # not called; perfbench/tracer.py patches this binding
 from .game import subtest_value  # not called; perfbench/tracer.py patches this binding
 from .strategy import Strategy, ideal_state
 
@@ -107,14 +108,6 @@ def _string_table(ops: ExtractedOperators, kind: str, w: np.ndarray) -> np.ndarr
     return table
 
 
-def _sign_grid(n: int) -> np.ndarray:
-    """signs[s, t] = (-1)^{s . t} over integer-encoded strings."""
-    idx = np.arange(1 << n)
-    overlap = idx[:, None] & idx[None, :]
-    pop = np.array([bin(v).count("1") for v in range(1 << n)])
-    return np.where(pop[overlap] % 2, -1.0, 1.0)
-
-
 def measure_general_conditions(strategy: Strategy, ops: ExtractedOperators,
                                coverage: str = "auto",
                                samples: int = DEFAULT_GENERAL_SAMPLES,
@@ -137,7 +130,7 @@ def measure_general_conditions(strategy: Strategy, ops: ExtractedOperators,
 
     # the (s, t) tables are the largest arrays of a certify run, so the
     # signed differences below are formed in place
-    signs = _sign_grid(n)
+    signs = bits.sign_grid(n)
     if coverage == "exhaustive":
         if n > MAX_EXHAUSTIVE_N:
             raise ValueError(f"exhaustive coverage limited to n <= {MAX_EXHAUSTIVE_N}")
@@ -172,9 +165,7 @@ def measure_general_conditions(strategy: Strategy, ops: ExtractedOperators,
     m = n // 2
     lowmask = (1 << m) - 1
     swapped = ((s_all & lowmask) << m) | (s_all >> m)
-    halves_dot = np.array([bin((s >> m) & (s & lowmask)).count("1")
-                           for s in s_all])
-    signs2 = np.where(halves_dot % 2, -1.0, 1.0)
+    signs2 = np.where(bits.parity((s_all >> m) & s_all & lowmask), -1.0, 1.0)
     diff2 = z_table[swapped] - signs2[:, None, None] * x_table[s_all]
     swap_max = float(np.max(np.linalg.norm(diff2, axis=(1, 2))))
 
@@ -223,9 +214,7 @@ def pauli_target(n: int, p: str, q: str) -> np.ndarray:
     qi = bits.to_int(q)
     idx = np.arange(1 << n)
     shifted = psi[idx ^ qi]
-    pi = bits.to_int(p)
-    pop = np.array([bin((u ^ qi) & pi).count("1") for u in idx])
-    return np.where(pop % 2, -1.0, 1.0) * shifted
+    return np.where(bits.parity((idx ^ qi) & bits.to_int(p)), -1.0, 1.0) * shifted
 
 
 def compute_junk(strategy: Strategy, ops: ExtractedOperators) -> tuple[np.ndarray, float]:
@@ -351,21 +340,21 @@ def certify(strategy: Strategy, coverage: str = "auto",
             samples: int = DEFAULT_GENERAL_SAMPLES, seed: int = 0) -> SelfTestReport:
     """Run the full self-test pipeline on one strategy.
 
-    Computes the exact value and its shortfall, relabels the searched
-    questions to all-zeros, checks the pigeonhole guarantees, extracts
-    operators, measures condition norms against their certified
-    ceilings, and evaluates the fixed-junk and optimal-junk extraction
-    distances of each Pauli pair.  Guarantee
-    violations come back as False flags, never exceptions.
+    Searches the questions, reads the exact value and its shortfall off
+    the same subtest table, relabels the searched questions to
+    all-zeros, checks the pigeonhole guarantees, extracts operators,
+    measures condition norms against their certified ceilings, and
+    evaluates the fixed-junk and optimal-junk extraction distances of
+    each Pauli pair.  Guarantee violations come back as False flags,
+    never exceptions.
     """
     n = strategy.n
     if n > MAX_CERTIFY_N:
         raise ValueError(f"certification pipeline limited to n <= {MAX_CERTIFY_N}")
     m = n // 2
-    value = exact_value(strategy).value
-    epsilon = max(0.0, TSIRELSON - value)
-
     canonical, transcript, searches = search_questions(strategy)
+    value = searches.value
+    epsilon = max(0.0, TSIRELSON - value)
     flags = {}
     flags["per_subtest_delta"] = all(
         d <= m * epsilon + PIGEONHOLE_SLACK for d in searches.per_subtest_delta)

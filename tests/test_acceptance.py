@@ -44,14 +44,10 @@ def test_criterion_02_every_subtest_ideal():
 
 def test_criterion_03_classical_value():
     m = 1
-    dim = 2
-    ident = np.eye(dim, dtype=complex)
+    ident = np.broadcast_to(np.eye(2), (2, 1, 2, 2))  # +I at both questions
     state = np.zeros(4, dtype=complex)
     state[0] = 1.0
-    qs = ["0", "1"]
-    s = cs.Strategy(n=2, dim_a=2, dim_b=2, state=state,
-                    alice_obs={q: [ident.copy()] for q in qs},
-                    bob_obs={q: [ident.copy()] for q in qs})
+    s = cs.Strategy(state=state, alice=ident, bob=ident)
     got = cs.exact_value(s).value
 
     total, count = 0.0, 0
@@ -128,8 +124,8 @@ def test_criterion_06_pigeonhole_guarantees():
                 fails.append(f"case {i}: delta_{k} = {delta:.3e} > "
                              f"{m * eps:.3e}")
         for (k, ell), q in result.pair_questions.items():
-            fk = cs.subtest_value(canon, q, bits.zeros(m), k)
-            fl = cs.subtest_value(canon, q, bits.zeros(m), ell)
+            fk = cs.subtest_value(canon, q, "0" * m, k)
+            fl = cs.subtest_value(canon, q, "0" * m, ell)
             if min(fk, fl) < TS - 2 * m * eps - 1e-12:
                 fails.append(f"case {i}: pair ({k},{ell}) f = "
                              f"{min(fk, fl):.6f}")
@@ -145,10 +141,9 @@ def test_criterion_07_relabel_invariance():
         for q_a, q_b in (("1", "0"), ("0", "1")):
             worst = max(worst, abs(cs.exact_value(cs.relabel(s, q_a, q_b)).value - v))
             twice = cs.relabel(cs.relabel(s, q_a, q_b), q_a, q_b)
-            for q in s.alice_obs:
-                if not (np.array_equal(twice.alice_obs[q][0], s.alice_obs[q][0])
-                        and np.array_equal(twice.bob_obs[q][0], s.bob_obs[q][0])):
-                    exact_failures += 1
+            if not (np.array_equal(twice.alice, s.alice)
+                    and np.array_equal(twice.bob, s.bob)):
+                exact_failures += 1
     ok = worst <= 1e-9 and exact_failures == 0
     _criterion(7, "question relabeling is a value symmetry", ok,
                f"worst drift = {worst:.3e}, non-involutions = {exact_failures}")

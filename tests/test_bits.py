@@ -1,5 +1,6 @@
 """Bitstring helpers: 1-indexed, big-endian, strings of '0'/'1'."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,12 +29,6 @@ def test_bit_is_one_indexed_big_endian():
         bits.bit(s, 4)
 
 
-def test_complement_zeros_ones():
-    assert bits.complement("0110") == "1001"
-    assert bits.zeros(3) == "000"
-    assert bits.ones(3) == "111"
-
-
 def test_int_round_trip():
     assert bits.to_int("0110") == 6
     assert bits.from_int(6, 4) == "0110"
@@ -58,9 +53,8 @@ def test_round_trip_random(n, data):
     assert bits.to_int(s) == i
 
 
-@given(st.integers(min_value=1, max_value=8), st.data())
-def test_complement_involution(n, data):
-    i = data.draw(st.integers(min_value=0, max_value=2**n - 1))
-    s = bits.from_int(i, n)
-    assert bits.complement(bits.complement(s)) == s
-    assert all(a != b for a, b in zip(s, bits.complement(s)))
+def test_parity_matches_popcount():
+    values = np.concatenate([np.arange(1 << 12), [2**40 + 3, 2**62 + 2**61 + 1]])
+    want = np.array([bin(int(v)).count("1") % 2 for v in values])
+    assert np.array_equal(bits.parity(values), want)
+    assert bits.parity(7) == 1 and bits.parity(0) == 0

@@ -17,6 +17,7 @@ from chsh_selftest import (
     validate,
 )
 from chsh_selftest.cli import main
+from test_strategy import MALFORMED_EDITS
 
 
 def run(capsys, *argv):
@@ -143,14 +144,21 @@ def test_malformed_strategy_file(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("mangle", MALFORMED_EDITS, ids=lambda mangle: mangle.__name__)
+def test_malformed_strategy_document_is_a_config_error(capsys, tmp_path, mangle):
+    path = tmp_path / "malformed.json"
+    path.write_text(mangle(strategy_to_text(ideal_strategy(2))))
+    code, out, err = run(capsys, "value", "--strategy", str(path))
+    assert code == 2
+    assert err.startswith("error: malformed strategy document: ")
+    assert len(err.splitlines()) == 1 and out == ""
+
+
 def test_invalid_strategy_file_fails_validation(capsys, tmp_path):
     s = ideal_strategy(2)
-    alice = {q: [np.asarray(m).copy() for m in fam] for q, fam in s.alice_obs.items()}
-    alice["0"][0] *= 0.5
-    bad = Strategy(n=2, dim_a=2, dim_b=2, state=s.state.copy(),
-                   alice_obs=alice,
-                   bob_obs={q: [np.asarray(m).copy() for m in fam]
-                            for q, fam in s.bob_obs.items()})
+    alice = s.alice.copy()
+    alice[0, 0] *= 0.5
+    bad = Strategy(state=s.state, alice=alice, bob=s.bob)
     path = tmp_path / "bad.json"
     save_strategy(bad, str(path))
     code, _, err = run(capsys, "value", "--strategy", str(path))
@@ -288,11 +296,8 @@ def test_hermiticity_residual_within_validation_certifies(capsys, tmp_path, resi
     # so their sum and difference carry twice the per-observable residual
     s = ideal_strategy(2)
     phi = residual / math.sqrt(2.0)  # entries of Bob's observables have modulus 1/sqrt(2)
-    bob = {q: [(1 + 1j * phi if q[k] == "0" else 1 - 1j * phi) * np.asarray(o)
-               for k, o in enumerate(fam)]
-           for q, fam in s.bob_obs.items()}
-    skewed = Strategy(n=2, dim_a=2, dim_b=2, state=s.state, alice_obs=s.alice_obs,
-                      bob_obs=bob)
+    phases = np.array([1 + 1j * phi, 1 - 1j * phi])  # at questions "0" and "1"
+    skewed = Strategy(state=s.state, alice=s.alice, bob=phases[:, None, None, None] * s.bob)
     diag = validate(skewed)
     assert diag.ok and diag.hermiticity == pytest.approx(residual, rel=1e-6)
     path = tmp_path / "skewed.json"

@@ -66,9 +66,8 @@ def test_double_relabel_is_identity():
     s = random_strategy(2, np.random.default_rng(44))
     for q_a, q_b in (("1", "0"), ("0", "1")):
         twice = relabel(relabel(s, q_a, q_b), q_a, q_b)
-        for q in s.alice_obs:
-            assert np.array_equal(twice.alice_obs[q][0], s.alice_obs[q][0])
-            assert np.array_equal(twice.bob_obs[q][0], s.bob_obs[q][0])
+        assert np.array_equal(twice.alice, s.alice)
+        assert np.array_equal(twice.bob, s.bob)
 
 
 def test_relabel_index_range():
@@ -83,18 +82,17 @@ def _flip_bits(strategy, mask, party):
     questions; the other party's k-th observable changes sign at its
     questions with bit k set."""
     m = strategy.half
-    alice, bob = dict(strategy.alice_obs), dict(strategy.bob_obs)
+    alice, bob = strategy.alice, strategy.bob
     for k in range(1, m + 1):
         if not bits.bit(mask, k):
             continue
         own, other = (alice, bob) if party == "A" else (bob, alice)
         unit = 1 << (m - k)
-        flipped = {q: own[bits.from_int(bits.to_int(q) ^ unit, m)] for q in own}
-        signed = {q: tuple(-o if i == k - 1 and bits.bit(q, k) else o
-                           for i, o in enumerate(fam)) for q, fam in other.items()}
+        flipped = np.array([own[q ^ unit] for q in range(1 << m)])
+        signed = np.array([[-o if i == k - 1 and bits.bit(bits.from_int(q, m), k) else o
+                            for i, o in enumerate(family)] for q, family in enumerate(other)])
         alice, bob = (flipped, signed) if party == "A" else (signed, flipped)
-    return Strategy(n=strategy.n, dim_a=strategy.dim_a, dim_b=strategy.dim_b,
-                    state=strategy.state, alice_obs=alice, bob_obs=bob)
+    return Strategy(state=strategy.state, alice=alice, bob=bob)
 
 
 def _property_strategy(n, index):
@@ -116,10 +114,8 @@ def test_relabel_permutes_the_subtest_table(n, index, data):
     relabeled = relabel(s, q_a, q_b)
     # one pass equals Bob's per-bit flips followed by Alice's, bit for bit
     oracle = _flip_bits(_flip_bits(s, q_b, "B"), q_a, "A")
-    for got, want in ((relabeled.alice_obs, oracle.alice_obs),
-                      (relabeled.bob_obs, oracle.bob_obs)):
-        for q in got:
-            assert all(np.array_equal(o, e) for o, e in zip(got[q], want[q]))
+    assert relabeled.alice.tobytes() == oracle.alice.tobytes()
+    assert relabeled.bob.tobytes() == oracle.bob.tobytes()
     idx = np.arange(1 << m)
     permuted = subtest_table(s)[(idx ^ qa)[:, None], (idx ^ qb)[None, :], :]
     assert np.max(np.abs(subtest_table(relabeled) - permuted)) <= 1e-12
@@ -135,18 +131,9 @@ def build_single_question_strategy(n, special):
     """Alice ideal everywhere; Bob ideal only at ``special`` (and so, by
     complement symmetry of subtests, at its complement), identity elsewhere."""
     ideal = ideal_strategy(n)
-    dim = ideal.dim_b
-    ident = np.eye(dim, dtype=complex)
-    bob = {}
-    for q in bits.all_strings(n // 2):
-        if q == special:
-            bob[q] = [np.asarray(mk).copy() for mk in ideal.bob_obs[q]]
-        else:
-            bob[q] = [ident.copy() for _ in range(n // 2)]
-    alice = {q: [np.asarray(mk).copy() for mk in fam]
-             for q, fam in ideal.alice_obs.items()}
-    return Strategy(n=n, dim_a=ideal.dim_a, dim_b=dim,
-                    state=ideal.state.copy(), alice_obs=alice, bob_obs=bob)
+    playing = np.arange(1 << (n // 2)) == bits.to_int(special)
+    bob = np.where(playing[:, None, None, None], ideal.bob, np.eye(ideal.dim_b))
+    return Strategy(state=ideal.state, alice=ideal.alice, bob=bob)
 
 
 def test_find_best_qb_prefers_the_playing_question():
@@ -202,7 +189,7 @@ def test_find_pair_question_pattern_and_guarantee():
     eps = max(0.0, TSIRELSON - exact_value(s).value)
     q = result.pair_questions[(1, 2)]
     assert bits.bit(q, 1) == 0 and bits.bit(q, 2) == 1
-    zeros = bits.zeros(2)
+    zeros = "00"
     f1 = subtest_value(canon, q, zeros, 1)
     f2 = subtest_value(canon, q, zeros, 2)
     assert min(f1, f2) >= TSIRELSON - 4 * eps - 1e-12

@@ -1,5 +1,7 @@
 """Strategies: construction, validation, Born sampling, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -48,11 +50,9 @@ def test_ideal_strategy_validates():
 
 def test_validate_flags_non_unitary():
     s = ideal_strategy(2)
-    alice = {q: [m.copy() for m in fam] for q, fam in s.alice_obs.items()}
-    alice["0"][0] = 0.5 * alice["0"][0]
-    bad = Strategy(n=2, dim_a=2, dim_b=2, state=s.state.copy(),
-                   alice_obs=alice,
-                   bob_obs={q: [m.copy() for m in fam] for q, fam in s.bob_obs.items()})
+    alice = s.alice.copy()
+    alice[0, 0] *= 0.5
+    bad = Strategy(state=s.state, alice=alice, bob=s.bob)
     diag = validate(bad)
     assert not diag.ok
     assert diag.unitarity == pytest.approx(0.75)
@@ -64,24 +64,46 @@ def test_validate_flags_family_commutation():
     sz = np.diag([1.0, -1.0]).astype(complex)
     state = np.zeros(8, dtype=complex)
     state[0] = 1.0
-    alice = {q: [np.kron(sx, np.eye(2)).astype(complex),
-                 np.kron(np.eye(2), sx).astype(complex)]
-             for q in ("00", "01", "10", "11")}
-    bob = {q: [np.kron(sx, np.eye(1)), np.kron(sz, np.eye(1))]
-           for q in ("00", "01", "10", "11")}
-    bad = Strategy(n=4, dim_a=4, dim_b=2, state=state, alice_obs=alice, bob_obs=bob)
+    alice = np.broadcast_to([np.kron(sx, np.eye(2)), np.kron(np.eye(2), sx)], (4, 2, 4, 4))
+    bob = np.broadcast_to([sx, sz], (4, 2, 2, 2))
+    bad = Strategy(state=state, alice=alice, bob=bob)
+    assert (bad.n, bad.dim_a, bad.dim_b) == (4, 4, 2)
     diag = validate(bad)
     assert not diag.ok
     assert diag.commutation == pytest.approx(2.0)
 
 
+def test_validate_matches_a_per_observable_loop():
+    from chsh_selftest.linalg import (commutation_residual, hermiticity_residual,
+                                      unitarity_residual)
+    rng = np.random.default_rng(3)
+    s = random_strategy(6, rng, dim_a=3, dim_b=5)
+    bad = Strategy(state=1.1 * s.state, alice=s.alice + 1e-3 * rng.normal(size=s.alice.shape),
+                   bob=s.bob * (1 + 1e-4j))
+    herm = unit = comm = 0.0
+    for stack in (bad.alice, bad.bob):
+        for family in stack:
+            for i, obs in enumerate(family):
+                herm = max(herm, hermiticity_residual(obs))
+                unit = max(unit, unitarity_residual(obs))
+                comm = max([comm] + [commutation_residual(obs, o) for o in family[i + 1:]])
+    diag = validate(bad)
+    assert diag.hermiticity == pytest.approx(herm, rel=1e-12)
+    assert diag.unitarity == pytest.approx(unit, rel=1e-12)
+    assert diag.commutation == pytest.approx(comm, rel=1e-12)
+    assert diag.normalization == pytest.approx(0.1, rel=1e-12)
+    assert min(herm, unit, comm) > 1e-5
+
+
 def test_strategy_rejects_missing_question():
     s = ideal_strategy(2)
-    alice = dict(s.alice_obs)
-    del alice["1"]
     with pytest.raises(ValueError):
-        Strategy(n=2, dim_a=2, dim_b=2, state=s.state, alice_obs=alice,
-                 bob_obs=s.bob_obs)
+        Strategy(state=s.state, alice=s.alice[:1], bob=s.bob)
+    # the players' question lengths and the state size must agree too
+    with pytest.raises(ValueError):
+        Strategy(state=s.state, alice=s.alice, bob=ideal_strategy(4).bob)
+    with pytest.raises(ValueError):
+        Strategy(state=s.state[:2], alice=s.alice, bob=s.bob)
 
 
 def test_strategy_arrays_are_frozen():
@@ -89,7 +111,9 @@ def test_strategy_arrays_are_frozen():
     with pytest.raises(ValueError):
         s.state[0] = 0.0
     with pytest.raises(ValueError):
-        s.alice_obs["0"][0][0, 0] = 5.0
+        s.alice[0, 0, 0, 0] = 5.0
+    with pytest.raises(ValueError):
+        s.bob_obs["0"][0][0, 0] = 5.0
 
 
 def test_joint_projector_completeness():
@@ -155,6 +179,12 @@ def test_noise_models_hit_analytic_values(model, param, expect):
     s = noisy_strategy(2, NoiseSpec(model=model, param=param))
     assert validate(s).ok
     assert exact_value(s).value == pytest.approx(expect, abs=1e-12)
+    # model "none" is rotation 0 on the ideal pair state: the ideal strategy
+    for n in (2, 4, 6):
+        plain, ideal = noisy_strategy(n, NoiseSpec()), ideal_strategy(n)
+        for got, want in ((plain.state, ideal.state), (plain.alice, ideal.alice),
+                          (plain.bob, ideal.bob)):
+            assert np.array_equal(got, want)
 
 
 def test_noise_spec_validation():
@@ -174,9 +204,8 @@ def test_random_strategy_families_commute_exactly():
     s = random_strategy(4, np.random.default_rng(0), dim_a=4, dim_b=4)
     diag = validate(s)
     assert diag.ok
-    for fam in s.alice_obs.values():
-        c = fam[0] @ fam[1] - fam[1] @ fam[0]
-        assert np.max(np.abs(c)) < 1e-13
+    c = s.alice[:, 0] @ s.alice[:, 1] - s.alice[:, 1] @ s.alice[:, 0]
+    assert np.max(np.abs(c)) < 1e-13
 
 
 def test_serialization_round_trip_bit_exact():
@@ -184,25 +213,57 @@ def test_serialization_round_trip_bit_exact():
     text = strategy_to_text(s)
     back = strategy_from_text(text)
     assert back.n == s.n and back.dim_a == s.dim_a and back.dim_b == s.dim_b
-    assert np.array_equal(back.state, s.state)
-    for q in s.alice_obs:
-        for k in range(s.half):
-            assert np.array_equal(back.alice_obs[q][k], s.alice_obs[q][k])
-            assert np.array_equal(back.bob_obs[q][k], s.bob_obs[q][k])
+    for got, want in ((back.state, s.state), (back.alice, s.alice), (back.bob, s.bob)):
+        assert got.tobytes() == want.tobytes()
+    assert strategy_to_text(back) == text
 
 
 def test_serialization_random_round_trip():
     s = random_strategy(2, np.random.default_rng(9), dim_a=4, dim_b=2)
     back = strategy_from_text(strategy_to_text(s))
-    assert np.array_equal(back.state, s.state)
+    for got, want in ((back.state, s.state), (back.alice, s.alice), (back.bob, s.bob)):
+        assert got.tobytes() == want.tobytes()
     assert back.dim_a == 4 and back.dim_b == 2
+
+
+def _edited(name, path, value):
+    """A mangle that sets the entry at ``path`` (a key sequence) of the
+    parsed document to ``value``; pytest shows it as ``name``."""
+    def mangle(text):
+        doc = json.loads(text)
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        return json.dumps(doc)
+    mangle.__name__ = name
+    return mangle
+
+
+ONE = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]  # a flat 2x2 identity
+
+#: edits that turn the ideal n = 2 document into JSON that is no strategy document
+MALFORMED_EDITS = [
+    _edited("alice_obs-list", ["alice_obs"], []),
+    _edited("alice_obs-string", ["alice_obs"], "0"),
+    _edited("bob_obs-number", ["bob_obs"], 5),
+    _edited("string-entry", ["alice_obs", "0", 0, 0], ["1.0", "0"]),
+    _edited("null-entry", ["alice_obs", "0", 0, 0], None),
+    _edited("null-part", ["bob_obs", "1", 0, 0], [None, 0.0]),
+    _edited("triple-entry", ["alice_obs", "0", 0, 0], [1.0, 0.0, 0.0]),
+    _edited("long-family", ["bob_obs", "0"], [ONE, ONE]),
+    _edited("extra-question", ["alice_obs", "00"], [ONE]),
+    _edited("odd-n", ["n"], 3),
+    _edited("short-state", ["state"], ONE[:3]),
+]
 
 
 @pytest.mark.parametrize("mangle", [
     lambda d: d.replace('"n"', '"m"', 1),
     lambda d: d[: len(d) // 2],
     lambda d: "[]",
-])
+] + MALFORMED_EDITS)
 def test_malformed_documents_rejected(mangle):
     text = strategy_to_text(ideal_strategy(2))
     with pytest.raises(ValueError):

@@ -322,7 +322,7 @@ def test_certify_is_relabel_invariant_in_substance():
         rep = certify(noisy_strategy(n, NoiseSpec(model=model, param=param)))
         m = n // 2
         assert rep.transcript == [], (n, model, param)
-        assert rep.q_a_star == rep.q_b_star == bits.zeros(m)
+        assert rep.q_a_star == rep.q_b_star == "0" * m
         assert rep.pair_questions == {
             (k, ell): bits.from_int(1 << (m - ell), m)
             for k in range(1, m + 1) for ell in range(k + 1, m + 1)}
@@ -342,8 +342,15 @@ def test_certify_sampled_coverage_recorded():
 
 def test_classical_strategy_report_is_vacuously_certified():
     # value 2 leaves delta = n*eps ~ 1.66, so the ceilings exceed any norm
-    from tests.test_game import all_plus_identity_strategy
+    from test_game import all_plus_identity_strategy
     rep = certify(all_plus_identity_strategy(2))
     assert rep.value == pytest.approx(2.0, abs=1e-12)
     assert rep.passed
     assert rep.certified["eps1"] > 2.0
+
+
+def test_certify_value_is_the_exact_value():
+    # certify reads the value off the search's subtest table, bit for bit
+    for s in (ideal_strategy(4), random_strategy(4, np.random.default_rng(8)),
+              noisy_strategy(6, NoiseSpec(model="partial-entanglement", param=0.6))):
+        assert certify(s).value == exact_value(s).value
