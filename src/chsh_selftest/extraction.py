@@ -22,14 +22,15 @@ from .linalg import apply_on_a, apply_on_b, sign_normalize
 from .strategy import Strategy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtractedOperators:
     """Candidate X'/Z' pairs, one per tested qubit.
 
     Entries 1..n/2 act on Alice's side (dim_a), entries n/2+1..n on
     Bob's (dim_b).  Lists are 0-indexed internally; ``apply`` takes the
     1-indexed qubit number used everywhere else.  Every action of an
-    extracted operator on a state goes through ``apply``.
+    extracted operator on a state goes through ``apply``.  Compared and
+    hashed by identity.
     """
 
     n: int

@@ -51,7 +51,7 @@ class NoiseSpec:
             raise ValueError("partial-entanglement angle must lie in (0, pi/4]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Strategy:
     """Shared state plus per-question observable stacks for both players.
 
@@ -59,7 +59,8 @@ class Strategy:
     with big-endian integer index q, so ``alice`` has shape
     (2^(n/2), n/2, dim_a, dim_a); ``bob`` likewise with dim_b.  The state
     is A-major: index = i_A * dim_b + i_B.  n, dim_a and dim_b are read off
-    the shapes.  The arrays are copied and marked read-only on construction.
+    the shapes.  The arrays are copied and marked read-only on construction;
+    strategies compare and hash by identity.
     """
 
     state: np.ndarray
@@ -236,47 +237,6 @@ def validate(strategy: Strategy) -> StrategyDiagnostics:
     # np.max, unlike the builtin max, keeps a NaN residual
     return StrategyDiagnostics(hermiticity=float(np.max(herm)), unitarity=float(np.max(unit)),
                                commutation=float(np.max(comm)), normalization=normres)
-
-
-def joint_projector(strategy: Strategy, party: str, question: str,
-                    answer: str) -> np.ndarray:
-    """Projector onto a full answer string for one player's question.
-
-    Product over k of (I + (-1)^{answer_k} M_k) / 2, which is an honest
-    projector because observables within one question family commute.
-    """
-    if party not in ("A", "B"):
-        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    if len(bits.check(question)) != strategy.half:
-        raise ValueError(f"questions must have length {strategy.half}")
-    family = (strategy.alice if party == "A" else strategy.bob)[bits.to_int(question)]
-    if len(answer) != len(family):
-        raise ValueError("answer length does not match question length")
-    for i, obs in enumerate(family):
-        for other in family[i + 1:]:
-            if commutation_residual(obs, other) > VALIDATION_TOL:
-                raise ValueError("observable family does not commute; "
-                                 "joint answers are undefined")
-    dim = family[0].shape[0]
-    out = np.eye(dim, dtype=complex)
-    for c, obs in zip(answer, family):
-        sign = -1.0 if c == "1" else 1.0
-        out = out @ ((np.eye(dim) + sign * obs) / 2)
-    return out
-
-
-def born_distribution(strategy: Strategy, q_a: str, q_b: str) -> np.ndarray:
-    """Exact joint answer distribution P[x, y]; exponential in n."""
-    m = strategy.half
-    psi = strategy.state.reshape(strategy.dim_a, strategy.dim_b)
-    dist = np.empty((1 << m, 1 << m))
-    for xi, x in enumerate(bits.all_strings(m)):
-        pa = joint_projector(strategy, "A", q_a, x)
-        left = pa @ psi
-        for yi, y in enumerate(bits.all_strings(m)):
-            pb = joint_projector(strategy, "B", q_b, y)
-            dist[xi, yi] = max(0.0, float(np.vdot(psi, left @ pb.T).real))
-    return dist
 
 
 def _sample_bits(strategy: Strategy, qa_idx: np.ndarray, qb_idx: np.ndarray,

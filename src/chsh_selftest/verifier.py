@@ -33,6 +33,9 @@ DEFAULT_GENERAL_SAMPLES = 10_000
 #: distance pairs per report: all 4^n when that is no more, else a seeded sample
 DISTANCE_PAIRS = 256
 
+#: isometry output held at once by extraction_distance, in bytes
+CHUNK_BYTES = 2 << 20
+
 #: slack for comparing measured norms against certified ceilings
 BOUND_SLACK = 1e-9
 
@@ -185,36 +188,55 @@ def certified_bounds(delta: float) -> dict:
 # ---------------------------------------------------------------------------
 # swap isometry and extraction distances
 
+def _branch_stacks(ops: ExtractedOperators) -> list[np.ndarray]:
+    """Alice's and Bob's (2^(n/2), d, d) branch stacks of the swap isometry.
+
+    Stage k maps v to |0> (I + Z'_k)/2 v + |1> X'_k (I - Z'_k)/2 v, and each
+    side's stages act on its own tensor factor, so Phi(v) =
+    sum_a |a> (x) (A_{a_A} (x) B_{a_B}) v; later qubits act on the left, and
+    qubit 1 is the most significant bit of a.
+    """
+    m = ops.n // 2
+    stacks = []
+    for side, d in ((slice(0, m), ops.dim_a), (slice(m, None), ops.dim_b)):
+        x, z, eye = np.array(ops.x_ops[side]), np.array(ops.z_ops[side]), np.eye(d)
+        branch = np.stack([(eye + z) / 2, x @ (eye - z) / 2], axis=1)  # [qubit, bit]
+        stack = branch[0]
+        for factor in branch[1:]:
+            stack = (factor[None] @ stack[:, None]).reshape(-1, d, d)
+        stacks.append(stack)
+    return stacks
+
+
 def swap_isometry_apply(ops: ExtractedOperators, v: np.ndarray) -> np.ndarray:
     """Append n |0> ancillas and run the swap circuit for each qubit.
 
-    For k = 1..n: Hadamard on ancilla k, controlled Z'_k, Hadamard,
-    controlled X'_k.  Ancilla k is still |0> when stage k starts, so the
-    stage only touches the 2^(k-1) branches that can be nonzero; these
-    lead the working array, ahead of the device axes.  The output is
-    ordered device-major with the ancilla register (qubit 1 most
-    significant) last, and has the same norm as ``v``.
+    ``v`` is a flat state or a batch shaped (..., dim_a, dim_b).  With the
+    branch stacks A and B, Phi(v) is two GEMMs: A v, then (A v) B^T.  Each
+    output is device-major with the ancilla register (qubit 1 most
+    significant) last, and has the norm of its input.
     """
     da, db = ops.dim_a, ops.dim_b
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    w = np.asarray(v, dtype=complex).reshape(1, da, db)
-    for k in range(1, ops.n + 1):
-        h = w * inv_sqrt2
-        zh = ops.apply("z", k, h)
-        g1 = ops.apply("x", k, (h - zh) * inv_sqrt2)
-        w = np.stack([(h + zh) * inv_sqrt2, g1], axis=1).reshape(-1, da, db)
-    return w.reshape(1 << ops.n, -1).T.reshape(-1)
+    v = np.asarray(v, dtype=complex)
+    lead, v = v.shape[:-2], v.reshape(-1, da, db)
+    a_rows, b_rows = (stack.transpose(1, 0, 2).reshape(-1, stack.shape[-1])
+                      for stack in _branch_stacks(ops))
+    w = a_rows @ v.transpose(1, 0, 2).reshape(da, -1)  # [i, a_A, batch, j]
+    w = w.reshape(-1, db) @ b_rows.T  # [i, a_A, batch, j, a_B]
+    w = w.reshape(da, -1, len(v), db, len(b_rows) // db).transpose(2, 0, 3, 1, 4)
+    return w.reshape(lead + (-1,))
 
 
-def pauli_target(n: int, p: str, q: str) -> np.ndarray:
-    """X^q Z^p applied to the ideal n-qubit state, on the ancilla register."""
-    if len(p) != n or len(q) != n:
+def pauli_target(n: int, p, q) -> np.ndarray:
+    """X^q Z^p applied to the ideal n-qubit state, on the ancilla register.
+
+    p and q are length-n bit strings or integer arrays; P pairs give (P, 2^n).
+    """
+    if any(isinstance(s, str) and len(s) != n for s in (p, q)):
         raise ValueError("Pauli selectors must have length n")
-    psi = ideal_state(n)
-    qi = bits.to_int(q)
-    idx = np.arange(1 << n)
-    shifted = psi[idx ^ qi]
-    return np.where(bits.parity((idx ^ qi) & bits.to_int(p)), -1.0, 1.0) * shifted
+    p, q = (np.asarray(bits.to_int(s) if isinstance(s, str) else s)[..., None] for s in (p, q))
+    idx = np.arange(1 << n) ^ q
+    return np.where(bits.parity(idx & p), -1.0, 1.0) * ideal_state(n)[idx]
 
 
 def compute_junk(strategy: Strategy, ops: ExtractedOperators) -> tuple[np.ndarray, float]:
@@ -226,8 +248,7 @@ def compute_junk(strategy: Strategy, ops: ExtractedOperators) -> tuple[np.ndarra
     error rather than normalized into nonsense.
     """
     out = swap_isometry_apply(ops, strategy.state)
-    mat = out.reshape(-1, 1 << ops.n)
-    raw = mat @ ideal_state(ops.n).conj()
+    raw = out.reshape(-1, 1 << ops.n) @ pauli_target(ops.n, 0, 0).conj()
     norm = float(np.linalg.norm(raw))
     if norm < 1e-12:
         raise ValueError("junk extraction failed: isometry output is "
@@ -236,24 +257,37 @@ def compute_junk(strategy: Strategy, ops: ExtractedOperators) -> tuple[np.ndarra
 
 
 def extraction_distance(strategy: Strategy, ops: ExtractedOperators,
-                        p: str, q: str, junk: np.ndarray) -> tuple[float, float]:
-    """Distances between the extracted and ideal Pauli actions.
+                        pairs: np.ndarray, junk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(fixed, optimal) distances between extracted and ideal Pauli actions.
 
-    Runs the swap isometry Phi once on X'^q Z'^p psi' and returns
-    (fixed, optimal).  fixed is || out - junk (x) target || with
-    out = Phi(X'^q Z'^p psi'), target = X^q Z^p psi and the supplied junk
-    vector; optimal minimizes over unit junk.  With out split as
-    overlap (x) target + rest, rest orthogonal to every junk (x) target,
-    optimal = sqrt((|overlap| - 1)^2 + |rest|^2); unlike the expanded
-    sqrt(|out|^2 + 1 - 2 |overlap|) it keeps full precision near zero.
+    Per integer (p, q) row of ``pairs``, out = Phi(X'^q Z'^p psi') splits as
+    overlap (x) target + rest, with target = X^q Z^p psi a unit vector and
+    rest orthogonal to every junk (x) target.  So fixed = |out - junk (x)
+    target| = hypot(|overlap - junk|, |rest|), and the optimum over unit
+    junk is hypot(|overlap| - 1, |rest|); both keep full precision near 0.
+    Pairs run in chunks of about CHUNK_BYTES of isometry output.
     """
+    n, pairs = ops.n, np.asarray(pairs).reshape(-1, 2)
     psi = strategy.state.reshape(ops.dim_a, ops.dim_b)
-    out = swap_isometry_apply(ops, ops.apply_string("x", q, ops.apply_string("z", p, psi)))
-    target = pauli_target(ops.n, p, q)
-    fixed = float(np.linalg.norm(out - np.kron(junk, target)))
-    overlap = out.reshape(-1, 1 << ops.n) @ target.conj()
-    rest = float(np.linalg.norm(out - np.kron(overlap, target)))
-    return fixed, math.hypot(float(np.linalg.norm(overlap)) - 1.0, rest)
+    rows = max(1, CHUNK_BYTES // (psi.nbytes << n))
+    targets = pauli_target(n, pairs[:, 0], pairs[:, 1])
+    fixed, optimal = np.empty(len(pairs)), np.empty(len(pairs))
+    for start in range(0, len(pairs), rows):
+        (p, q), target = pairs[start:start + rows].T, targets[start:start + rows]
+        w = np.repeat(psi[None], len(p), axis=0)
+        for kind, sel in (("z", p), ("x", q)):
+            for k in range(n, 0, -1):  # rightmost factor acts first
+                hit = (sel >> (n - k)) & 1 == 1
+                w[hit] = ops.apply(kind, k, w[hit])
+        out = swap_isometry_apply(ops, w).reshape(len(p), psi.size, -1)
+        overlap = out @ target[:, :, None].conj()
+        out -= overlap * target[:, None, :]  # out is now rest
+        flat = out.reshape(len(p), 1, -1).view(float)  # |rest|^2 is a real dot product
+        rest = np.sqrt((flat @ flat.transpose(0, 2, 1))[:, 0, 0])
+        overlap = overlap[..., 0]
+        fixed[start:start + rows] = np.hypot(np.linalg.norm(overlap - junk, axis=1), rest)
+        optimal[start:start + rows] = np.hypot(np.linalg.norm(overlap, axis=1) - 1.0, rest)
+    return fixed, optimal
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +359,14 @@ class SelfTestReport:
             fh.write(self.to_text())
 
 
-def _distance_pairs(n: int, seed: int) -> tuple[list, Coverage]:
+def _distance_pairs(n: int, seed: int) -> tuple[np.ndarray, Coverage]:
+    """Integer (p, q) rows: all 4^n pairs in order, or a seeded sample."""
     total = 1 << (2 * n)
     if total <= DISTANCE_PAIRS:
-        pairs = [(p, q) for p in bits.all_strings(n) for q in bits.all_strings(n)]
-        return pairs, Coverage(mode="exhaustive")
+        return np.stack(np.divmod(np.arange(total), 1 << n), axis=1), Coverage(mode="exhaustive")
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, 1 << n, size=(DISTANCE_PAIRS, 2))
-    pairs = [(bits.from_int(int(a), n), bits.from_int(int(b), n)) for a, b in draws]
-    return pairs, Coverage(mode="sampled", count=DISTANCE_PAIRS, seed=seed)
+    return draws, Coverage(mode="sampled", count=DISTANCE_PAIRS, seed=seed)
 
 
 def certify(strategy: Strategy, coverage: str = "auto",
@@ -372,9 +405,10 @@ def certify(strategy: Strategy, coverage: str = "auto",
 
     junk, junk_norm = compute_junk(canonical, ops)
     pairs, dist_cov = _distance_pairs(n, seed)
-    dist_fixed, dist_opt = {}, {}
-    for p, q in pairs:
-        dist_fixed[(p, q)], dist_opt[(p, q)] = extraction_distance(canonical, ops, p, q, junk)
+    fixed, optimal = extraction_distance(canonical, ops, pairs, junk)
+    keys = [(bits.from_int(int(p), n), bits.from_int(int(q), n)) for p, q in pairs]
+    dist_fixed = dict(zip(keys, fixed.tolist()))
+    dist_opt = dict(zip(keys, optimal.tolist()))
     return SelfTestReport(n=n, value=value, epsilon=epsilon,
                           delta_cert=delta_cert, transcript=transcript,
                           q_b_star=searches.q_b_star, q_a_star=searches.q_a_star,

@@ -8,7 +8,7 @@ import pytest
 from chsh_selftest import (
     NoiseSpec,
     Strategy,
-    born_distribution,
+    build_xz,
     ideal_state,
     ideal_strategy,
     noisy_strategy,
@@ -18,7 +18,7 @@ from chsh_selftest import (
     strategy_to_text,
     validate,
 )
-from chsh_selftest.strategy import joint_projector
+from chsh_selftest import bits
 
 SQ2 = np.sqrt(2)
 
@@ -114,6 +114,44 @@ def test_strategy_arrays_are_frozen():
         s.alice[0, 0, 0, 0] = 5.0
     with pytest.raises(ValueError):
         s.bob_obs["0"][0][0, 0] = 5.0
+
+
+def test_strategy_and_operators_compare_by_identity():
+    # the array fields have no truth value, so equality is identity
+    s = ideal_strategy(2)
+    ops = build_xz(s)
+    for obj, twin in ((s, ideal_strategy(2)), (ops, build_xz(s))):
+        assert obj == obj
+        assert obj != twin
+        assert hash(obj) == hash(obj)
+        assert len({obj, twin}) == 2
+
+
+# ---------------------------------------------------------------------------
+# Born-rule oracles for the sampler: exact answer distributions from projectors
+
+
+def joint_projector(strategy, party, question, answer):
+    """Product over k of (I + (-1)^{answer_k} M_k) / 2; a projector because
+    the observables of one question family commute."""
+    family = (strategy.alice if party == "A" else strategy.bob)[int(question, 2)]
+    out = np.eye(family.shape[-1], dtype=complex)
+    for c, obs in zip(answer, family):
+        out = out @ (np.eye(len(obs)) + (-1.0 if c == "1" else 1.0) * obs) / 2
+    return out
+
+
+def born_distribution(strategy, q_a, q_b):
+    """Exact joint answer distribution P[x, y]; exponential in n."""
+    answers = list(bits.all_strings(strategy.half))
+    psi = strategy.state.reshape(strategy.dim_a, strategy.dim_b)
+    dist = np.empty((len(answers), len(answers)))
+    for xi, x in enumerate(answers):
+        left = joint_projector(strategy, "A", q_a, x) @ psi
+        for yi, y in enumerate(answers):
+            pb = joint_projector(strategy, "B", q_b, y)
+            dist[xi, yi] = float(np.vdot(psi, left @ pb.T).real)
+    return dist
 
 
 def test_joint_projector_completeness():

@@ -18,6 +18,7 @@ from chsh_selftest import (
     compute_junk,
     exact_value,
     extraction_distance,
+    ideal_state,
     ideal_strategy,
     measure_epsilons,
     measure_general_conditions,
@@ -28,6 +29,8 @@ from chsh_selftest import (
     swap_isometry_apply,
 )
 from chsh_selftest import bits, jsonio
+from chsh_selftest.linalg import PAULI_X, PAULI_Z, dagger, tensor
+from chsh_selftest.verifier import _branch_stacks
 
 
 def test_measure_epsilons_vanish_on_ideal():
@@ -145,9 +148,9 @@ def dense_swap_circuit(ops, v):
         stage = (controlled(dense_op(ops, "x", k), k) @ h_all(k)
                  @ controlled(dense_op(ops, "z", k), k) @ h_all(k))
         circuit = stage @ circuit
-    start = np.zeros(1 << n)
-    start[0] = 1.0
-    return circuit @ np.kron(v, start)
+    # v (x) |0..0> picks the columns whose ancilla index is 0; v may be a
+    # block of column vectors
+    return circuit[:, ::1 << n] @ v
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -241,11 +244,11 @@ def test_extraction_distances_vanish_on_ideal():
     s = ideal_strategy(2)
     ops = build_xz(s)
     junk, _ = compute_junk(s, ops)
-    for p in bits.all_strings(2):
-        for q in bits.all_strings(2):
-            d_fixed, d_opt = extraction_distance(s, ops, p, q, junk)
-            assert d_fixed < 1e-12
-            assert d_opt < 1e-12
+    pairs = np.array([(p, q) for p in range(4) for q in range(4)])
+    d_fixed, d_opt = extraction_distance(s, ops, pairs, junk)
+    assert d_fixed.shape == d_opt.shape == (16,)
+    assert np.all(d_fixed < 1e-12)
+    assert np.all(d_opt < 1e-12)
 
 
 @settings(max_examples=12, deadline=None)
@@ -257,9 +260,81 @@ def test_optimal_distance_never_beats_fixed(case):
     s, pairs = case
     ops = build_xz(s)
     junk, _ = compute_junk(s, ops)
-    for p, q in pairs:
-        d_fixed, d_opt = extraction_distance(s, ops, p, q, junk)
-        assert d_opt <= d_fixed + 1e-12
+    pairs = np.array([(bits.to_int(p), bits.to_int(q)) for p, q in pairs])
+    d_fixed, d_opt = extraction_distance(s, ops, pairs, junk)
+    assert np.all(d_opt <= d_fixed + 1e-12)
+
+
+def family_strategy(n, family, seed=0):
+    if family == "random":
+        return random_strategy(n, np.random.default_rng(seed))
+    param = 0.3 if family == "bob-rotation" else 0.6
+    return noisy_strategy(n, NoiseSpec(model=family, param=param))
+
+
+def dense_pauli_target(n, p, q):
+    """X^q Z^p psi with one Kronecker factor per qubit (qubit 1 leftmost)."""
+    xs = tensor(*(PAULI_X if c == "1" else np.eye(2) for c in q))
+    zs = tensor(*(PAULI_Z if c == "1" else np.eye(2) for c in p))
+    return xs @ zs @ ideal_state(n)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("family", ["random", "bob-rotation", "partial-entanglement"])
+def test_extraction_distance_matches_dense_definitions(n, family):
+    s = family_strategy(n, family, seed=60 + n)
+    ops = build_xz(s)
+    junk, _ = compute_junk(s, ops)
+    strings = list(bits.all_strings(n))
+    pairs = np.array([(p, q) for p in range(1 << n) for q in range(1 << n)])
+    inputs = np.stack([dense_string(ops, "x", strings[q]) @ dense_string(ops, "z", strings[p])
+                       @ s.state for p, q in pairs], axis=1)
+    outs = dense_swap_circuit(ops, inputs).T.reshape(len(pairs), -1, 1 << n)
+    fixed, optimal = extraction_distance(s, ops, pairs, junk)
+    targets = pauli_target(n, pairs[:, 0], pairs[:, 1])
+    for (p, q), out, target, d_fixed, d_opt in zip(pairs, outs, targets, fixed, optimal):
+        want = dense_pauli_target(n, strings[p], strings[q])
+        assert np.max(np.abs(target - want)) < 1e-15
+        assert abs(np.linalg.norm(out - np.outer(junk, want)) - d_fixed) < 1e-12
+        # by Cauchy-Schwarz the closest unit junk is the normalized overlap
+        overlap = out @ want.conj()
+        best = overlap / np.linalg.norm(overlap)
+        assert abs(np.linalg.norm(out - np.outer(best, want)) - d_opt) < 1e-12
+
+
+def test_extraction_distance_batch_matches_single_pairs():
+    # n = 6 spreads 256 pairs over several chunks
+    for n, family in ((4, "random"), (6, "bob-rotation"), (6, "random")):
+        s = family_strategy(n, family, seed=70 + n)
+        ops = build_xz(s)
+        junk, _ = compute_junk(s, ops)
+        pairs = np.random.default_rng(n).integers(0, 1 << n, size=(256, 2))
+        fixed, optimal = extraction_distance(s, ops, pairs, junk)
+        for row, d_fixed, d_opt in zip(pairs, fixed, optimal):
+            one_fixed, one_opt = extraction_distance(s, ops, row[None], junk)
+            assert abs(one_fixed[0] - d_fixed) < 1e-13
+            assert abs(one_opt[0] - d_opt) < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("family", ["random", "bob-rotation"])
+def test_branch_stacks_are_isometries(n, family):
+    s = family_strategy(n, family, seed=80 + n)
+    ops = build_xz(s)
+    for stack, d in zip(_branch_stacks(ops), (s.dim_a, s.dim_b)):
+        assert stack.shape == (1 << n // 2, d, d)
+        assert np.max(np.abs(np.sum(dagger(stack) @ stack, axis=0) - np.eye(d))) < 1e-12
+
+
+def test_swap_isometry_batch_matches_single_calls():
+    s = family_strategy(4, "random", seed=90)
+    ops = build_xz(s)
+    psi = s.state.reshape(s.dim_a, s.dim_b)
+    batch = np.stack([psi, ops.apply_string("z", "0110", psi)])
+    got = swap_isometry_apply(ops, batch)
+    assert got.shape == (2, psi.size << 4)
+    for row, v in zip(got, batch):
+        assert np.max(np.abs(row - swap_isometry_apply(ops, v))) < 1e-13
 
 
 def test_distance_regression_bob_rotation():
