@@ -57,9 +57,3 @@ def parity(v) -> np.ndarray:
     for shift in (32, 16, 8, 4, 2, 1):
         v = v ^ (v >> shift)
     return v & 1
-
-
-def sign_grid(n: int) -> np.ndarray:
-    """signs[s, t] = (-1)^{s . t} over all n-bit integers s, t."""
-    idx = np.arange(1 << n)
-    return np.where(parity(idx[:, None] & idx[None, :]), -1.0, 1.0)

@@ -61,12 +61,6 @@ def _seed_from(args) -> int | None:
     return seed
 
 
-def _samples_from(args) -> int:
-    if args.samples < 1:
-        raise _ConfigError("--samples must be a positive integer")
-    return args.samples
-
-
 def _resolve_strategy(args) -> tuple[Strategy | None, int]:
     """Build or load the strategy named by the arguments."""
     if args.strategy:
@@ -102,6 +96,12 @@ def _write_out(text: str, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _csv_text(rows: list[list[str]]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows([SWEEP_COLUMNS.split(",")] + rows)
+    return buf.getvalue()
 
 
 def _report_row(report: SelfTestReport, model: str, param: float) -> list[str]:
@@ -147,44 +147,28 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    samples = _samples_from(args)
     strat, code = _resolve_strategy(args)
     if strat is None:
         return code
-    if strat.n > MAX_CERTIFY_N:
-        return _fail(f"certification is limited to n <= {MAX_CERTIFY_N}", EXIT_CONFIG)
     seed = _seed_from(args)
     try:
-        report = certify(strat, coverage=args.coverage or "auto",
-                         samples=samples, seed=0 if seed is None else seed)
-    except ValueError as exc:
+        report = certify(strat, seed=0 if seed is None else seed)
+    except ValueError as exc:  # includes n above MAX_CERTIFY_N
         return _fail(str(exc), EXIT_CONFIG)
     model, param = ("file", 0.0) if args.strategy else (args.noise, args.noise_param)
-    if args.format == "text":
-        _write_out(report.to_text(), args.out)
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(SWEEP_COLUMNS.split(","))
-        writer.writerow(_report_row(report, model, param))
-        _write_out(buf.getvalue(), args.out)
+    text = report.to_text() if args.format == "text" else _csv_text(
+        [_report_row(report, model, param)])
+    _write_out(text, args.out)
     return EXIT_OK if report.passed else EXIT_BOUND_VIOLATION
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _grid(text: str | None, kind) -> list:
+    return [kind(tok) for tok in (text or "").split(",") if tok.strip()]
 
 
 def cmd_sweep(args) -> int:
-    samples = _samples_from(args)
     try:
-        ns = _int_list(args.n or "")
-        params = _float_list(args.noise_param_list if args.noise_param_list is not None
-                             else "")
+        ns, params = _grid(args.n, int), _grid(args.noise_param_list, float)
     except ValueError as exc:
         return _fail(f"bad grid: {exc}", EXIT_CONFIG)
     for n in ns:
@@ -202,19 +186,13 @@ def cmd_sweep(args) -> int:
             except ValueError as exc:
                 return _fail(str(exc), EXIT_CONFIG)
             try:
-                report = certify(noisy_strategy(n, noise),
-                                 coverage=args.coverage or "auto",
-                                 samples=samples, seed=seed)
+                report = certify(noisy_strategy(n, noise), seed=seed)
             except ValueError as exc:
                 return _fail(str(exc), EXIT_CONFIG)
             rows.append(_report_row(report, args.noise, param))
             if not report.passed:
                 worst = EXIT_BOUND_VIOLATION
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(SWEEP_COLUMNS.split(","))
-    writer.writerows(rows)
-    _write_out(buf.getvalue(), args.out)
+    _write_out(_csv_text(rows), args.out)
     return worst
 
 
@@ -231,58 +209,40 @@ def cmd_logset(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand declares only the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="chsh-selftest",
         description="Simulate and certify parallel CHSH self-tests.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, rounds=False, sweep=False):
-        if sweep:
-            p.add_argument("--n", type=str, default=None,
-                           help="comma-separated list of qubit counts")
-            p.add_argument("--noise-param", dest="noise_param_list", type=str,
-                           default=None, help="comma-separated parameter grid")
-        else:
-            p.add_argument("--n", type=int, default=None,
-                           help="number of tested qubits (even)")
-            p.add_argument("--noise-param", dest="noise_param", type=float,
-                           default=0.0, help="noise model parameter")
-        p.add_argument("--noise", choices=["none", "bob-rotation",
-                                           "partial-entanglement"],
-                       default="none", help="noise model for built strategies")
-        p.add_argument("--strategy", type=str, default=None,
-                       help="path to a strategy file (overrides --n/--noise)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (falls back to the SEED env var)")
-        p.add_argument("--out", type=str, default=None,
-                       help="output file (default stdout)")
-        p.add_argument("--format", choices=["csv", "text"], default="csv",
-                       help="output encoding where both make sense")
-        p.add_argument("--coverage", choices=["exhaustive", "sampled"],
-                       default=None,
-                       help="general-condition coverage (default: exhaustive "
-                            "iff n <= 6)")
-        p.add_argument("--samples", type=int, default=10_000,
-                       help="sample count for sampled coverage")
-        if rounds:
-            p.add_argument("--rounds", type=int, default=None,
-                           help="number of referee rounds")
-
     p_value = sub.add_parser("value", help="exact game value")
-    common(p_value)
     p_value.set_defaults(func=cmd_value)
-
     p_sim = sub.add_parser("simulate", help="finite-round referee estimate")
-    common(p_sim, rounds=True)
     p_sim.set_defaults(func=cmd_simulate)
-
     p_cert = sub.add_parser("certify", help="full self-test report")
-    common(p_cert)
     p_cert.set_defaults(func=cmd_certify)
-
     p_sweep = sub.add_parser("sweep", help="certify over an (n, param) grid")
-    common(p_sweep, sweep=True)
     p_sweep.set_defaults(func=cmd_sweep)
+
+    for p in (p_value, p_sim, p_cert):
+        p.add_argument("--n", type=int, help="number of tested qubits (even)")
+        p.add_argument("--noise-param", dest="noise_param", type=float,
+                       default=0.0, help="noise model parameter")
+        p.add_argument("--strategy", type=str,
+                       help="path to a strategy file (overrides --n/--noise)")
+    p_sweep.add_argument("--n", type=str, help="comma-separated list of qubit counts")
+    p_sweep.add_argument("--noise-param", dest="noise_param_list", type=str,
+                         help="comma-separated parameter grid")
+    for p in (p_value, p_sim, p_cert, p_sweep):
+        p.add_argument("--noise", choices=["none", "bob-rotation", "partial-entanglement"],
+                       default="none", help="noise model for built strategies")
+    for p in (p_sim, p_cert, p_sweep):
+        p.add_argument("--seed", type=int,
+                       help="RNG seed (falls back to the SEED env var)")
+    for p in (p_cert, p_sweep):
+        p.add_argument("--out", type=str, help="output file (default stdout)")
+    p_sim.add_argument("--rounds", type=int, help="number of referee rounds")
+    p_cert.add_argument("--format", choices=["csv", "text"], default="csv",
+                        help="report encoding")
 
     p_log = sub.add_parser("logset", help="pair-separating question set")
     p_log.add_argument("--n", type=int, default=None)

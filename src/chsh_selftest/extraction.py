@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,10 +28,11 @@ class ExtractedOperators:
     """Candidate X'/Z' pairs, one per tested qubit.
 
     Entries 1..n/2 act on Alice's side (dim_a), entries n/2+1..n on
-    Bob's (dim_b).  Lists are 0-indexed internally; ``apply`` takes the
-    1-indexed qubit number used everywhere else.  Every action of an
-    extracted operator on a state goes through ``apply``.  Compared and
-    hashed by identity.
+    Bob's (dim_b): Alice's as ``op @ w`` and Bob's as ``w @ op.T`` on
+    states shaped (..., dim_a, dim_b), so Bob's products on an identity
+    come out transposed.  Alice's string products and both sides'
+    swap-isometry branch stacks are built on first use and kept.
+    Compared and hashed by identity.
     """
 
     n: int
@@ -39,20 +41,57 @@ class ExtractedOperators:
     x_ops: tuple
     z_ops: tuple
 
-    def apply(self, kind: str, k: int, w: np.ndarray) -> np.ndarray:
-        """Apply X'_k (kind "x") or Z'_k (kind "z") to states shaped
-        (..., dim_a, dim_b); qubits 1..n/2 are Alice's, the rest Bob's."""
-        op = (self.x_ops if kind == "x" else self.z_ops)[k - 1]
-        if k <= self.n // 2:
-            return apply_on_a(op, w)
-        return apply_on_b(op, w)
+    def _side_table(self, kind: str, side: int, w: np.ndarray) -> np.ndarray:
+        """table[u] = X'^u or Z'^u of one side (0 Alice, 1 Bob) applied to w.
 
-    def apply_string(self, kind: str, s: str, w: np.ndarray) -> np.ndarray:
-        """Apply the ordered product X'^s or Z'^s (ascending index leftmost)."""
-        for k in range(self.n, 0, -1):  # rightmost factor acts first
-            if s[k - 1] == "1":
-                w = self.apply(kind, k, w)
-        return w
+        u is an n/2-bit integer whose most significant bit is the side's
+        first qubit.  Built by recursion on that bit, which is the leftmost
+        (last applied) factor of the ordered product.
+        """
+        m = self.n // 2
+        ops = (self.x_ops if kind == "x" else self.z_ops)[side * m:(side + 1) * m]
+        act = apply_on_b if side else apply_on_a
+        table = np.empty((1 << m,) + w.shape, dtype=complex)
+        table[0] = w
+        for u in range(1, 1 << m):
+            pos = u.bit_length() - 1
+            table[u] = act(ops[m - 1 - pos], table[u - (1 << pos)])
+        return table
+
+    def string_table(self, side: int, w: np.ndarray) -> np.ndarray:
+        """Every string product of one side applied to w, one factor at a time.
+
+        Shaped (2, 2^n) + w.shape: [0, t * 2^(n/2) + s] is Z'^t X'^s w and
+        [1, s * 2^(n/2) + t] is X'^s Z'^t w, for s, t on the side's qubits.
+        """
+        zx = self._side_table("z", side, self._side_table("x", side, w))
+        xz = self._side_table("x", side, self._side_table("z", side, w))
+        return np.stack([zx, xz]).reshape((2, -1) + w.shape)
+
+    @cached_property
+    def alice_strings(self) -> np.ndarray:
+        """Alice's string products as (2, 2^n, dim_a, dim_a) matrices."""
+        return self.string_table(0, np.eye(self.dim_a, dtype=complex))
+
+    @cached_property
+    def branches(self) -> tuple[np.ndarray, np.ndarray]:
+        """Alice's and Bob's (2^(n/2), d, d) branch stacks of the swap isometry.
+
+        Stage k maps v to |0> (I + Z'_k)/2 v + |1> X'_k (I - Z'_k)/2 v, and
+        each side's stages act on its own tensor factor, so Phi(v) =
+        sum_a |a> (x) (A_{a_A} (x) B_{a_B}) v; later qubits act on the left,
+        and qubit 1 is the most significant bit of a.
+        """
+        m = self.n // 2
+        stacks = []
+        for side, d in ((slice(0, m), self.dim_a), (slice(m, None), self.dim_b)):
+            x, z, eye = np.array(self.x_ops[side]), np.array(self.z_ops[side]), np.eye(d)
+            branch = np.stack([(eye + z) / 2, x @ (eye - z) / 2], axis=1)  # [qubit, bit]
+            stack = branch[0]
+            for factor in branch[1:]:
+                stack = (factor[None] @ stack[:, None]).reshape(-1, d, d)
+            stacks.append(stack)
+        return stacks[0], stacks[1]
 
 
 def build_xz(strategy: Strategy) -> ExtractedOperators:

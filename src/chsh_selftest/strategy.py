@@ -142,7 +142,9 @@ def ideal_state(n: int) -> np.ndarray:
     tensor product of one two-qubit graph state per tested pair, with
     Alice's halves grouped in front.
     """
-    return (bits.sign_grid(n // 2) / math.sqrt(1 << n)).astype(complex).reshape(-1)
+    idx = np.arange(1 << n // 2)
+    signs = np.where(bits.parity(idx[:, None] & idx), -1.0, 1.0)
+    return (signs / math.sqrt(1 << n)).astype(complex).reshape(-1)
 
 
 def _local_stack(m: int, single) -> np.ndarray:

@@ -25,7 +25,8 @@ from .strategy import Strategy, ideal_state
 #: largest n the full certification pipeline accepts
 MAX_CERTIFY_N = 8
 
-#: exhaustive general-condition coverage above this n is refused by "auto"
+#: general conditions cover every (s, t) pair up to this n, and
+#: DEFAULT_GENERAL_SAMPLES seeded draws above it
 MAX_EXHAUSTIVE_N = 6
 
 DEFAULT_GENERAL_SAMPLES = 10_000
@@ -33,7 +34,8 @@ DEFAULT_GENERAL_SAMPLES = 10_000
 #: distance pairs per report: all 4^n when that is no more, else a seeded sample
 DISTANCE_PAIRS = 256
 
-#: isometry output held at once by extraction_distance, in bytes
+#: bytes one chunk holds: gathered terms and products in the condition
+#: norms, isometry output in extraction_distance
 CHUNK_BYTES = 2 << 20
 
 #: slack for comparing measured norms against certified ceilings
@@ -70,110 +72,108 @@ class ConditionNorms:
     coverage: Coverage | None = None
 
 
-def _partner(k: int, n: int) -> int:
-    """Index k + n/2, wrapped back into 1..n."""
-    return (k + n // 2 - 1) % n + 1
+def _operands(strategy: Strategy, ops: ExtractedOperators) -> tuple[np.ndarray, np.ndarray]:
+    """Left (3 * 2^n, dim_a, dim_a) and right (2 * 2^n, dim_a, dim_b) gather stacks.
+
+    Alice's and Bob's operators act on different tensor factors, so every
+    signed string product on psi is left[ia] @ right[ib]: left holds Alice's
+    products SA = ``ops.alice_strings`` as [SA[0], -SA[1], SA[1]], right
+    Bob's products applied to psi.  His factors act on psi one at a time:
+    a product matrix would keep roundoff entries of his operators that
+    acting on psi absorbs, and turn norms that are exactly 0 into ~1e-17.
+    """
+    alice = ops.alice_strings
+    psi = strategy.state.reshape(ops.dim_a, ops.dim_b)
+    return (np.concatenate([alice[0], -alice[1], alice[1]]),
+            ops.string_table(1, psi).reshape(-1, ops.dim_a, ops.dim_b))
+
+
+def _products(left: np.ndarray, right: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """Row p is the sum over j of left[ia[p, j]] @ right[ib[p, j]]."""
+    w = left[ia[:, 0]] @ right[ib[:, 0]]
+    for j in range(1, ia.shape[1]):
+        w += left[ia[:, j]] @ right[ib[:, j]]
+    return w
+
+
+def _max_norm(left: np.ndarray, right: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> float:
+    """Largest Frobenius norm of the rows of ``_products``; each chunk's
+    gathered terms and their products take about CHUNK_BYTES."""
+    rows = max(1, CHUNK_BYTES // (ia.shape[1] * (left[0].nbytes + 2 * right[0].nbytes)))
+    return max(float(np.max(np.linalg.norm(
+        _products(left, right, ia[i:i + rows], ib[i:i + rows]), axis=(1, 2))))
+        for i in range(0, len(ia), rows))
+
+
+def _split(n: int, *strings: np.ndarray) -> list[np.ndarray]:
+    """Alice's and Bob's halves of each integer string, in that order."""
+    m = n // 2
+    return [half for s in strings for half in (s >> m, s & ((1 << m) - 1))]
+
+
+def _anticommute_rows(n: int, s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gather rows of Z'^t X'^s psi - (-1)^{s.t} X'^s Z'^t psi."""
+    size, stride = 1 << n, 1 << n // 2
+    sa, sb, ta, tb = _split(n, s, t)
+    ia = np.stack([ta * stride + sa, size * (1 + bits.parity(s & t)) + sa * stride + ta], axis=1)
+    ib = np.stack([tb * stride + sb, size + sb * stride + tb], axis=1)
+    return ia, ib
+
+
+def _swap_rows(n: int, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gather rows of Z'^{s'} psi - (-1)^{s_A.s_B} X'^s psi, s' = s with its halves swapped."""
+    size, stride = 1 << n, 1 << n // 2
+    sa, sb = _split(n, s)
+    ia = np.stack([sb * stride, size * (1 + bits.parity(sa & sb)) + sa * stride], axis=1)
+    ib = np.stack([sa * stride, size + sb * stride], axis=1)
+    return ia, ib
+
+
+def _pauli_rows(n: int, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gather rows of X'^q Z'^p psi."""
+    size, stride = 1 << n, 1 << n // 2
+    pa, pb, qa, qb = _split(n, p, q)
+    return (2 * size + qa * stride + pa)[:, None], (size + qb * stride + pb)[:, None]
 
 
 def measure_epsilons(strategy: Strategy, ops: ExtractedOperators) -> ConditionNorms:
-    """Worst single-qubit condition norms (general fields left unset)."""
-    psi = strategy.state.reshape(ops.dim_a, ops.dim_b)
-    n = ops.n
-    eps1 = 0.0
-    for k in range(1, n + 1):
-        xk = ops.apply("x", k, psi)
-        for ell in range(1, n + 1):
-            if ell == k:
-                continue
-            diff = ops.apply("z", ell, xk) - ops.apply("x", k, ops.apply("z", ell, psi))
-            eps1 = max(eps1, float(np.linalg.norm(diff)))
-    eps2 = max(float(np.linalg.norm(ops.apply("x", k, psi)
-                                    - ops.apply("z", _partner(k, n), psi)))
-               for k in range(1, n + 1))
-    eps3 = max(float(np.linalg.norm(ops.apply("z", k, ops.apply("x", k, psi))
-                                    + ops.apply("x", k, ops.apply("z", k, psi))))
-               for k in range(1, n + 1))
-    return ConditionNorms(eps1=eps1, eps2=eps2, eps3=eps3)
+    """Worst single-qubit condition norms (general fields left unset).
 
-
-def _string_table(ops: ExtractedOperators, kind: str, w: np.ndarray) -> np.ndarray:
-    """table[s] = (X'^s or Z'^s) applied to w, for every integer s.
-
-    Built by recursion on the most significant set bit, which is the
-    leftmost (last applied) factor of the ordered product.
+    eps1 and eps3 are the weight-1 rows of the anticommutation family
+    with k != l and k = l, and eps2 the weight-1 rows of the swap family.
     """
     n = ops.n
-    table = np.empty((1 << n,) + w.shape, dtype=complex)
-    table[0] = w
-    for s in range(1, 1 << n):
-        pos = s.bit_length() - 1
-        table[s] = ops.apply(kind, n - pos, table[s - (1 << pos)])
-    return table
+    left, right = _operands(strategy, ops)
+    unit = 1 << np.arange(n)
+    s, t = np.repeat(unit, n), np.tile(unit, n)
+    return ConditionNorms(eps1=_max_norm(left, right, *_anticommute_rows(n, s[s != t], t[s != t])),
+                          eps2=_max_norm(left, right, *_swap_rows(n, unit)),
+                          eps3=_max_norm(left, right, *_anticommute_rows(n, unit, unit)))
 
 
 def measure_general_conditions(strategy: Strategy, ops: ExtractedOperators,
-                               coverage: str = "auto",
-                               samples: int = DEFAULT_GENERAL_SAMPLES,
                                seed: int = 0) -> ConditionNorms:
     """Worst string-product condition norms over (s, t) pairs.
 
-    Exhaustive for n <= 6 (or on request); otherwise a seeded uniform
-    sample of (s, t) pairs.  Returns a ConditionNorms with the general
-    fields (and coverage) filled in and eps1..eps3 measured alongside.
+    Every pair for n <= MAX_EXHAUSTIVE_N, otherwise DEFAULT_GENERAL_SAMPLES
+    seeded uniform draws; both run through the same gather kernel.
+    Returns a ConditionNorms with the general fields (and coverage)
+    filled in and eps1..eps3 measured alongside.
     """
     n = ops.n
-    psi = strategy.state.reshape(ops.dim_a, ops.dim_b)
-    if coverage == "auto":
-        coverage = "exhaustive" if n <= MAX_EXHAUSTIVE_N else "sampled"
-    if coverage not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown coverage {coverage!r}")
-
-    x_table = _string_table(ops, "x", psi)
-    z_table = _string_table(ops, "z", psi)
-
-    # the (s, t) tables are the largest arrays of a certify run, so the
-    # signed differences below are formed in place
-    signs = bits.sign_grid(n)
-    if coverage == "exhaustive":
-        if n > MAX_EXHAUSTIVE_N:
-            raise ValueError(f"exhaustive coverage limited to n <= {MAX_EXHAUSTIVE_N}")
-        zx = _string_table(ops, "z", x_table)  # zx[t, s] = Z'^t X'^s psi
-        xz = _string_table(ops, "x", z_table)  # xz[s, t] = X'^s Z'^t psi
-        xz *= signs[:, :, None, None]
-        zx -= xz.transpose(1, 0, 2, 3)
-        anticommute_max = float(np.max(np.linalg.norm(zx, axis=(2, 3))))
-        s_all = np.arange(1 << n)
+    if n <= MAX_EXHAUSTIVE_N:
+        s, t = np.divmod(np.arange(1 << 2 * n), 1 << n)
         cov = Coverage(mode="exhaustive")
     else:
         rng = np.random.default_rng(seed)
-        s_draw = rng.integers(0, 1 << n, size=samples)
-        t_draw = rng.integers(0, 1 << n, size=samples)
-        left = np.empty((samples,) + psi.shape, dtype=complex)
-        right = np.empty_like(left)
-        for t in np.unique(t_draw):
-            rows = t_draw == t
-            left[rows] = ops.apply_string("z", bits.from_int(int(t), n),
-                                          x_table[s_draw[rows]])
-        for s in np.unique(s_draw):
-            rows = s_draw == s
-            right[rows] = ops.apply_string("x", bits.from_int(int(s), n),
-                                           z_table[t_draw[rows]])
-        right *= signs[s_draw, t_draw][:, None, None]
-        left -= right
-        anticommute_max = float(np.max(np.linalg.norm(left, axis=(1, 2))))
-        s_all = np.unique(s_draw)
-        cov = Coverage(mode="sampled", count=samples, seed=seed)
-
-    # second family: Z' on the half-swapped string against X'^s
-    m = n // 2
-    lowmask = (1 << m) - 1
-    swapped = ((s_all & lowmask) << m) | (s_all >> m)
-    signs2 = np.where(bits.parity((s_all >> m) & s_all & lowmask), -1.0, 1.0)
-    diff2 = z_table[swapped] - signs2[:, None, None] * x_table[s_all]
-    swap_max = float(np.max(np.linalg.norm(diff2, axis=(1, 2))))
-
-    return replace(measure_epsilons(strategy, ops), general_anticommute_max=anticommute_max,
-                   general_swap_max=swap_max, coverage=cov)
+        s = rng.integers(0, 1 << n, size=DEFAULT_GENERAL_SAMPLES)
+        t = rng.integers(0, 1 << n, size=DEFAULT_GENERAL_SAMPLES)
+        cov = Coverage(mode="sampled", count=DEFAULT_GENERAL_SAMPLES, seed=seed)
+    left, right = _operands(strategy, ops)
+    return replace(measure_epsilons(strategy, ops),
+                   general_anticommute_max=_max_norm(left, right, *_anticommute_rows(n, s, t)),
+                   general_swap_max=_max_norm(left, right, *_swap_rows(n, np.unique(s))),
+                   coverage=cov)
 
 
 def certified_bounds(delta: float) -> dict:
@@ -188,26 +188,6 @@ def certified_bounds(delta: float) -> dict:
 # ---------------------------------------------------------------------------
 # swap isometry and extraction distances
 
-def _branch_stacks(ops: ExtractedOperators) -> list[np.ndarray]:
-    """Alice's and Bob's (2^(n/2), d, d) branch stacks of the swap isometry.
-
-    Stage k maps v to |0> (I + Z'_k)/2 v + |1> X'_k (I - Z'_k)/2 v, and each
-    side's stages act on its own tensor factor, so Phi(v) =
-    sum_a |a> (x) (A_{a_A} (x) B_{a_B}) v; later qubits act on the left, and
-    qubit 1 is the most significant bit of a.
-    """
-    m = ops.n // 2
-    stacks = []
-    for side, d in ((slice(0, m), ops.dim_a), (slice(m, None), ops.dim_b)):
-        x, z, eye = np.array(ops.x_ops[side]), np.array(ops.z_ops[side]), np.eye(d)
-        branch = np.stack([(eye + z) / 2, x @ (eye - z) / 2], axis=1)  # [qubit, bit]
-        stack = branch[0]
-        for factor in branch[1:]:
-            stack = (factor[None] @ stack[:, None]).reshape(-1, d, d)
-        stacks.append(stack)
-    return stacks
-
-
 def swap_isometry_apply(ops: ExtractedOperators, v: np.ndarray) -> np.ndarray:
     """Append n |0> ancillas and run the swap circuit for each qubit.
 
@@ -220,7 +200,7 @@ def swap_isometry_apply(ops: ExtractedOperators, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     lead, v = v.shape[:-2], v.reshape(-1, da, db)
     a_rows, b_rows = (stack.transpose(1, 0, 2).reshape(-1, stack.shape[-1])
-                      for stack in _branch_stacks(ops))
+                      for stack in ops.branches)
     w = a_rows @ v.transpose(1, 0, 2).reshape(da, -1)  # [i, a_A, batch, j]
     w = w.reshape(-1, db) @ b_rows.T  # [i, a_A, batch, j, a_B]
     w = w.reshape(da, -1, len(v), db, len(b_rows) // db).transpose(2, 0, 3, 1, 4)
@@ -268,25 +248,22 @@ def extraction_distance(strategy: Strategy, ops: ExtractedOperators,
     Pairs run in chunks of about CHUNK_BYTES of isometry output.
     """
     n, pairs = ops.n, np.asarray(pairs).reshape(-1, 2)
-    psi = strategy.state.reshape(ops.dim_a, ops.dim_b)
-    rows = max(1, CHUNK_BYTES // (psi.nbytes << n))
+    left, right = _operands(strategy, ops)
+    rows = max(1, CHUNK_BYTES // (right[0].nbytes << n))
     targets = pauli_target(n, pairs[:, 0], pairs[:, 1])
+    ia, ib = _pauli_rows(n, pairs[:, 0], pairs[:, 1])
     fixed, optimal = np.empty(len(pairs)), np.empty(len(pairs))
     for start in range(0, len(pairs), rows):
-        (p, q), target = pairs[start:start + rows].T, targets[start:start + rows]
-        w = np.repeat(psi[None], len(p), axis=0)
-        for kind, sel in (("z", p), ("x", q)):
-            for k in range(n, 0, -1):  # rightmost factor acts first
-                hit = (sel >> (n - k)) & 1 == 1
-                w[hit] = ops.apply(kind, k, w[hit])
-        out = swap_isometry_apply(ops, w).reshape(len(p), psi.size, -1)
+        chunk, target = slice(start, start + rows), targets[start:start + rows]
+        w = _products(left, right, ia[chunk], ib[chunk])
+        out = swap_isometry_apply(ops, w).reshape(len(w), right[0].size, -1)
         overlap = out @ target[:, :, None].conj()
         out -= overlap * target[:, None, :]  # out is now rest
-        flat = out.reshape(len(p), 1, -1).view(float)  # |rest|^2 is a real dot product
+        flat = out.reshape(len(w), 1, -1).view(float)  # |rest|^2 is a real dot product
         rest = np.sqrt((flat @ flat.transpose(0, 2, 1))[:, 0, 0])
         overlap = overlap[..., 0]
-        fixed[start:start + rows] = np.hypot(np.linalg.norm(overlap - junk, axis=1), rest)
-        optimal[start:start + rows] = np.hypot(np.linalg.norm(overlap, axis=1) - 1.0, rest)
+        fixed[chunk] = np.hypot(np.linalg.norm(overlap - junk, axis=1), rest)
+        optimal[chunk] = np.hypot(np.linalg.norm(overlap, axis=1) - 1.0, rest)
     return fixed, optimal
 
 
@@ -319,14 +296,8 @@ class SelfTestReport:
         return all(self.flags.values())
 
     def to_document(self) -> dict:
-        meas = {
-            "eps1": self.measured.eps1,
-            "eps2": self.measured.eps2,
-            "eps3": self.measured.eps3,
-            "general_anticommute_max": self.measured.general_anticommute_max,
-            "general_swap_max": self.measured.general_swap_max,
-            "coverage": self.measured.coverage.describe() if self.measured.coverage else None,
-        }
+        coverage = self.measured.coverage
+        meas = dict(vars(self.measured), coverage=coverage.describe() if coverage else None)
         return {
             "n": self.n,
             "value": self.value,
@@ -354,10 +325,6 @@ class SelfTestReport:
         """Structured text form; norms carry 12 significant digits."""
         return jsonio.dumps(self.to_document(), float_digits=12)
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
-
 
 def _distance_pairs(n: int, seed: int) -> tuple[np.ndarray, Coverage]:
     """Integer (p, q) rows: all 4^n pairs in order, or a seeded sample."""
@@ -369,8 +336,7 @@ def _distance_pairs(n: int, seed: int) -> tuple[np.ndarray, Coverage]:
     return draws, Coverage(mode="sampled", count=DISTANCE_PAIRS, seed=seed)
 
 
-def certify(strategy: Strategy, coverage: str = "auto",
-            samples: int = DEFAULT_GENERAL_SAMPLES, seed: int = 0) -> SelfTestReport:
+def certify(strategy: Strategy, seed: int = 0) -> SelfTestReport:
     """Run the full self-test pipeline on one strategy.
 
     Searches the questions, reads the exact value and its shortfall off
@@ -398,8 +364,7 @@ def certify(strategy: Strategy, coverage: str = "auto",
     delta_cert = n * epsilon
     certified = certified_bounds(delta_cert)
     ops = build_xz(canonical)
-    measured = measure_general_conditions(canonical, ops, coverage=coverage,
-                                          samples=samples, seed=seed)
+    measured = measure_general_conditions(canonical, ops, seed=seed)
     for name in ("eps1", "eps2", "eps3"):
         flags[name] = getattr(measured, name) <= certified[name] + BOUND_SLACK
 

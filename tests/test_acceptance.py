@@ -71,7 +71,7 @@ def test_criterion_04_ideal_extraction_is_exact():
         if max(norms.eps1, norms.eps2, norms.eps3) > 1e-8:
             fails.append(f"n={n} eps norms {norms.eps1:.2e}/{norms.eps2:.2e}/"
                          f"{norms.eps3:.2e}")
-        gen = cs.measure_general_conditions(s, ops, coverage="exhaustive")
+        gen = cs.measure_general_conditions(s, ops)
         if max(gen.general_anticommute_max, gen.general_swap_max) > 1e-7:
             fails.append(f"n={n} general norms")
         rep = cs.certify(s)

@@ -16,6 +16,7 @@ from chsh_selftest import (
     strategy_to_text,
     validate,
 )
+from chsh_selftest import cli
 from chsh_selftest.cli import main
 from test_strategy import MALFORMED_EDITS
 
@@ -213,24 +214,33 @@ def test_unknown_command_exits_nonzero(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("samples", ["0", "-3"])
-@pytest.mark.parametrize("argv", [
-    ("certify", "--n", "2"),
-    ("certify", "--n", "8", "--coverage", "sampled"),
-    ("sweep", "--n", "2", "--noise-param", "0", "--coverage", "sampled"),
-])
-def test_samples_below_one_is_a_config_error(capsys, argv, samples):
-    code, out, err = run(capsys, *argv, "--samples", samples)
+def test_sweep_reports_certify_errors_as_config_errors(capsys, monkeypatch):
+    def failing_certify(strategy, seed=0):
+        raise ValueError("certification failed")
+
+    monkeypatch.setattr(cli, "certify", failing_certify)
+    code, out, err = run(capsys, "sweep", "--n", "2", "--noise-param", "0")
     assert code == 2
-    assert err.strip() == "error: --samples must be a positive integer"
+    assert err.strip() == "error: certification failed"
     assert out == ""
 
 
-def test_sweep_reports_certify_errors_as_config_errors(capsys):
-    code, out, err = run(capsys, "sweep", "--n", "8", "--noise-param", "0",
-                         "--coverage", "exhaustive")
+@pytest.mark.parametrize("argv", [
+    ("value", "--n", "2", "--seed", "1"),
+    ("value", "--n", "2", "--out", "report.txt"),
+    ("value", "--n", "2", "--format", "text"),
+    ("simulate", "--n", "2", "--rounds", "10", "--seed", "1", "--out", "report.txt"),
+    ("simulate", "--n", "2", "--rounds", "10", "--seed", "1", "--format", "text"),
+    ("sweep", "--n", "2", "--noise-param", "0", "--strategy", "s.json"),
+    ("sweep", "--n", "2", "--noise-param", "0", "--format", "text"),
+    ("certify", "--n", "2", "--coverage", "sampled"),
+    ("certify", "--n", "2", "--samples", "100"),
+    ("sweep", "--n", "2", "--noise-param", "0", "--samples", "100"),
+])
+def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert code == 2
-    assert err.startswith("error: exhaustive coverage limited to n <= 6")
+    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in err
     assert out == ""
 
 

@@ -30,7 +30,14 @@ from chsh_selftest import (
 )
 from chsh_selftest import bits, jsonio
 from chsh_selftest.linalg import PAULI_X, PAULI_Z, dagger, tensor
-from chsh_selftest.verifier import _branch_stacks
+from chsh_selftest.verifier import (
+    _anticommute_rows,
+    _max_norm,
+    _operands,
+    _pauli_rows,
+    _products,
+    _swap_rows,
+)
 
 
 def test_measure_epsilons_vanish_on_ideal():
@@ -98,18 +105,21 @@ def test_general_conditions_vanish_on_ideal():
 
 
 def test_general_conditions_sampled_mode_is_deterministic():
-    s = noisy_strategy(4, NoiseSpec(model="bob-rotation", param=0.1))
+    # above MAX_EXHAUSTIVE_N the (s, t) pairs are DEFAULT_GENERAL_SAMPLES seeded draws
+    s = noisy_strategy(8, NoiseSpec(model="bob-rotation", param=0.1))
     ops = build_xz(s)
-    a = measure_general_conditions(s, ops, coverage="sampled", samples=300, seed=9)
-    b = measure_general_conditions(s, ops, coverage="sampled", samples=300, seed=9)
+    a = measure_general_conditions(s, ops, seed=9)
+    b = measure_general_conditions(s, ops, seed=9)
     assert a.general_anticommute_max == b.general_anticommute_max
     assert a.general_swap_max == b.general_swap_max
-    assert a.coverage.mode == "sampled"
-    assert a.coverage.count == 300
-    # sampled maxima are bounded by the exhaustive ones
-    full = measure_general_conditions(s, ops, coverage="exhaustive")
-    assert a.general_anticommute_max <= full.general_anticommute_max + 1e-12
-    assert a.general_swap_max <= full.general_swap_max + 1e-12
+    assert a.coverage.describe() == {"mode": "sampled", "count": 10_000, "seed": 9}
+    # sampled maxima are bounded by the maxima over every pair
+    left, right = _operands(s, ops)
+    s_all, t_all = np.divmod(np.arange(1 << 16), 1 << 8)
+    full_anticommute = _max_norm(left, right, *_anticommute_rows(8, s_all, t_all))
+    full_swap = _max_norm(left, right, *_swap_rows(8, np.arange(1 << 8)))
+    assert a.general_anticommute_max <= full_anticommute + 1e-12
+    assert a.general_swap_max <= full_swap + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -153,17 +163,104 @@ def dense_swap_circuit(ops, v):
     return circuit[:, ::1 << n] @ v
 
 
+def dense_tables(ops):
+    """Dense X'^s and Z'^s for every integer string s."""
+    strings = list(bits.all_strings(ops.n))
+    return {kind: np.array([dense_string(ops, kind, u) for u in strings]) for kind in "xz"}
+
+
+def dense_condition_norms(ops, state, s, t):
+    """|Z'^t X'^s psi - (-1)^{s.t} X'^s Z'^t psi| and, at t = s with its
+    halves swapped, |Z'^t psi - (-1)^{s_A.s_B} X'^s psi|, per row."""
+    dense, m = dense_tables(ops), ops.n // 2
+    zx = dense["z"][t] @ dense["x"][s] @ state
+    xz = dense["x"][s] @ dense["z"][t] @ state
+    sign = np.where(bits.parity(s & t), -1.0, 1.0)[:, None]
+    swapped = ((s & ((1 << m) - 1)) << m) | (s >> m)
+    swap_sign = np.where(bits.parity((s >> m) & s), -1.0, 1.0)[:, None]
+    swap = dense["z"][swapped] @ state - swap_sign * (dense["x"][s] @ state)
+    return np.linalg.norm(zx - sign * xz, axis=1), np.linalg.norm(swap, axis=1)
+
+
+def kernel_condition_norms(strategy, ops, s, t):
+    """The same per-row norms from the gather kernel."""
+    left, right = _operands(strategy, ops)
+    return tuple(np.linalg.norm(_products(left, right, *rows), axis=(1, 2))
+                 for rows in (_anticommute_rows(ops.n, s, t), _swap_rows(ops.n, s)))
+
+
 @pytest.mark.parametrize("n", [2, 4])
 def test_apply_string_matches_dense_products(n):
+    # every distance input X'^q Z'^p psi of the kernel is the dense product
     rng = np.random.default_rng(40 + n)
     s = random_strategy(n, rng)
     ops = build_xz(s)
-    psi = s.state.reshape(s.dim_a, s.dim_b)
-    for kind in ("x", "z"):
-        for string in bits.all_strings(n):
-            got = ops.apply_string(kind, string, psi).reshape(-1)
-            want = dense_string(ops, kind, string) @ s.state
-            assert np.max(np.abs(got - want)) < 1e-12
+    dense = dense_tables(ops)
+    p, q = np.divmod(np.arange(1 << 2 * n), 1 << n)
+    got = _products(*_operands(s, ops), *_pauli_rows(n, p, q)).reshape(len(p), -1)
+    want = dense["x"][q] @ dense["z"][p] @ s.state
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("family", ["random", "random-3x5", "bob-rotation"])
+def test_string_stacks_match_dense_products(n, family):
+    # Alice's stack holds her products; Bob's table on an identity holds his, transposed
+    s = family_strategy(n, family, seed=100 + n)
+    ops = build_xz(s)
+    dense, m = dense_tables(ops), n // 2
+    alice, bob = ops.alice_strings, ops.string_table(1, np.eye(s.dim_b))
+    assert alice.shape == (2, 1 << n, s.dim_a, s.dim_a)
+    assert bob.shape == (2, 1 << n, s.dim_b, s.dim_b)
+    eye_a, eye_b = np.eye(s.dim_a), np.eye(s.dim_b)
+    for u in range(1 << m):
+        for v in range(1 << m):
+            index = u * (1 << m) + v
+            # Alice's strings sit in the high half of an n-bit string
+            zx = dense["z"][u << m] @ dense["x"][v << m]
+            xz = dense["x"][u << m] @ dense["z"][v << m]
+            assert np.max(np.abs(np.kron(alice[0, index], eye_b) - zx)) < 1e-12
+            assert np.max(np.abs(np.kron(alice[1, index], eye_b) - xz)) < 1e-12
+            zx, xz = dense["z"][u] @ dense["x"][v], dense["x"][u] @ dense["z"][v]
+            assert np.max(np.abs(np.kron(eye_a, bob[0, index].T) - zx)) < 1e-12
+            assert np.max(np.abs(np.kron(eye_a, bob[1, index].T) - xz)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("family", ["random", "random-3x5", "bob-rotation",
+                                    "partial-entanglement"])
+def test_condition_rows_match_dense_definitions(n, family):
+    s = family_strategy(n, family, seed=110 + n)
+    ops = build_xz(s)
+    every_s, every_t = np.divmod(np.arange(1 << 2 * n), 1 << n)
+    anticommute, swap = kernel_condition_norms(s, ops, every_s, every_t)
+    want_anticommute, want_swap = dense_condition_norms(ops, s.state, every_s, every_t)
+    assert np.max(np.abs(anticommute - want_anticommute)) < 1e-12
+    assert np.max(np.abs(swap - want_swap)) < 1e-12
+    general = measure_general_conditions(s, ops)
+    assert abs(general.general_anticommute_max - np.max(want_anticommute)) < 1e-12
+    assert abs(general.general_swap_max - np.max(want_swap)) < 1e-12
+    # eps1..eps3 are the weight-1 rows of the same families
+    one = np.isin(every_s, 1 << np.arange(n)) & np.isin(every_t, 1 << np.arange(n))
+    assert general.eps1 == pytest.approx(np.max(want_anticommute[one & (every_s != every_t)]),
+                                         abs=1e-12)
+    assert general.eps3 == pytest.approx(np.max(want_anticommute[one & (every_s == every_t)]),
+                                         abs=1e-12)
+    assert general.eps2 == pytest.approx(np.max(want_swap[one]), abs=1e-12)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(["random", "random-3x5", "bob-rotation", "partial-entanglement"]),
+       st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), min_size=1, max_size=8))
+def test_condition_rows_match_dense_definitions_n6(family, seed, rows):
+    s = family_strategy(6, family, seed)
+    ops = build_xz(s)
+    every_s, every_t = np.array(rows).T
+    anticommute, swap = kernel_condition_norms(s, ops, every_s, every_t)
+    want_anticommute, want_swap = dense_condition_norms(ops, s.state, every_s, every_t)
+    assert np.max(np.abs(anticommute - want_anticommute)) < 1e-12
+    assert np.max(np.abs(swap - want_swap)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -171,7 +268,7 @@ def test_swap_isometry_matches_dense_circuit(n):
     rng = np.random.default_rng(50 + n)
     s = random_strategy(n, rng)
     ops = build_xz(s)
-    for v in (s.state, ops.apply_string("x", "1" * n, s.state.reshape(s.dim_a, s.dim_b))):
+    for v in (s.state, dense_string(ops, "x", "1" * n) @ s.state):
         got = swap_isometry_apply(ops, v)
         want = dense_swap_circuit(ops, np.reshape(v, -1))
         assert np.max(np.abs(got - want)) < 1e-12
@@ -268,6 +365,8 @@ def test_optimal_distance_never_beats_fixed(case):
 def family_strategy(n, family, seed=0):
     if family == "random":
         return random_strategy(n, np.random.default_rng(seed))
+    if family == "random-3x5":
+        return random_strategy(n, np.random.default_rng(seed), 3, 5)
     param = 0.3 if family == "bob-rotation" else 0.6
     return noisy_strategy(n, NoiseSpec(model=family, param=param))
 
@@ -321,7 +420,7 @@ def test_extraction_distance_batch_matches_single_pairs():
 def test_branch_stacks_are_isometries(n, family):
     s = family_strategy(n, family, seed=80 + n)
     ops = build_xz(s)
-    for stack, d in zip(_branch_stacks(ops), (s.dim_a, s.dim_b)):
+    for stack, d in zip(ops.branches, (s.dim_a, s.dim_b)):
         assert stack.shape == (1 << n // 2, d, d)
         assert np.max(np.abs(np.sum(dagger(stack) @ stack, axis=0) - np.eye(d))) < 1e-12
 
@@ -330,7 +429,7 @@ def test_swap_isometry_batch_matches_single_calls():
     s = family_strategy(4, "random", seed=90)
     ops = build_xz(s)
     psi = s.state.reshape(s.dim_a, s.dim_b)
-    batch = np.stack([psi, ops.apply_string("z", "0110", psi)])
+    batch = np.stack([psi, (dense_string(ops, "z", "0110") @ s.state).reshape(psi.shape)])
     got = swap_isometry_apply(ops, batch)
     assert got.shape == (2, psi.size << 4)
     for row, v in zip(got, batch):
@@ -409,9 +508,9 @@ def test_certify_rejects_large_n():
 
 
 def test_certify_sampled_coverage_recorded():
-    rep = certify(ideal_strategy(4), coverage="sampled", samples=200, seed=3)
+    rep = certify(ideal_strategy(8), seed=3)
     cov = rep.measured.coverage.describe()
-    assert cov == {"mode": "sampled", "count": 200, "seed": 3}
+    assert cov == {"mode": "sampled", "count": 10_000, "seed": 3}
     assert rep.passed
 
 
