@@ -139,7 +139,10 @@ def cmd_simulate(args) -> int:
     seed = _seed_from(args)
     if seed is None:
         return _fail("sampling needs a seed (--seed or SEED)", EXIT_CONFIG)
-    result = referee_simulate(strat, args.rounds, np.random.default_rng(seed))
+    try:
+        result = referee_simulate(strat, args.rounds, np.random.default_rng(seed))
+    except (MemoryError, ValueError) as exc:  # numpy cannot allocate the per-round draws
+        return _fail(f"cannot simulate {args.rounds} rounds: {exc}", EXIT_CONFIG)
     print(f"estimate {result.value:.12f}")
     print(f"stderr {result.stderr:.12f}")
     print(f"win_rate {result.win_rate:.12f}")

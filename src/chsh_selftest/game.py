@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bits
 from .linalg import pair_expectation
-from .strategy import Strategy, _sample_bits
+from .strategy import Strategy, born_answers
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -41,18 +41,6 @@ class GameValue:
     rounds: int | None = None
     stderr: float = 0.0
     win_rate: float | None = None
-
-
-def win(q: str, k: int, x_k: int, y_k: int) -> bool:
-    """Whether answer bits (x_k, y_k) win subtest k of full question q."""
-    n = len(bits.check(q))
-    if n % 2 != 0:
-        raise ValueError("full question must have even length")
-    if not 1 <= k <= n // 2:
-        raise ValueError(f"subtest {k} out of range for n = {n}")
-    if x_k not in (0, 1) or y_k not in (0, 1):
-        raise ValueError("answer bits must be 0 or 1")
-    return (bits.bit(q, k) & bits.bit(q, k + n // 2)) == (x_k ^ y_k)
 
 
 def subtest_value(strategy: Strategy, q_a: str, q_b: str, k: int) -> float:
@@ -148,13 +136,10 @@ def referee_simulate(strategy: Strategy, rounds: int,
 
     qa_idx = (q >> m).astype(np.int64)
     qb_idx = (q & ((1 << m) - 1)).astype(np.int64)
-    x, y = _sample_bits(strategy, qa_idx, qb_idx, uniforms)
+    x, y = born_answers(strategy, qa_idx, qb_idx, uniforms)
 
-    qa_bit = (qa_idx >> (m - ks)) & 1
-    qb_bit = (qb_idx >> (m - ks)) & 1
-    x_k = np.take_along_axis(x, (ks - 1)[:, None], axis=1)[:, 0]
-    y_k = np.take_along_axis(y, (ks - 1)[:, None], axis=1)[:, 0]
-    wins = (qa_bit & qb_bit) == (x_k ^ y_k)
+    # bit k of question and answer integers, with bit 1 the most significant
+    wins = ((((qa_idx & qb_idx) ^ x ^ y) >> (m - ks)) & 1) == 0
     scores = np.where(wins, 4.0, -4.0)
     estimate = float(scores.mean())
     stderr = float(scores.std(ddof=1) / math.sqrt(rounds)) if rounds > 1 else 0.0

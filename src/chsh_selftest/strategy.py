@@ -241,60 +241,108 @@ def validate(strategy: Strategy) -> StrategyDiagnostics:
                                commutation=float(np.max(comm)), normalization=normres)
 
 
-def _sample_bits(strategy: Strategy, qa_idx: np.ndarray, qb_idx: np.ndarray,
+#: complex entries of one round chunk's stack of reduced operators (16 bytes each)
+SAMPLE_CHUNK_ENTRIES = 1 << 22
+
+
+def _branch_tree(root: np.ndarray, family: np.ndarray) -> np.ndarray:
+    """The 2^m leaves of the tree that splits ``root`` by one observable of
+    ``family`` at a time, indexed by the big-endian answer.
+
+    Child 0 of a node is (I + M_k)/2 applied to it from the left and child 1
+    the remainder, the steps of a sequential collapse.  On the state matrix
+    the leaves are Alice's branches P_{q,x} psi; on the identity they are the
+    answer projectors themselves.  The tree grows in place in the leaf array:
+    the nodes of level k sit at every 2^(m-k)-th leaf.
+    """
+    m = len(family)
+    leaves = np.empty((1 << m, *root.shape), dtype=complex)
+    leaves[0] = root
+    for k, obs in enumerate(family):
+        step = 1 << (m - k)
+        nodes = leaves[::step]
+        zero = obs @ nodes
+        zero += nodes
+        zero *= 0.5
+        np.subtract(nodes, zero, out=leaves[step // 2::step])
+        nodes[...] = zero
+    return leaves
+
+
+def _walk(table: np.ndarray, which: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Answers drawn bit by bit from rows of answer masses.
+
+    Round r reads row ``which[r]`` of ``table``; its bit k is 1 iff
+    uniforms[r, k] >= mass(prefix 0) / mass(prefix), where the mass of a
+    prefix is the pairwise sum of the leaves under it.
+    """
+    levels = [table]  # levels[k][:, p] = mass of the k-bit prefix p
+    while levels[0].shape[1] > 1:
+        levels.insert(0, levels[0][:, ::2] + levels[0][:, 1::2])
+    ans = np.zeros(len(which), dtype=np.int64)
+    for k in range(len(levels) - 1):
+        p0 = levels[k + 1][which, 2 * ans] / levels[k][which, ans]
+        ans = 2 * ans + (uniforms[:, k] >= p0)
+    return ans
+
+
+def _answer_masses(reduced: np.ndarray, family: np.ndarray) -> np.ndarray:
+    """masses[r, y] = ||Phi_r Q_y^T||^2 = Re sum_jk S_r[j, k] Q_y[j, k].
+
+    S_r = Phi_r^dag Phi_r are reduced operators on Bob's side and Q_y his
+    answer projectors for ``family``; the A-major state puts Bob's operator
+    on the right as Q^T, so the sum pairs S with Q itself, not its transpose.
+    One real GEMM: (re, im) . (re, -im) is the real part of the product.
+    """
+    dim = reduced.shape[-1]
+    proj = np.conjugate(_branch_tree(np.eye(dim, dtype=complex), family))
+    return (reduced.reshape(len(reduced), -1).view(float)
+            @ proj.reshape(len(proj), -1).view(float).T)
+
+
+def born_answers(strategy: Strategy, qa_idx: np.ndarray, qb_idx: np.ndarray,
                  uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sequential conditional Born sampling, vectorized over rounds.
+    """Answers of many rounds drawn from the Born rule, one bit at a time.
 
-    uniforms[r, j] decides the j-th sampled bit of round r (Alice's bits
-    first), so results do not depend on how rounds are grouped here.
+    uniforms[r, j] decides the j-th bit of round r (Alice's m bits first,
+    most significant first), so results do not depend on how rounds are
+    grouped.  Per drawn Alice question a, one branch tree gives every
+    P_{a,x} psi, hence her marginal and, for each drawn answer x, Bob's
+    reduced operator S = (P_{a,x} psi)^dag (P_{a,x} psi).  Per drawn Bob
+    question b, one real GEMM gives his conditional answer masses for every
+    drawn (a, x) pair.  Returns the big-endian integer answers (x, y).
     """
-    m = strategy.half
-    da, db = strategy.dim_a, strategy.dim_b
-    rounds = qa_idx.shape[0]
-    x = np.zeros((rounds, m), dtype=np.int64)
-    y = np.zeros((rounds, m), dtype=np.int64)
-    chunk = max(1, (1 << 22) // (da * db))
-    psi = strategy.state.reshape(da, db)
-    for lo in range(0, rounds, chunk):
-        hi = min(rounds, lo + chunk)
-        states = np.tile(psi, (hi - lo, 1, 1))
-        weights = np.einsum("rij,rij->r", states.conj(), states).real
-        for party, stack, qidx, answers, col0 in (("A", strategy.alice, qa_idx, x, 0),
-                                                  ("B", strategy.bob, qb_idx, y, m)):
-            for q in np.unique(qidx[lo:hi]):
-                rows = np.nonzero(qidx[lo:hi] == q)[0]
-                for k in range(m):
-                    if party == "A":
-                        moved = np.einsum("ij,rjc->ric", stack[q, k], states[rows])
-                    else:
-                        moved = np.einsum("ij,rcj->rci", stack[q, k], states[rows])
-                    branch0 = 0.5 * (states[rows] + moved)
-                    w0 = np.einsum("rij,rij->r", branch0.conj(), branch0).real
-                    p0 = w0 / weights[rows]
-                    picked1 = uniforms[lo:hi][rows, col0 + k] >= p0
-                    answers[lo + rows, k] = picked1
-                    states[rows] = np.where(picked1[:, None, None],
-                                            states[rows] - branch0, branch0)
-                    weights[rows] = np.where(picked1, weights[rows] - w0, w0)
+    m, db = strategy.half, strategy.dim_b
+    psi = strategy.state.reshape(strategy.dim_a, db)
+    x = np.zeros(len(qa_idx), dtype=np.int64)
+    y = np.zeros_like(x)
+    chunk = max(1, SAMPLE_CHUNK_ENTRIES // (db * db))
+    for lo in range(0, len(x), chunk):
+        qa, qb, u = qa_idx[lo:lo + chunk], qb_idx[lo:lo + chunk], uniforms[lo:lo + chunk]
+        xs, ys = x[lo:lo + chunk], y[lo:lo + chunk]
+        # room for the drawn (a, x) pairs: one per round, 2^m per question at most
+        questions, repeats = np.unique(qa, return_counts=True)
+        room = int(np.minimum(repeats, 1 << m).sum())
+        keys = np.empty(room, dtype=np.int64)
+        reduced = np.empty((room, db, db), dtype=complex)
+        count = 0
+        for a in questions:
+            rows = np.flatnonzero(qa == a)
+            phi = _branch_tree(psi, strategy.alice[a])
+            flat = phi.reshape(len(phi), -1).view(float)
+            marginal = np.einsum("xi,xi->x", flat, flat)
+            xs[rows] = _walk(marginal[None], np.zeros(len(rows), dtype=np.int64), u[rows, :m])
+            drawn = np.unique(xs[rows])
+            keys[count:count + len(drawn)] = a << m | drawn
+            np.matmul(phi[drawn].conj().transpose(0, 2, 1), phi[drawn],
+                      out=reduced[count:count + len(drawn)])
+            count += len(drawn)
+        pair = np.searchsorted(keys[:count], qa << m | xs)  # keys ascend
+        for b in np.unique(qb):
+            rows = np.flatnonzero(qb == b)
+            used, which = np.unique(pair[rows], return_inverse=True)
+            ys[rows] = _walk(_answer_masses(reduced[used], strategy.bob[b]), which, u[rows, m:])
     return x, y
-
-
-def sample_answers(strategy: Strategy, q_a: str, q_b: str,
-                   rng: np.random.Generator) -> tuple[str, str]:
-    """Draw one pair of answer strings from the Born distribution.
-
-    Bits are sampled one at a time (Alice's bits then Bob's), each
-    conditioned on the previous outcomes; the draw consumes exactly n
-    uniforms from ``rng``.
-    """
-    m = strategy.half
-    qa = np.array([bits.to_int(bits.check(q_a))])
-    qb = np.array([bits.to_int(bits.check(q_b))])
-    if len(q_a) != m or len(q_b) != m:
-        raise ValueError(f"questions must have length {m}")
-    u = rng.random((1, strategy.n))
-    x, y = _sample_bits(strategy, qa, qb, u)
-    return ("".join(str(b) for b in x[0]), "".join(str(b) for b in y[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -180,10 +180,11 @@ def test_criterion_09_noise_sweep_trend():
             d = max(rep.distances_fixed.values())
             dists.append(d)
             eps = rep.epsilon
-            ratio = d / (n ** 1.125 * eps ** 0.125) if eps > 1e-15 else \
-                float("nan")
+            # at zero noise epsilon vanishes and the ratio is undefined
+            ratio = f"{d / (n ** 1.125 * eps ** 0.125):10.4f}" if eps > 1e-15 else \
+                f"{'-':>10}"
             print(f"  {n:2d}  {eta:5.2f}  {rep.value:11.8f}  {eps:.4e}"
-                  f"  {d:.4e}   {ratio:10.4f}")
+                  f"  {d:.4e}   {ratio}")
         dist_by_n[n] = dists
         if dists[0] > 1e-6:
             fails.append(f"n={n}: nonzero distance {dists[0]:.2e} at eta=0")

@@ -92,6 +92,34 @@ def test_simulate_rejects_bad_rounds(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags,expect", [
+    ("--n 8 --noise bob-rotation --noise-param 0.1 --rounds 10000 --seed 7",
+     ("2.802400000000", "0.028543596439", "0.850300000000")),
+    ("--n 4 --noise partial-entanglement --noise-param 0.6 --rounds 20000 --seed 3",
+     ("2.704000000000", "0.020843246437", "0.838000000000")),
+    ("--n 6 --noise none --rounds 5000 --seed 11",
+     ("2.785600000000", "0.040600692251", "0.848200000000")),
+])
+def test_simulate_output_is_pinned(capsys, flags, expect):
+    # recorded with the state-collapse sampler; the table sampler draws the same answers
+    code, out, _ = run(capsys, "simulate", *flags.split())
+    assert code == 0
+    assert out.splitlines() == [f"{name} {value}" for name, value
+                                in zip(("estimate", "stderr", "win_rate"), expect)]
+
+
+@pytest.mark.parametrize("rounds", [10**14, 2**62, 2**70])
+def test_simulate_too_many_rounds_is_a_config_error(capsys, rounds):
+    # numpy refuses each of these draws before allocating anything: 10^14
+    # int64 questions exceed a 47-bit address space, the others numpy's limits
+    code, out, err = run(capsys, "simulate", "--n", "2", "--rounds", str(rounds),
+                         "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot simulate {rounds} rounds: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_certify_csv_default(capsys):
     code, out, _ = run(capsys, "certify", "--n", "2")
     assert code == 0

@@ -1,5 +1,7 @@
 """Game scoring: subtest functionals, exact values, referee sampling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,22 @@ from chsh_selftest import (
     referee_simulate,
     subtest_table,
     subtest_value,
-    win,
 )
 from chsh_selftest import Strategy, bits
+from test_strategy import collapse_sample
+
+
+def win(q, k, x_k, y_k):
+    """Whether answer bits (x_k, y_k) win subtest k of full question q: the
+    per-round scoring oracle for the referee."""
+    n = len(bits.check(q))
+    if n % 2 != 0:
+        raise ValueError("full question must have even length")
+    if not 1 <= k <= n // 2:
+        raise ValueError(f"subtest {k} out of range for n = {n}")
+    if x_k not in (0, 1) or y_k not in (0, 1):
+        raise ValueError("answer bits must be 0 or 1")
+    return (bits.bit(q, k) & bits.bit(q, k + n // 2)) == (x_k ^ y_k)
 
 
 def all_plus_identity_strategy(n):
@@ -175,3 +190,24 @@ def test_referee_on_noisy_strategy():
     s = noisy_strategy(2, NoiseSpec(model="bob-rotation", param=eta))
     res = referee_simulate(s, 200_000, np.random.default_rng(12))
     assert abs(res.value - 2 * np.sqrt(2) * np.cos(eta)) < 5 * res.stderr
+
+
+@pytest.mark.parametrize("strategy", [
+    noisy_strategy(4, NoiseSpec(model="bob-rotation", param=0.4)),
+    random_strategy(4, np.random.default_rng(8)),
+], ids=["bob-rotation", "random"])
+def test_referee_matches_per_round_oracle(strategy):
+    rounds, n, m = 500, 4, 2
+    res = referee_simulate(strategy, rounds, np.random.default_rng(31))
+    # the same draws in the referee's order: questions, answer uniforms, pairs
+    rng = np.random.default_rng(31)
+    q = rng.integers(0, 1 << n, size=rounds)
+    uniforms = rng.random((rounds, n))
+    ks = rng.integers(1, m + 1, size=rounds)
+    x, y = collapse_sample(strategy, q >> m, q & ((1 << m) - 1), uniforms)
+    wins = np.array([win(bits.from_int(int(q[r]), n), int(k), int(x[r, k - 1]), int(y[r, k - 1]))
+                     for r, k in enumerate(ks)])
+    scores = np.where(wins, 4.0, -4.0)
+    assert res.value == float(scores.mean())
+    assert res.stderr == float(scores.std(ddof=1) / math.sqrt(rounds))
+    assert res.win_rate == float(wins.mean())

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chsh_selftest import (
     NoiseSpec,
@@ -13,12 +14,13 @@ from chsh_selftest import (
     ideal_strategy,
     noisy_strategy,
     random_strategy,
-    sample_answers,
     strategy_from_text,
     strategy_to_text,
     validate,
 )
-from chsh_selftest import bits
+from chsh_selftest import bits, strategy as strategy_module
+from chsh_selftest.strategy import _answer_masses, _branch_tree, born_answers
+from test_verifier import family_strategy
 
 SQ2 = np.sqrt(2)
 
@@ -181,29 +183,128 @@ def test_born_distribution_sums_to_one_random():
         assert born_distribution(s, qa, qb).sum() == pytest.approx(1.0, abs=1e-10)
 
 
+def collapse_sample(strategy, qa_idx, qb_idx, uniforms):
+    """Sequential conditional Born sampling by state collapse, vectorized over
+    rounds; the answer bits as (rounds, m) arrays.
+
+    Per question and bit, one einsum gives the branch (I + M)/2 of every
+    round's state, which collapses onto the drawn branch.  uniforms[r, j]
+    decides the j-th sampled bit of round r (Alice's bits first).
+    """
+    m = strategy.half
+    da, db = strategy.dim_a, strategy.dim_b
+    rounds = qa_idx.shape[0]
+    x = np.zeros((rounds, m), dtype=np.int64)
+    y = np.zeros((rounds, m), dtype=np.int64)
+    chunk = max(1, (1 << 22) // (da * db))
+    psi = strategy.state.reshape(da, db)
+    for lo in range(0, rounds, chunk):
+        hi = min(rounds, lo + chunk)
+        states = np.tile(psi, (hi - lo, 1, 1))
+        weights = np.einsum("rij,rij->r", states.conj(), states).real
+        for party, stack, qidx, answers, col0 in (("A", strategy.alice, qa_idx, x, 0),
+                                                  ("B", strategy.bob, qb_idx, y, m)):
+            for q in np.unique(qidx[lo:hi]):
+                rows = np.nonzero(qidx[lo:hi] == q)[0]
+                for k in range(m):
+                    if party == "A":
+                        moved = np.einsum("ij,rjc->ric", stack[q, k], states[rows])
+                    else:
+                        moved = np.einsum("ij,rcj->rci", stack[q, k], states[rows])
+                    branch0 = 0.5 * (states[rows] + moved)
+                    w0 = np.einsum("rij,rij->r", branch0.conj(), branch0).real
+                    p0 = w0 / weights[rows]
+                    picked1 = uniforms[lo:hi][rows, col0 + k] >= p0
+                    answers[lo + rows, k] = picked1
+                    states[rows] = np.where(picked1[:, None, None],
+                                            states[rows] - branch0, branch0)
+                    weights[rows] = np.where(picked1, weights[rows] - w0, w0)
+    return x, y
+
+
+def sample_answers(strategy, q_a, q_b, rng):
+    """One round's answer strings at questions (q_a, q_b), drawn by the
+    collapse oracle from exactly n uniforms of ``rng``."""
+    qa, qb = np.array([bits.to_int(q_a)]), np.array([bits.to_int(q_b)])
+    x, y = collapse_sample(strategy, qa, qb, rng.random((1, strategy.n)))
+    return "".join(map(str, x[0])), "".join(map(str, y[0]))
+
+
+def answer_ints(answer_bits):
+    """Big-endian integers of a (rounds, m) array of answer bits."""
+    m = answer_bits.shape[1]
+    return answer_bits @ (1 << np.arange(m - 1, -1, -1))
+
+
+FAMILIES = ["bob-rotation", "partial-entanglement", "random", "random-3x5"]
+
+
 def test_sampling_is_deterministic():
     s = ideal_strategy(4)
     a = sample_answers(s, "01", "10", np.random.default_rng(42))
     b = sample_answers(s, "01", "10", np.random.default_rng(42))
     assert a == b
+    qa, qb = np.array([1]), np.array([2])
+    x, y = born_answers(s, qa, qb, np.random.default_rng(42).random((1, 4)))
+    assert (bits.from_int(x[0], 2), bits.from_int(y[0], 2)) == a
 
 
 def test_sampling_matches_born_distribution():
     s = ideal_strategy(2)
     dist = born_distribution(s, "0", "1")
     rng = np.random.default_rng(7)
-    counts = np.zeros((2, 2))
     trials = 20_000
-    for _ in range(trials):
-        x, y = sample_answers(s, "0", "1", rng)
-        counts[int(x, 2), int(y, 2)] += 1
-    freq = counts / trials
+    x, y = born_answers(s, np.zeros(trials, dtype=np.int64), np.ones(trials, dtype=np.int64),
+                        rng.random((trials, 2)))
+    freq = np.bincount(2 * x + y, minlength=4).reshape(2, 2) / trials
     # 5 sigma on each cell
     for xi in range(2):
         for yi in range(2):
             p = dist[xi, yi]
             sigma = np.sqrt(p * (1 - p) / trials)
             assert abs(freq[xi, yi] - p) < 5 * sigma
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([2, 4, 6, 8]), st.sampled_from(FAMILIES),
+       st.integers(0, 2**32 - 1))
+@example(10, "bob-rotation", 5)
+def test_born_answers_match_the_collapse_oracle(n, family, seed):
+    s = family_strategy(n, family, seed)
+    rng = np.random.default_rng([seed, n])
+    qa, qb = rng.integers(0, 1 << s.half, size=(2, 300))
+    u = rng.random((300, n))
+    x, y = born_answers(s, qa, qb, u)
+    want_x, want_y = collapse_sample(s, qa, qb, u)
+    assert np.array_equal(x, answer_ints(want_x))
+    assert np.array_equal(y, answer_ints(want_y))
+
+
+def test_born_answers_do_not_depend_on_the_round_chunks(monkeypatch):
+    s = random_strategy(4, np.random.default_rng(4), dim_a=3, dim_b=5)
+    rng = np.random.default_rng(6)
+    qa, qb = rng.integers(0, 4, size=(2, 200))
+    u = rng.random((200, 4))
+    whole = born_answers(s, qa, qb, u)
+    monkeypatch.setattr(strategy_module, "SAMPLE_CHUNK_ENTRIES", 7 * 5 * 5)  # 7 rounds a chunk
+    chunked = born_answers(s, qa, qb, u)
+    for got, want in zip(chunked, whole):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_born_tables_match_born_distribution(n, family):
+    s = family_strategy(n, family, 12)
+    m = s.half
+    psi = s.state.reshape(s.dim_a, s.dim_b)
+    for a in range(1 << m):
+        phi = _branch_tree(psi, s.alice[a])  # P_{a,x} psi for every x
+        reduced = phi.conj().transpose(0, 2, 1) @ phi
+        for b in range(1 << m):
+            joint = _answer_masses(reduced, s.bob[b])  # [x, y]
+            want = born_distribution(s, bits.from_int(a, m), bits.from_int(b, m))
+            assert np.max(np.abs(joint - want)) < 1e-12
 
 
 @pytest.mark.parametrize("model,param,expect", [
