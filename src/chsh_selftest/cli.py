@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .extraction import log_question_set
-from .game import exact_value, referee_simulate
+from .game import MAX_EXACT_N, exact_value, referee_simulate
 from .strategy import (
     NoiseSpec,
     Strategy,
@@ -119,6 +119,9 @@ def _report_row(report: SelfTestReport, model: str, param: float) -> list[str]:
 
 
 def cmd_value(args) -> int:
+    if not args.strategy and args.n is not None and args.n > MAX_EXACT_N:
+        # refused before the strategy is built: at n = 14 that alone takes seconds
+        return _fail(f"exhaustive value limited to n <= {MAX_EXACT_N}", EXIT_CONFIG)
     strat, code = _resolve_strategy(args)
     if strat is None:
         return code

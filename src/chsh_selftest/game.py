@@ -75,7 +75,11 @@ def expectation_table(strategy: Strategy) -> np.ndarray:
     """
     psi = strategy.state.reshape(strategy.dim_a, strategy.dim_b)
     left = psi.conj().T @ (strategy.alice @ psi)  # [a, k] = psi^dag M^a_k psi
-    return np.einsum("akij,bkij->abk", left, strategy.bob).real
+    q = len(left)
+    table = np.empty((q, q, strategy.half))
+    for k in range(strategy.half):  # one GEMM per subtest: sum_ij left[a, k, i, j] bob[b, k, i, j]
+        table[:, :, k] = (left[:, k].reshape(q, -1) @ strategy.bob[:, k].reshape(q, -1).T).real
+    return table
 
 
 def subtest_table(strategy: Strategy) -> np.ndarray:

@@ -1,14 +1,28 @@
-"""JSON emission with explicit control over float precision.
+"""JSON text with explicit control over float precision, and a parser
+that reads numeric arrays straight into numpy.
 
 The stdlib encoder always prints floats with repr; strategy files pin a
 17-significant-digit decimal form (which round-trips doubles exactly)
 and reports use 12 significant digits, so we emit the text ourselves.
-Parsing uses the stdlib.
+
+A strategy file is mostly ``[re, im]`` pairs: millions of numbers that
+the stdlib decoder would turn into Python lists and floats.  ``loads``
+lets the stdlib decoder read the document's skeleton (objects, strings,
+the numbers outside arrays) but reads each array that holds only numbers
+with one numpy text parse, into a float64 array of the array's nesting
+shape.  The numerals keep JSON's grammar; any array that the fast path
+does not accept is handed to the stdlib decoder, which parses it into
+lists (reading its numbers as floats) or raises as ``json.loads`` would.
 """
 
 from __future__ import annotations
 
 import json
+import json.scanner
+import math
+import warnings
+
+import numpy as np
 
 
 def _emit(obj, digits: int, indent: int, level: int, out: list) -> None:
@@ -71,5 +85,186 @@ def dumps(obj, float_digits: int = 17, indent: int = 2) -> str:
     return "".join(out)
 
 
+# ---------------------------------------------------------------------------
+# parsing
+
+# Class codes of the bytes of a numeric array with its whitespace deleted.
+_COMMA, _OPEN, _CLOSE, _MINUS, _PLUS, _DOT, _EXP, _ZERO, _DIGIT, _OTHER = range(1, 11)
+_STRUCTURE = (_COMMA, _OPEN, _CLOSE)
+_DIGITS = (_ZERO, _DIGIT)
+
+
+def _class_table() -> bytes:
+    table = bytearray([_OTHER]) * 256
+    for chars, code in ((b",", _COMMA), (b"[", _OPEN), (b"]", _CLOSE), (b"-", _MINUS),
+                        (b"+", _PLUS), (b".", _DOT), (b"eE", _EXP), (b"0", _ZERO),
+                        (b"123456789", _DIGIT)):
+        for ch in chars:
+            table[ch] = code
+    return bytes(table)
+
+
+def _pair_ok(a: int, b: int) -> bool:
+    """Whether class b may follow class a in a numeric array without
+    whitespace, where every slot between '[' or ',' and ',' or ']' holds
+    one JSON numeral: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][-+]?[0-9]+)?"""
+    if _OTHER in (a, b):
+        return False
+    if a in _STRUCTURE and b in _STRUCTURE:
+        return (a, b) in ((_OPEN, _OPEN), (_CLOSE, _CLOSE), (_CLOSE, _COMMA), (_COMMA, _OPEN))
+    if a in (_OPEN, _COMMA):  # a numeral starts
+        return b == _MINUS or b in _DIGITS
+    if a == _CLOSE or b == _OPEN:  # a numeral touching the wrong side of a bracket
+        return False
+    if b in (_COMMA, _CLOSE):  # a numeral ends
+        return a in _DIGITS
+    if a in (_MINUS, _PLUS, _DOT):
+        return b in _DIGITS
+    if a == _EXP:
+        return b in _DIGITS or b in (_MINUS, _PLUS)
+    return b in _DIGITS or b in (_DOT, _EXP)
+
+
+def _pair_table() -> bytes:
+    """Symbol for each pair code 16 a + b: b"!" for a pair no numeric
+    array holds, and the letters of the leading-zero patterns
+    (Z D: a numeral starting "0" and a digit; M N D: "-0" and a digit)."""
+    table = bytearray(b"!") * 256
+    for a in range(1, 11):
+        for b in range(1, 11):
+            if _pair_ok(a, b):
+                table[16 * a + b] = ord(".")
+    for a in (_OPEN, _COMMA):
+        table[16 * a + _ZERO] = ord("Z")
+        table[16 * a + _MINUS] = ord("M")
+    table[16 * _MINUS + _ZERO] = ord("N")
+    for b in _DIGITS:
+        table[16 * _ZERO + b] = ord("D")
+    return bytes(table)
+
+
+_CLASSES = _class_table()
+_PAIRS = _pair_table()
+_WHITESPACE = b" \t\n\r"
+_NUMERAL_CODES = bytes([_MINUS, _PLUS, _DOT, _EXP, _ZERO, _DIGIT])
+_TO_SPACES = bytes.maketrans(b",[]", b"   ")
+
+
+def _shape(skeleton: bytes) -> tuple | None:
+    """The shape whose brackets and commas are ``skeleton``, or None.
+
+    The first run of j closing brackets ends the first element at depth
+    ndim - j; each element's length fixes how many of the next-inner ones
+    it holds.  Only a rectangular nesting reproduces ``skeleton`` exactly.
+    """
+    opening, closing = bytes([_OPEN]), bytes([_CLOSE])
+    ndim = len(skeleton) - len(skeleton.lstrip(opening))
+    if not 0 < ndim <= 32:  # deeper nesting is left to the stdlib (and numpy 1.x's limit)
+        return None
+    shape: list = []
+    inner = 0  # skeleton length of one element one level down (a numeral: none)
+    for j in range(1, ndim + 1):
+        end = skeleton.find(closing * j)
+        if end < 0:
+            return None
+        length = end + j - (ndim - j)
+        count, rest = divmod(length - 1, inner + 1)
+        if rest or count < 1:
+            return None
+        shape.insert(0, count)
+        inner = length
+    if inner != len(skeleton):
+        return None
+    expected = b""
+    for count in reversed(shape):
+        expected = opening + bytes([_COMMA]).join([expected] * count) + closing
+    return tuple(shape) if expected == skeleton else None
+
+
+def _numeric(region: str) -> np.ndarray | None:
+    """The float64 array written in ``region`` (which starts with '['), or
+    None unless ``region`` is exactly one rectangular JSON array of numbers.
+
+    After the byte-pair check, every slot of the bracket skeleton holds a
+    run of numeral characters that starts and ends like a JSON numeral and
+    has no leading zero.  numpy then reads the whitespace-separated tokens;
+    a run split by whitespace or holding two numerals ("1.2.3") gives more
+    values than slots or a partial parse, and both are refused, so each
+    slot holds exactly one JSON numeral.
+    """
+    try:
+        raw = region.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    packed = raw.translate(_CLASSES, _WHITESPACE)
+    codes = np.frombuffer(packed, dtype=np.uint8)
+    pairs = codes[:-1] * 16
+    pairs += codes[1:]
+    symbols = pairs.tobytes().translate(_PAIRS)
+    if b"!" in symbols or b"ZD" in symbols or b"MND" in symbols:
+        return None
+    shape = _shape(packed.translate(None, _NUMERAL_CODES))
+    if shape is None:
+        return None
+    # numpy < 2.4 only warns about a partial parse, and returns what it read
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(raw.translate(_TO_SPACES), dtype=float, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    if values.size != math.prod(shape):
+        return None
+    return values.reshape(shape)
+
+
+def _ascii(parse):
+    """A number parser for the skeleton that, like the C scanner, takes
+    only ASCII digits (the pure-Python scanner's pattern matches any
+    Unicode digit)."""
+    def checked(numeral: str):
+        if not numeral.isascii():
+            raise ValueError(f"non-ASCII digits in number {numeral!r}")
+        return parse(numeral)
+    return checked
+
+
+class _Decoder(json.JSONDecoder):
+    """The stdlib decoder with its array parser replaced by ``_array``."""
+
+    def __init__(self):
+        super().__init__(parse_int=_ascii(int), parse_float=_ascii(float))
+        self.parse_array = self._array
+        self.scan_once = json.scanner.py_make_scanner(self)
+        # numbers inside arrays are doubles on either path: an int would lose
+        # the sign of -0, and numpy makes an object array of one beyond int64
+        self._stdlib = json.JSONDecoder(parse_int=float)
+
+    def _array(self, s_and_end, scan_once):
+        """Array starting just before ``end``: numeric payloads through
+        ``_numeric``, anything else through the stdlib C scanner."""
+        text, end = s_and_end
+        start = end - 1
+        # A payload is followed by a key or the end of its object; the
+        # region up to there, less trailing whitespace and commas, must be
+        # the whole array for the fast path.
+        stop = text.find('"', end)
+        stop = len(text) if stop < 0 else stop
+        brace = text.find("}", end, stop)
+        region = text[start:stop if brace < 0 else brace].rstrip(" \t\n\r,")
+        values = _numeric(region)
+        if values is None:
+            return self._stdlib.scan_once(text, start)
+        return values, start + len(region)
+
+
 def loads(text: str):
-    return json.loads(text)
+    """Parse JSON text; arrays holding only numbers come back as float64
+    ndarrays of their nesting shape, other arrays as lists in which every
+    number is a float, and everything else as ``json.loads`` returns it.
+    Raises ValueError (``json.JSONDecodeError`` for syntax errors) on text
+    that is not JSON."""
+    try:
+        return _Decoder().decode(text)
+    except RecursionError:
+        raise ValueError("document nested too deeply") from None

@@ -375,15 +375,25 @@ def _to_pairs(a: np.ndarray) -> list:
 
 
 def _from_pairs(obj, what: str) -> np.ndarray:
-    """Complex array from nested lists that end in [re, im] number pairs."""
+    """Complex array from an array of [re, im] number pairs: a float array
+    from ``jsonio.loads``, or nested lists (possibly holding such arrays)
+    where a payload was not all numbers; ``jsonio.loads`` reads every number
+    in an array as a float."""
     try:
-        raw = np.array(obj)  # no dtype: a float dtype would parse "1.0" and map null to nan
-        ok = raw.dtype.kind in "biuf" and raw.shape[-1:] == (2,)
+        raw = np.asarray(obj)  # no dtype: a float dtype would parse "1.0" and map null to nan
+        ok = raw.dtype.kind == "f" and raw.shape[-1:] == (2,) and not _holds_bool(obj)
     except ValueError:  # ragged nesting
         ok = False
     if not ok:
         raise ValueError(f"{what} must hold nested lists of [re, im] number pairs")
     return np.ascontiguousarray(raw, dtype=float).view(complex)[..., 0]
+
+
+def _holds_bool(obj) -> bool:
+    """Whether nested lists hold a JSON boolean, which numpy would read as 0 or 1."""
+    if isinstance(obj, list):
+        return any(map(_holds_bool, obj))
+    return isinstance(obj, bool)
 
 
 def _stack_from_doc(families, what: str, m: int, dim: int) -> np.ndarray:
@@ -401,8 +411,10 @@ def _stack_from_doc(families, what: str, m: int, dim: int) -> np.ndarray:
 
 
 def strategy_from_text(text: str) -> Strategy:
-    doc = jsonio.loads(text)
     try:
+        doc = jsonio.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("the document must be a JSON object")
         for key in ("n", "dim_A", "dim_B"):
             if type(doc[key]) is not int:  # also rejects bool and float
                 raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
@@ -412,8 +424,9 @@ def strategy_from_text(text: str) -> Strategy:
         state = _from_pairs(doc["state"], "state")
         if state.shape != (da * db,):
             raise ValueError("state must hold dim_A * dim_B amplitudes")
-        alice = _stack_from_doc(doc["alice_obs"], "alice_obs", n // 2, da)
-        bob = _stack_from_doc(doc["bob_obs"], "bob_obs", n // 2, db)
+        # popped, so each side's parsed families are freed once stacked
+        alice = _stack_from_doc(doc.pop("alice_obs"), "alice_obs", n // 2, da)
+        bob = _stack_from_doc(doc.pop("bob_obs"), "bob_obs", n // 2, db)
         return Strategy(state=state, alice=alice, bob=bob)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed strategy document: {exc}") from exc

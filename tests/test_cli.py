@@ -18,6 +18,7 @@ from chsh_selftest import (
 )
 from chsh_selftest import cli
 from chsh_selftest.cli import main
+from chsh_selftest.game import MAX_EXACT_N
 from test_strategy import MALFORMED_EDITS
 
 
@@ -181,6 +182,16 @@ def test_malformed_strategy_document_is_a_config_error(capsys, tmp_path, mangle)
     assert code == 2
     assert err.startswith("error: malformed strategy document: ")
     assert len(err.splitlines()) == 1 and out == ""
+
+
+def test_value_above_the_exact_limit_is_refused_before_building(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the strategy was built")
+
+    monkeypatch.setattr(cli, "noisy_strategy", never)
+    code, out, err = run(capsys, "value", "--n", str(MAX_EXACT_N + 2))
+    assert code == 2 and out == ""
+    assert err == f"error: exhaustive value limited to n <= {MAX_EXACT_N}\n"
 
 
 def test_invalid_strategy_file_fails_validation(capsys, tmp_path):

@@ -357,6 +357,15 @@ def test_serialization_round_trip_bit_exact():
     assert strategy_to_text(back) == text
 
 
+def test_serialization_keeps_negative_zeros():
+    # Bob's rotated observables hold -0.0 entries, which the text writes as "-0"
+    s = noisy_strategy(4, NoiseSpec(model="bob-rotation", param=0.1))
+    assert np.signbit(s.bob.view(float)[s.bob.view(float) == 0]).any()
+    back = strategy_from_text(strategy_to_text(s))
+    for got, want in ((back.state, s.state), (back.alice, s.alice), (back.bob, s.bob)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_serialization_random_round_trip():
     s = random_strategy(2, np.random.default_rng(9), dim_a=4, dim_b=2)
     back = strategy_from_text(strategy_to_text(s))
@@ -390,6 +399,8 @@ MALFORMED_EDITS = [
     _edited("string-entry", ["alice_obs", "0", 0, 0], ["1.0", "0"]),
     _edited("null-entry", ["alice_obs", "0", 0, 0], None),
     _edited("null-part", ["bob_obs", "1", 0, 0], [None, 0.0]),
+    _edited("bool-entry", ["alice_obs", "0", 0, 0], [True, False]),
+    _edited("bool-part", ["bob_obs", "1", 0, 0], [True, 0.5]),
     _edited("triple-entry", ["alice_obs", "0", 0, 0], [1.0, 0.0, 0.0]),
     _edited("long-family", ["bob_obs", "0"], [ONE, ONE]),
     _edited("extra-question", ["alice_obs", "00"], [ONE]),
