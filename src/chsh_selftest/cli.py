@@ -2,7 +2,8 @@
 
 Commands: value, simulate, certify, sweep, logset.  Exit codes:
 0 success, 1 certified-bound violation, 2 configuration error,
-3 strategy validation failure.
+3 strategy validation failure.  Every refusal reaches ``main``, which
+prints one ``error: ...`` line and picks the code.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from .extraction import log_question_set
 from .game import MAX_EXACT_N, exact_value, referee_simulate
 from .strategy import (
+    NOISE_MODELS,
     NoiseSpec,
     Strategy,
     load_strategy,
@@ -36,13 +38,12 @@ SWEEP_COLUMNS = ("n,model,param,value,epsilon,delta_cert,"
                  "dist_fixed_max,dist_opt_max,junk_norm")
 
 
-class _ConfigError(Exception):
-    """A bad flag or environment setting; main reports it and exits 2."""
+class _Refusal(Exception):
+    """A refused run; main prints the message as an error line and exits with code."""
 
-
-def _fail(msg: str, code: int) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return code
+    def __init__(self, message: str, code: int = EXIT_CONFIG):
+        super().__init__(message)
+        self.code = code
 
 
 def _seed_from(args) -> int | None:
@@ -55,47 +56,51 @@ def _seed_from(args) -> int | None:
         try:
             seed = int(env)
         except ValueError:
-            raise _ConfigError("SEED must be an integer") from None
+            raise _Refusal("SEED must be an integer") from None
     if seed < 0:
-        raise _ConfigError("the seed must be non-negative")
+        raise _Refusal("the seed must be non-negative")
     return seed
 
 
-def _resolve_strategy(args) -> tuple[Strategy | None, int]:
-    """Build or load the strategy named by the arguments."""
+def _resolve_strategy(args, max_n: int | None = None, stage: str = "") -> Strategy:
+    """Build or load the strategy named by the arguments.
+
+    A built strategy with n above ``max_n`` is refused before it is built,
+    as "<stage> limited to n <= max_n": at n = 14 building alone takes
+    seconds, and at n = 20 numpy cannot allocate the observables.
+    """
     if args.strategy:
         try:
             strat = load_strategy(args.strategy)
         except OSError as exc:
-            return None, _fail(f"cannot read strategy file: {exc}", EXIT_CONFIG)
-        except ValueError as exc:
-            return None, _fail(str(exc), EXIT_CONFIG)
+            raise _Refusal(f"cannot read strategy file: {exc}") from None
     else:
         if args.n is None:
-            return None, _fail("--n is required without --strategy", EXIT_CONFIG)
+            raise _Refusal("--n is required without --strategy")
         if args.n < 2 or args.n % 2:
-            return None, _fail("--n must be even and at least 2", EXIT_CONFIG)
-        try:
-            noise = NoiseSpec(model=args.noise, param=args.noise_param)
-        except ValueError as exc:
-            return None, _fail(str(exc), EXIT_CONFIG)
-        strat = noisy_strategy(args.n, noise)
+            raise _Refusal("--n must be even and at least 2")
+        if max_n is not None and args.n > max_n:
+            raise _Refusal(f"{stage} limited to n <= {max_n}")
+        strat = noisy_strategy(args.n, NoiseSpec(model=args.noise, param=args.noise_param))
     diag = validate(strat)
     if not diag.ok:
-        return None, _fail(
+        raise _Refusal(
             "strategy failed validation: residuals "
             f"hermiticity={diag.hermiticity:.3e} unitarity={diag.unitarity:.3e} "
             f"commutation={diag.commutation:.3e} normalization={diag.normalization:.3e}",
             EXIT_VALIDATION)
-    return strat, EXIT_OK
+    return strat
 
 
 def _write_out(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _Refusal(f"cannot write output: {exc}") from None
 
 
 def _csv_text(rows: list[list[str]]) -> str:
@@ -119,33 +124,22 @@ def _report_row(report: SelfTestReport, model: str, param: float) -> list[str]:
 
 
 def cmd_value(args) -> int:
-    if not args.strategy and args.n is not None and args.n > MAX_EXACT_N:
-        # refused before the strategy is built: at n = 14 that alone takes seconds
-        return _fail(f"exhaustive value limited to n <= {MAX_EXACT_N}", EXIT_CONFIG)
-    strat, code = _resolve_strategy(args)
-    if strat is None:
-        return code
-    try:
-        result = exact_value(strat)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_CONFIG)
+    result = exact_value(_resolve_strategy(args, MAX_EXACT_N, "exhaustive value"))
     print(f"{result.value:.12f}")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    strat, code = _resolve_strategy(args)
-    if strat is None:
-        return code
+    strat = _resolve_strategy(args)
     if args.rounds is None or args.rounds < 1:
-        return _fail("--rounds must be a positive integer", EXIT_CONFIG)
+        raise _Refusal("--rounds must be a positive integer")
     seed = _seed_from(args)
     if seed is None:
-        return _fail("sampling needs a seed (--seed or SEED)", EXIT_CONFIG)
+        raise _Refusal("sampling needs a seed (--seed or SEED)")
     try:
         result = referee_simulate(strat, args.rounds, np.random.default_rng(seed))
     except (MemoryError, ValueError) as exc:  # numpy cannot allocate the per-round draws
-        return _fail(f"cannot simulate {args.rounds} rounds: {exc}", EXIT_CONFIG)
+        raise _Refusal(f"cannot simulate {args.rounds} rounds: {exc}") from None
     print(f"estimate {result.value:.12f}")
     print(f"stderr {result.stderr:.12f}")
     print(f"win_rate {result.win_rate:.12f}")
@@ -153,14 +147,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    strat, code = _resolve_strategy(args)
-    if strat is None:
-        return code
+    strat = _resolve_strategy(args, MAX_CERTIFY_N, "certification pipeline")
     seed = _seed_from(args)
-    try:
-        report = certify(strat, seed=0 if seed is None else seed)
-    except ValueError as exc:  # includes n above MAX_CERTIFY_N
-        return _fail(str(exc), EXIT_CONFIG)
+    report = certify(strat, seed=0 if seed is None else seed)
     model, param = ("file", 0.0) if args.strategy else (args.noise, args.noise_param)
     text = report.to_text() if args.format == "text" else _csv_text(
         [_report_row(report, model, param)])
@@ -176,26 +165,19 @@ def cmd_sweep(args) -> int:
     try:
         ns, params = _grid(args.n, int), _grid(args.noise_param_list, float)
     except ValueError as exc:
-        return _fail(f"bad grid: {exc}", EXIT_CONFIG)
+        raise _Refusal(f"bad grid: {exc}") from None
     for n in ns:
         if n < 2 or n % 2 or n > MAX_CERTIFY_N:
-            return _fail(f"grid n = {n} is unusable (even, 2..{MAX_CERTIFY_N})",
-                         EXIT_CONFIG)
+            raise _Refusal(f"grid n = {n} is unusable (even, 2..{MAX_CERTIFY_N})")
     seed = _seed_from(args)
     seed = 0 if seed is None else seed
+    noises = [NoiseSpec(model=args.noise, param=param) for param in params]
     rows = []
     worst = EXIT_OK
     for n in ns:
-        for param in params:
-            try:
-                noise = NoiseSpec(model=args.noise, param=param)
-            except ValueError as exc:
-                return _fail(str(exc), EXIT_CONFIG)
-            try:
-                report = certify(noisy_strategy(n, noise), seed=seed)
-            except ValueError as exc:
-                return _fail(str(exc), EXIT_CONFIG)
-            rows.append(_report_row(report, args.noise, param))
+        for noise in noises:
+            report = certify(noisy_strategy(n, noise), seed=seed)
+            rows.append(_report_row(report, args.noise, noise.param))
             if not report.passed:
                 worst = EXIT_BOUND_VIOLATION
     _write_out(_csv_text(rows), args.out)
@@ -204,12 +186,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_logset(args) -> int:
     if args.n is None:
-        return _fail("--n is required", EXIT_CONFIG)
-    try:
-        questions = log_question_set(args.n)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_CONFIG)
-    for q in questions:
+        raise _Refusal("--n is required")
+    for q in log_question_set(args.n):
         print(q)
     return EXIT_OK
 
@@ -239,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--noise-param", dest="noise_param_list", type=str,
                          help="comma-separated parameter grid")
     for p in (p_value, p_sim, p_cert, p_sweep):
-        p.add_argument("--noise", choices=["none", "bob-rotation", "partial-entanglement"],
-                       default="none", help="noise model for built strategies")
+        p.add_argument("--noise", choices=NOISE_MODELS, default="none",
+                       help="noise model for built strategies")
     for p in (p_sim, p_cert, p_sweep):
         p.add_argument("--seed", type=int,
                        help="RNG seed (falls back to the SEED env var)")
@@ -265,8 +243,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _ConfigError as exc:
-        return _fail(str(exc), EXIT_CONFIG)
+    except _Refusal as exc:
+        message, code = str(exc), exc.code
+    except ValueError as exc:  # the library's own refusals of an input
+        message, code = str(exc), EXIT_CONFIG
+    except MemoryError as exc:  # a build numpy cannot allocate; its message names the size
+        message, code = str(exc) or "out of memory", EXIT_CONFIG
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

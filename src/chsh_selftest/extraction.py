@@ -19,7 +19,7 @@ import numpy as np
 from . import bits
 from .game import PIGEONHOLE_SLACK, TSIRELSON, subtest_table, table_value
 from .game import subtest_value  # not called; perfbench/tracer.py patches this binding
-from .linalg import apply_on_a, apply_on_b, sign_normalize
+from .linalg import apply_on_a, apply_on_b, branch_tree, sign_normalize
 from .strategy import Strategy
 
 
@@ -80,18 +80,13 @@ class ExtractedOperators:
         Stage k maps v to |0> (I + Z'_k)/2 v + |1> X'_k (I - Z'_k)/2 v, and
         each side's stages act on its own tensor factor, so Phi(v) =
         sum_a |a> (x) (A_{a_A} (x) B_{a_B}) v; later qubits act on the left,
-        and qubit 1 is the most significant bit of a.
+        and qubit 1 is the most significant bit of a.  Each stack is the
+        ``branch_tree`` of the identity split by Z'_k with X'_k as flips.
         """
         m = self.n // 2
-        stacks = []
-        for side, d in ((slice(0, m), self.dim_a), (slice(m, None), self.dim_b)):
-            x, z, eye = np.array(self.x_ops[side]), np.array(self.z_ops[side]), np.eye(d)
-            branch = np.stack([(eye + z) / 2, x @ (eye - z) / 2], axis=1)  # [qubit, bit]
-            stack = branch[0]
-            for factor in branch[1:]:
-                stack = (factor[None] @ stack[:, None]).reshape(-1, d, d)
-            stacks.append(stack)
-        return stacks[0], stacks[1]
+        return tuple(branch_tree(np.eye(d, dtype=complex), np.array(self.z_ops[side]),
+                                 np.array(self.x_ops[side]))
+                     for side, d in ((slice(0, m), self.dim_a), (slice(m, None), self.dim_b)))
 
 
 def build_xz(strategy: Strategy) -> ExtractedOperators:

@@ -25,9 +25,13 @@ import warnings
 import numpy as np
 
 
-def _emit(obj, digits: int, indent: int, level: int, out: list) -> None:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+#: spaces per nesting level of emitted text
+_INDENT = 2
+
+
+def _emit(obj, digits: int, level: int, out: list) -> None:
+    pad = " " * (_INDENT * level)
+    pad_in = " " * (_INDENT * (level + 1))
     if isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif obj is None:
@@ -51,13 +55,13 @@ def _emit(obj, digits: int, indent: int, level: int, out: list) -> None:
             for i, x in enumerate(obj):
                 if i:
                     out.append(", ")
-                _emit(x, digits, indent, level, out)
+                _emit(x, digits, level, out)
             out.append("]")
         else:
             out.append("[\n")
             for i, x in enumerate(obj):
                 out.append(pad_in)
-                _emit(x, digits, indent, level + 1, out)
+                _emit(x, digits, level + 1, out)
                 out.append(",\n" if i + 1 < len(obj) else "\n")
             out.append(pad + "]")
     elif isinstance(obj, dict):
@@ -70,17 +74,17 @@ def _emit(obj, digits: int, indent: int, level: int, out: list) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"non-string key {key!r}")
             out.append(pad_in + json.dumps(key) + ": ")
-            _emit(val, digits, indent, level + 1, out)
+            _emit(val, digits, level + 1, out)
             out.append(",\n" if i + 1 < len(items) else "\n")
         out.append(pad + "}")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps(obj, float_digits: int = 17, indent: int = 2) -> str:
+def dumps(obj, float_digits: int = 17) -> str:
     """Serialize ``obj`` to JSON text with fixed float precision."""
     out: list = []
-    _emit(obj, float_digits, indent, 0, out)
+    _emit(obj, float_digits, 0, out)
     out.append("\n")
     return "".join(out)
 

@@ -12,9 +12,9 @@ import numpy as np
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-#: eigenvalues smaller than this in magnitude are treated as +zero_tol
+#: eigenvalues smaller than this in magnitude are treated as +ZERO_TOL
 #: when an operator is sign-normalized
-DEFAULT_ZERO_TOL = 1e-10
+ZERO_TOL = 1e-10
 
 #: residual ceiling for Hermiticity, unitarity, commutation and
 #: normalization; a strategy within it is valid and every stage accepts it
@@ -69,12 +69,12 @@ def is_hermitian(m: np.ndarray) -> bool:
     return hermiticity_residual(m) <= VALIDATION_TOL
 
 
-def sign_normalize(m: np.ndarray, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
+def sign_normalize(m: np.ndarray) -> np.ndarray:
     """Hermitian unitary with the same eigenvectors as m and +-1 eigenvalues.
 
     m must be Hermitian to within VALIDATION_TOL; it is symmetrized to
     (m + m^dag)/2 before diagonalizing.  Eigenvalues with magnitude below
-    zero_tol are treated as +zero_tol, so a (near-)null direction maps to
+    ZERO_TOL are treated as +ZERO_TOL, so a (near-)null direction maps to
     +1 rather than producing a division blow-up or an arbitrary sign.
     """
     m = np.asarray(m, dtype=complex)
@@ -83,7 +83,7 @@ def sign_normalize(m: np.ndarray, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndar
     if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian")
     vals, vecs = np.linalg.eigh((m + dagger(m)) / 2)
-    signs = np.where(np.abs(vals) < zero_tol, 1.0, np.sign(vals))
+    signs = np.where(np.abs(vals) < ZERO_TOL, 1.0, np.sign(vals))
     return (vecs * signs) @ dagger(vecs)
 
 
@@ -95,6 +95,35 @@ def apply_on_a(m: np.ndarray, w: np.ndarray) -> np.ndarray:
 def apply_on_b(m: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Apply (I tensor m) to states shaped (..., dim_a, dim_b)."""
     return w @ m.T
+
+
+def branch_tree(root: np.ndarray, family: np.ndarray,
+                flips: np.ndarray | None = None) -> np.ndarray:
+    """The 2^m leaves of the tree that splits ``root`` by one observable of
+    ``family`` at a time, indexed by the big-endian answer.
+
+    Child 0 of a node is (I + M_k)/2 applied to it from the left and child 1
+    the remainder, then ``flips[k]`` when given.  Without flips these are
+    the steps of a sequential collapse: on a state matrix the leaves are
+    the branches P_x psi, on the identity the answer projectors.  With
+    Z'_k as M_k and X'_k as the flips, the leaves on the identity are the
+    branch stack of the swap isometry.  The tree grows in place in the leaf
+    array: the nodes of level k sit at every 2^(m-k)-th leaf.
+    """
+    m = len(family)
+    leaves = np.empty((1 << m, *root.shape), dtype=complex)
+    leaves[0] = root
+    for k, obs in enumerate(family):
+        step = 1 << (m - k)
+        nodes, ones = leaves[::step], leaves[step // 2::step]
+        zero = obs @ nodes
+        zero += nodes
+        zero *= 0.5
+        np.subtract(nodes, zero, out=ones)
+        if flips is not None:
+            ones[...] = flips[k] @ ones
+        nodes[...] = zero
+    return leaves
 
 
 def pair_expectation(m_a: np.ndarray, m_b: np.ndarray, psi: np.ndarray,

@@ -23,6 +23,7 @@ from .linalg import (
     PAULI_X,
     PAULI_Z,
     VALIDATION_TOL,
+    branch_tree,
     commutation_residual,
     embed_qubit_op,
     haar_unitary,
@@ -245,30 +246,6 @@ def validate(strategy: Strategy) -> StrategyDiagnostics:
 SAMPLE_CHUNK_ENTRIES = 1 << 22
 
 
-def _branch_tree(root: np.ndarray, family: np.ndarray) -> np.ndarray:
-    """The 2^m leaves of the tree that splits ``root`` by one observable of
-    ``family`` at a time, indexed by the big-endian answer.
-
-    Child 0 of a node is (I + M_k)/2 applied to it from the left and child 1
-    the remainder, the steps of a sequential collapse.  On the state matrix
-    the leaves are Alice's branches P_{q,x} psi; on the identity they are the
-    answer projectors themselves.  The tree grows in place in the leaf array:
-    the nodes of level k sit at every 2^(m-k)-th leaf.
-    """
-    m = len(family)
-    leaves = np.empty((1 << m, *root.shape), dtype=complex)
-    leaves[0] = root
-    for k, obs in enumerate(family):
-        step = 1 << (m - k)
-        nodes = leaves[::step]
-        zero = obs @ nodes
-        zero += nodes
-        zero *= 0.5
-        np.subtract(nodes, zero, out=leaves[step // 2::step])
-        nodes[...] = zero
-    return leaves
-
-
 def _walk(table: np.ndarray, which: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Answers drawn bit by bit from rows of answer masses.
 
@@ -295,7 +272,7 @@ def _answer_masses(reduced: np.ndarray, family: np.ndarray) -> np.ndarray:
     One real GEMM: (re, im) . (re, -im) is the real part of the product.
     """
     dim = reduced.shape[-1]
-    proj = np.conjugate(_branch_tree(np.eye(dim, dtype=complex), family))
+    proj = np.conjugate(branch_tree(np.eye(dim, dtype=complex), family))
     return (reduced.reshape(len(reduced), -1).view(float)
             @ proj.reshape(len(proj), -1).view(float).T)
 
@@ -328,7 +305,7 @@ def born_answers(strategy: Strategy, qa_idx: np.ndarray, qb_idx: np.ndarray,
         count = 0
         for a in questions:
             rows = np.flatnonzero(qa == a)
-            phi = _branch_tree(psi, strategy.alice[a])
+            phi = branch_tree(psi, strategy.alice[a])
             flat = phi.reshape(len(phi), -1).view(float)
             marginal = np.einsum("xi,xi->x", flat, flat)
             xs[rows] = _walk(marginal[None], np.zeros(len(rows), dtype=np.int64), u[rows, :m])

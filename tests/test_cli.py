@@ -1,14 +1,19 @@
 """Command line behavior: output formats, seeds, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
 import math
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chsh_selftest import (
+    NOISE_MODELS,
     NoiseSpec,
     Strategy,
     ideal_strategy,
@@ -19,7 +24,11 @@ from chsh_selftest import (
 from chsh_selftest import cli
 from chsh_selftest.cli import main
 from chsh_selftest.game import MAX_EXACT_N
+from chsh_selftest.verifier import MAX_CERTIFY_N
 from test_strategy import MALFORMED_EDITS
+
+
+SWEEP_HEADER = cli.SWEEP_COLUMNS + "\r\n"
 
 
 def run(capsys, *argv):
@@ -184,14 +193,46 @@ def test_malformed_strategy_document_is_a_config_error(capsys, tmp_path, mangle)
     assert len(err.splitlines()) == 1 and out == ""
 
 
-def test_value_above_the_exact_limit_is_refused_before_building(capsys, monkeypatch):
+@pytest.mark.parametrize("command, limit, stage", [
+    ("value", MAX_EXACT_N, "exhaustive value"),
+    ("certify", MAX_CERTIFY_N, "certification pipeline"),
+], ids=["value", "certify"])
+def test_value_above_the_exact_limit_is_refused_before_building(capsys, monkeypatch,
+                                                                 command, limit, stage):
     def never(*args, **kwargs):
         raise AssertionError("the strategy was built")
 
     monkeypatch.setattr(cli, "noisy_strategy", never)
-    code, out, err = run(capsys, "value", "--n", str(MAX_EXACT_N + 2))
+    code, out, err = run(capsys, command, "--n", str(limit + 2))
     assert code == 2 and out == ""
-    assert err == f"error: exhaustive value limited to n <= {MAX_EXACT_N}\n"
+    assert err == f"error: {stage} limited to n <= {limit}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("value", "--n", "2"),
+    ("simulate", "--n", "2", "--rounds", "10", "--seed", "1"),
+    ("certify", "--n", "2"),
+    ("sweep", "--n", "2", "--noise-param", "0"),
+], ids=lambda argv: argv[0])
+def test_a_build_numpy_cannot_allocate_is_a_config_error(capsys, monkeypatch, argv):
+    def unallocatable(*args, **kwargs):
+        raise MemoryError("Unable to allocate 160. GiB for an array")
+
+    monkeypatch.setattr(cli, "noisy_strategy", unallocatable)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: Unable to allocate 160. GiB for an array\n"
+
+
+@pytest.mark.parametrize("argv, target", [
+    (("certify", "--n", "2"), "missing-dir/r.csv"),
+    (("sweep", "--n", "2", "--noise-param", "0"), "."),
+], ids=["certify-to-a-missing-directory", "sweep-to-a-directory"])
+def test_an_unwritable_out_is_a_config_error(capsys, tmp_path, argv, target):
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write output: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_invalid_strategy_file_fails_validation(capsys, tmp_path):
@@ -262,6 +303,17 @@ def test_sweep_reports_certify_errors_as_config_errors(capsys, monkeypatch):
     assert code == 2
     assert err.strip() == "error: certification failed"
     assert out == ""
+
+
+def test_sweep_refuses_a_bad_noise_parameter_before_certifying(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a grid point was certified")
+
+    monkeypatch.setattr(cli, "certify", never)
+    code, out, err = run(capsys, "sweep", "--n", "2,4", "--noise", "bob-rotation",
+                         "--noise-param", "0,0.1,nan")
+    assert code == 2 and out == ""
+    assert err == "error: noise parameter must be finite\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -353,3 +405,91 @@ def test_hermiticity_residual_within_validation_certifies(capsys, tmp_path, resi
     save_strategy(skewed, str(path))
     code, _, err = run(capsys, "certify", "--strategy", str(path))
     assert code in (0, 1), err
+
+
+@pytest.fixture(scope="module")
+def cli_paths(tmp_path_factory):
+    """Strategy files (valid, garbled, failing validation, missing) and --out targets."""
+    root = tmp_path_factory.mktemp("cli_paths")
+    ideal = ideal_strategy(2)
+    save_strategy(ideal, str(root / "ideal.json"))
+    (root / "garbled.json").write_text(strategy_to_text(ideal)[:150])
+    alice = ideal.alice.copy()
+    alice[0, 0] *= 0.5
+    save_strategy(Strategy(state=ideal.state, alice=alice, bob=ideal.bob),
+                  str(root / "invalid.json"))
+    strategies = [str(root / name) for name in
+                  ("ideal.json", "garbled.json", "invalid.json", "missing.json")]
+    outs = [str(root / "report.out"), str(root / "missing-dir" / "r.csv"), str(root)]
+    return strategies, outs
+
+
+@st.composite
+def cli_calls(draw, paths):
+    """An argv of one subcommand with flags drawn from small pools, and a SEED
+    value; None in a pool leaves the flag out, and repeats weight a value."""
+    strategies, outs = paths
+    command = draw(st.sampled_from(["value", "simulate", "certify", "sweep", "logset"]))
+    argv = [command]
+
+    def pick(flag, pool):
+        value = draw(st.sampled_from(pool))
+        if value is not None:
+            argv.extend([flag, value])
+
+    if command == "logset":
+        pick("--n", [None, "2", "4", "8", "3", "0", "-2"])
+        return argv, None
+    noises = [None, None, ("bob-rotation", "0.1"), ("partial-entanglement", "0.6"),
+              ("bob-rotation", "2"), ("none", "0.1"), ("partial-entanglement", "-0.5"),
+              ("bob-rotation", "nan"), ("partial-entanglement", "inf")]
+    noise = draw(st.sampled_from(noises))
+    if noise:
+        argv.extend(["--noise", noise[0]])
+    if command == "sweep":
+        pick("--n", [None, "2", "4", "2,4", "", "3", "-2", str(MAX_CERTIFY_N + 2), "2,x"])
+        param = [noise[1], f"0,{noise[1]}"] if noise else [None, "0", "x"]
+        pick("--noise-param", param)
+    else:
+        # even n <= 4 builds; only value and certify refuse an n before building
+        over = {"value": [str(MAX_EXACT_N + 2)], "certify": [str(MAX_CERTIFY_N + 2)]}
+        pick("--n", [None, "2", "2", "4", "4", "3", "-2"] + over.get(command, []))
+        if noise:
+            argv.extend(["--noise-param", noise[1]])
+        pick("--strategy", [None, None, None] + strategies)
+    if command != "value":
+        pick("--seed", [None, None, "0", "7", "-1"])
+    if command == "simulate":
+        pick("--rounds", [None, "40", "40", "0", "-3"])
+    if command in ("certify", "sweep"):
+        pick("--out", [None, None] + outs)
+    if command == "certify":
+        pick("--format", [None, "text"])
+    return argv, draw(st.sampled_from([None, None, "5", "-4", "abc"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_run_is_a_verdict_or_one_classified_error(data, cli_paths):
+    argv, seed_env = data.draw(cli_calls(cli_paths))
+    out_file = argv[argv.index("--out") + 1] if "--out" in argv else None
+    if out_file and os.path.isfile(out_file):
+        os.remove(out_file)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        os.environ.pop("SEED", None)
+        if seed_env is not None:
+            os.environ["SEED"] = seed_env
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):
+        assert err == ""
+    else:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    if code == 1:
+        # a failed report, written where the report goes
+        assert argv[0] in ("certify", "sweep")
+        report = open(out_file, encoding="utf-8").read() if out_file else out
+        assert report.startswith(SWEEP_HEADER) or '"passed": false' in report

@@ -164,18 +164,22 @@ def _load(loader, text):
         return None
 
 
-def _cli_value(path, text):
+def _cli(path, text, *argv):
     path.write_text(text)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["value", "--strategy", str(path)])
+        code = cli.main([*argv, "--strategy", str(path)])
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_mutated_documents_load_like_the_oracle(data, documents, tmp_path_factory):
-    text = data.draw(mutations(documents))
+#: each command a strategy file is run through, with the codes it gives a valid file
+COMMANDS = [(("value",), (0,)), (("certify",), (0, 1)),
+            (("simulate", "--rounds", "20", "--seed", "1"), (0,))]
+
+
+def _check_like_the_oracle(text, path):
+    """The loader matches the oracle on ``text``, and every command gives
+    the code its load and validation call for, with one error line at most."""
     want = _load(oracle_from_text, text)
     got = _load(strategy_from_text, text)
     if got is None and want is not None:
@@ -189,12 +193,52 @@ def test_mutated_documents_load_like_the_oracle(data, documents, tmp_path_factor
     else:
         assert _same_bits(got, want)
 
-    code, out, err = _cli_value(tmp_path_factory.getbasetemp() / "mutated.json", text)
-    if got is None:
-        assert code == 2 and err.startswith("error: malformed strategy document: ")
-    else:
-        assert code == (0 if validate(got).ok else 3)
-    assert len(err.splitlines()) == (code != 0) and "Traceback" not in err
+    for argv, verdicts in COMMANDS:
+        code, out, err = _cli(path, text, *argv)
+        if got is None:
+            assert code == 2 and err.startswith("error: malformed strategy document: ")
+        elif validate(got).ok:
+            assert code in verdicts
+        else:
+            assert code == 3
+        assert len(err.splitlines()) == (code >= 2) and "Traceback" not in err
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_load_like_the_oracle(data, documents, tmp_path_factory):
+    text = data.draw(mutations(documents))
+    _check_like_the_oracle(text, tmp_path_factory.getbasetemp() / "mutated.json")
+
+
+SIZE_KEYS = ("n", "dim_A", "dim_B")
+#: what a size field may be replaced by: other JSON types, and sizes no
+#: document holds, up to ones whose 2^(n/2) questions no machine could build
+SIZE_VALUES = ["2", "", 2.0, 4.5, 1e300, True, False, None, [2], {"n": 2},
+               -2, 0, 1, 3, 6, 10**6, 2**62, 10**30]
+
+
+@st.composite
+def key_edits(draw, documents):
+    """A valid document with whole keys deleted or size fields replaced
+    (a replacement may happen to restore the size it replaced)."""
+    doc = json.loads(draw(st.sampled_from(documents)))
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            doc[draw(st.sampled_from(SIZE_KEYS))] = draw(st.sampled_from(SIZE_VALUES))
+            continue
+        # a top-level key, or one question of either side
+        holder = draw(st.sampled_from([doc, doc.get("alice_obs"), doc.get("bob_obs")]))
+        if isinstance(holder, dict) and holder:
+            del holder[draw(st.sampled_from(sorted(holder)))]
+    return json.dumps(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_documents_with_keys_deleted_or_sizes_mistyped(data, documents, tmp_path_factory):
+    text = data.draw(key_edits(documents))
+    _check_like_the_oracle(text, tmp_path_factory.getbasetemp() / "edited.json")
 
 
 @pytest.mark.parametrize("numeral", ["+1", "01", ".5", "1.", "1e", "--1", "1.2.3", "1 2"])
@@ -207,7 +251,7 @@ def test_numerals_outside_json_are_malformed(documents, tmp_path, numeral):
             oracle_from_text(bad)
         with pytest.raises(ValueError, match="malformed strategy document"):
             strategy_from_text(bad)
-        code, out, err = _cli_value(tmp_path / "bad.json", bad)
+        code, out, err = _cli(tmp_path / "bad.json", bad, "value")
         assert code == 2 and out == "" and len(err.splitlines()) == 1
 
 

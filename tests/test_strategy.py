@@ -19,7 +19,8 @@ from chsh_selftest import (
     validate,
 )
 from chsh_selftest import bits, strategy as strategy_module
-from chsh_selftest.strategy import _answer_masses, _branch_tree, born_answers
+from chsh_selftest.linalg import branch_tree
+from chsh_selftest.strategy import _answer_masses, born_answers
 from test_verifier import family_strategy
 
 SQ2 = np.sqrt(2)
@@ -299,7 +300,7 @@ def test_born_tables_match_born_distribution(n, family):
     m = s.half
     psi = s.state.reshape(s.dim_a, s.dim_b)
     for a in range(1 << m):
-        phi = _branch_tree(psi, s.alice[a])  # P_{a,x} psi for every x
+        phi = branch_tree(psi, s.alice[a])  # P_{a,x} psi for every x
         reduced = phi.conj().transpose(0, 2, 1) @ phi
         for b in range(1 << m):
             joint = _answer_masses(reduced, s.bob[b])  # [x, y]

@@ -420,9 +420,17 @@ def test_extraction_distance_batch_matches_single_pairs():
 def test_branch_stacks_are_isometries(n, family):
     s = family_strategy(n, family, seed=80 + n)
     ops = build_xz(s)
-    for stack, d in zip(ops.branches, (s.dim_a, s.dim_b)):
+    m = n // 2
+    for side, stack, d in zip((slice(0, m), slice(m, None)), ops.branches, (s.dim_a, s.dim_b)):
         assert stack.shape == (1 << n // 2, d, d)
         assert np.max(np.abs(np.sum(dagger(stack) @ stack, axis=0) - np.eye(d))) < 1e-12
+        # the stage products one qubit at a time, later qubits on the left
+        x, z, eye = np.array(ops.x_ops[side]), np.array(ops.z_ops[side]), np.eye(d)
+        stages = np.stack([(eye + z) / 2, x @ (eye - z) / 2], axis=1)  # [qubit, bit]
+        want = stages[0]
+        for stage in stages[1:]:
+            want = (stage[None] @ want[:, None]).reshape(-1, d, d)
+        assert np.max(np.abs(stack - want)) < 1e-14
 
 
 def test_swap_isometry_batch_matches_single_calls():
