@@ -130,7 +130,7 @@ def cmd_value(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    strat = _resolve_strategy(args)
+    strat = _resolve_strategy(args, MAX_EXACT_N, "referee simulation")
     if args.rounds is None or args.rounds < 1:
         raise _Refusal("--rounds must be a positive integer")
     seed = _seed_from(args)

@@ -1,9 +1,10 @@
-"""JSON text with explicit control over float precision, and a parser
-that reads numeric arrays straight into numpy.
+"""The report writer, and a JSON parser that reads numeric arrays
+straight into numpy.
 
-The stdlib encoder always prints floats with repr; strategy files pin a
-17-significant-digit decimal form (which round-trips doubles exactly)
-and reports use 12 significant digits, so we emit the text ourselves.
+``dumps`` rounds a report's floats to 12 significant digits and hands
+the result to the stdlib encoder.  Strategy documents need no writer of
+their own: the stdlib's shortest round-trip float ``repr`` already pins
+every double, -0.0 included.
 
 A strategy file is mostly ``[re, im]`` pairs: millions of numbers that
 the stdlib decoder would turn into Python lists and floats.  ``loads``
@@ -25,68 +26,21 @@ import warnings
 import numpy as np
 
 
-#: spaces per nesting level of emitted text
-_INDENT = 2
+def _rounded(obj):
+    """``obj`` with every float rounded to 12 significant digits."""
+    if isinstance(obj, float):
+        return float(format(obj, ".12g"))
+    if isinstance(obj, dict):
+        return {key: _rounded(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_rounded(x) for x in obj]
+    return obj
 
 
-def _emit(obj, digits: int, level: int, out: list) -> None:
-    pad = " " * (_INDENT * level)
-    pad_in = " " * (_INDENT * (level + 1))
-    if isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        if obj != obj or obj in (float("inf"), float("-inf")):
-            raise ValueError(f"non-finite float {obj!r} in document")
-        out.append(format(obj, f".{digits}g"))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        # short numeric lists stay on one line for readability
-        flat = all(isinstance(x, (int, float, bool)) or x is None for x in obj)
-        if flat:
-            out.append("[")
-            for i, x in enumerate(obj):
-                if i:
-                    out.append(", ")
-                _emit(x, digits, level, out)
-            out.append("]")
-        else:
-            out.append("[\n")
-            for i, x in enumerate(obj):
-                out.append(pad_in)
-                _emit(x, digits, level + 1, out)
-                out.append(",\n" if i + 1 < len(obj) else "\n")
-            out.append(pad + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(obj.items())
-        for i, (key, val) in enumerate(items):
-            if not isinstance(key, str):
-                raise TypeError(f"non-string key {key!r}")
-            out.append(pad_in + json.dumps(key) + ": ")
-            _emit(val, digits, level + 1, out)
-            out.append(",\n" if i + 1 < len(items) else "\n")
-        out.append(pad + "}")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def dumps(obj, float_digits: int = 17) -> str:
-    """Serialize ``obj`` to JSON text with fixed float precision."""
-    out: list = []
-    _emit(obj, float_digits, 0, out)
-    out.append("\n")
-    return "".join(out)
+def dumps(obj) -> str:
+    """Report text: indented JSON with floats rounded to 12 significant
+    digits; a non-finite float raises ValueError."""
+    return json.dumps(_rounded(obj), indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ sigma_z per question bit, Bob the diagonal combinations
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -160,9 +161,7 @@ _BOB_PAIR = ((PAULI_Z + PAULI_X) / math.sqrt(2), (PAULI_Z - PAULI_X) / math.sqrt
 
 def ideal_strategy(n: int) -> Strategy:
     """The reference strategy reaching the Tsirelson value 2*sqrt(2)."""
-    m = n // 2
-    return Strategy(state=ideal_state(n), alice=_local_stack(m, (PAULI_X, PAULI_Z)),
-                    bob=_local_stack(m, _BOB_PAIR))
+    return noisy_strategy(n, NoiseSpec())
 
 
 def noisy_strategy(n: int, noise: NoiseSpec) -> Strategy:
@@ -172,7 +171,7 @@ def noisy_strategy(n: int, noise: NoiseSpec) -> Strategy:
     his one-qubit observables conjugated by exp(-i eta sigma_y / 2).
     bob-rotation sets eta; partial-entanglement keeps eta = 0 and replaces
     the pair state by cos(theta)|0,+> + sin(theta)|1,->; none is eta = 0
-    on the ideal pair state, which is ``ideal_strategy(n)``.
+    on the ideal pair state: the reference strategy ``ideal_strategy(n)``.
     """
     m = n // 2
     eta = noise.param if noise.model == "bob-rotation" else 0.0
@@ -326,9 +325,10 @@ def born_answers(strategy: Strategy, qa_idx: np.ndarray, qb_idx: np.ndarray,
 # serialization
 
 def strategy_to_text(strategy: Strategy) -> str:
-    """Serialize to JSON text with 17-significant-digit floats.
+    """Serialize to one line of JSON text.
 
-    That many digits pins down each double exactly, so a load of the dump
+    Each float is written as its shortest round-trip ``repr``, which pins
+    down the double exactly (-0.0 included), so a load of the dump
     reproduces every array bit for bit.
     """
     def families(stack):
@@ -343,7 +343,7 @@ def strategy_to_text(strategy: Strategy) -> str:
         "alice_obs": families(strategy.alice),
         "bob_obs": families(strategy.bob),
     }
-    return jsonio.dumps(doc, float_digits=17)
+    return json.dumps(doc, allow_nan=False) + "\n"
 
 
 def _to_pairs(a: np.ndarray) -> list:

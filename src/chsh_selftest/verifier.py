@@ -210,11 +210,10 @@ def swap_isometry_apply(ops: ExtractedOperators, v: np.ndarray) -> np.ndarray:
 def pauli_target(n: int, p, q) -> np.ndarray:
     """X^q Z^p applied to the ideal n-qubit state, on the ancilla register.
 
-    p and q are length-n bit strings or integer arrays; P pairs give (P, 2^n).
+    p and q are integers or integer arrays whose most significant of n
+    bits is qubit 1; P pairs give (P, 2^n).
     """
-    if any(isinstance(s, str) and len(s) != n for s in (p, q)):
-        raise ValueError("Pauli selectors must have length n")
-    p, q = (np.asarray(bits.to_int(s) if isinstance(s, str) else s)[..., None] for s in (p, q))
+    p, q = (np.asarray(s)[..., None] for s in (p, q))
     idx = np.arange(1 << n) ^ q
     return np.where(bits.parity(idx & p), -1.0, 1.0) * ideal_state(n)[idx]
 
@@ -224,16 +223,14 @@ def compute_junk(strategy: Strategy, ops: ExtractedOperators) -> tuple[np.ndarra
 
     Returns the normalized junk vector and its pre-normalization norm
     (1 for perfect extraction).  A norm below 1e-12 means the output has
-    essentially no overlap with the ideal state and is reported as an
-    error rather than normalized into nonsense.
+    essentially no overlap with the ideal state; the overlap is then
+    returned unnormalized rather than blown up into nonsense, so the fixed
+    distances are about |Phi(input)| and the norm reports the failure.
     """
     out = swap_isometry_apply(ops, strategy.state)
     raw = out.reshape(-1, 1 << ops.n) @ pauli_target(ops.n, 0, 0).conj()
     norm = float(np.linalg.norm(raw))
-    if norm < 1e-12:
-        raise ValueError("junk extraction failed: isometry output is "
-                         "orthogonal to the ideal state")
-    return raw / norm, norm
+    return (raw if norm < 1e-12 else raw / norm), norm
 
 
 def extraction_distance(strategy: Strategy, ops: ExtractedOperators,
@@ -322,8 +319,8 @@ class SelfTestReport:
         }
 
     def to_text(self) -> str:
-        """Structured text form; norms carry 12 significant digits."""
-        return jsonio.dumps(self.to_document(), float_digits=12)
+        """Structured text form; floats carry 12 significant digits."""
+        return jsonio.dumps(self.to_document())
 
 
 def _distance_pairs(n: int, seed: int) -> tuple[np.ndarray, Coverage]:

@@ -26,6 +26,7 @@ from chsh_selftest.cli import main
 from chsh_selftest.game import MAX_EXACT_N
 from chsh_selftest.verifier import MAX_CERTIFY_N
 from test_strategy import MALFORMED_EDITS
+from test_verifier import orthogonal_junk_strategy
 
 
 SWEEP_HEADER = cli.SWEEP_COLUMNS + "\r\n"
@@ -173,6 +174,15 @@ def test_certify_strategy_file(capsys, tmp_path):
     assert rows[1][1] == "file"
 
 
+def test_certify_strategy_with_junk_orthogonal_to_the_ideal_state(capsys, tmp_path):
+    path = tmp_path / "orthogonal.json"
+    save_strategy(orthogonal_junk_strategy(), str(path))
+    code, out, err = run(capsys, "certify", "--strategy", str(path), "--format", "text")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["value"] == 0.0 and doc["junk_norm"] == 0.0 and doc["passed"]
+
+
 def test_malformed_strategy_file(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -196,7 +206,8 @@ def test_malformed_strategy_document_is_a_config_error(capsys, tmp_path, mangle)
 @pytest.mark.parametrize("command, limit, stage", [
     ("value", MAX_EXACT_N, "exhaustive value"),
     ("certify", MAX_CERTIFY_N, "certification pipeline"),
-], ids=["value", "certify"])
+    ("simulate", MAX_EXACT_N, "referee simulation"),
+], ids=["value", "certify", "simulate"])
 def test_value_above_the_exact_limit_is_refused_before_building(capsys, monkeypatch,
                                                                  command, limit, stage):
     def never(*args, **kwargs):

@@ -19,7 +19,7 @@ from chsh_selftest import (
     validate,
 )
 from chsh_selftest import bits, strategy as strategy_module
-from chsh_selftest.linalg import branch_tree
+from chsh_selftest.linalg import PAULI_X, PAULI_Z, branch_tree, tensor
 from chsh_selftest.strategy import _answer_masses, born_answers
 from test_verifier import family_strategy
 
@@ -319,12 +319,17 @@ def test_noise_models_hit_analytic_values(model, param, expect):
     s = noisy_strategy(2, NoiseSpec(model=model, param=param))
     assert validate(s).ok
     assert exact_value(s).value == pytest.approx(expect, abs=1e-12)
-    # model "none" is rotation 0 on the ideal pair state: the ideal strategy
+    # model "none" is rotation 0 on the ideal pair state: the ideal strategy,
+    # whose observables are one-qubit operators tensored with identities
+    bob_pair = ((PAULI_Z + PAULI_X) / SQ2, (PAULI_Z - PAULI_X) / SQ2)
     for n in (2, 4, 6):
-        plain, ideal = noisy_strategy(n, NoiseSpec()), ideal_strategy(n)
-        for got, want in ((plain.state, ideal.state), (plain.alice, ideal.alice),
-                          (plain.bob, ideal.bob)):
-            assert np.array_equal(got, want)
+        plain, m = noisy_strategy(n, NoiseSpec()), n // 2
+        assert np.array_equal(plain.state, ideal_state(n))
+        for q, question in enumerate(bits.all_strings(m)):
+            for k, c in enumerate(question):
+                for got, pair in ((plain.alice, (PAULI_X, PAULI_Z)), (plain.bob, bob_pair)):
+                    want = tensor(*(pair[int(c)] if j == k else np.eye(2) for j in range(m)))
+                    assert np.array_equal(got[q, k], want)
 
 
 def test_noise_spec_validation():
@@ -359,7 +364,7 @@ def test_serialization_round_trip_bit_exact():
 
 
 def test_serialization_keeps_negative_zeros():
-    # Bob's rotated observables hold -0.0 entries, which the text writes as "-0"
+    # Bob's rotated observables hold -0.0 entries, which the text writes as "-0.0"
     s = noisy_strategy(4, NoiseSpec(model="bob-rotation", param=0.1))
     assert np.signbit(s.bob.view(float)[s.bob.view(float) == 0]).any()
     back = strategy_from_text(strategy_to_text(s))

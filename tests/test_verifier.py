@@ -12,6 +12,7 @@ from chsh_selftest import (
     TSIRELSON,
     ExtractedOperators,
     NoiseSpec,
+    Strategy,
     build_xz,
     certified_bounds,
     certify,
@@ -27,6 +28,7 @@ from chsh_selftest import (
     random_strategy,
     relabel,
     swap_isometry_apply,
+    validate,
 )
 from chsh_selftest import bits, jsonio
 from chsh_selftest.linalg import PAULI_X, PAULI_Z, dagger, tensor
@@ -320,13 +322,13 @@ def test_swap_isometry_with_identity_operators_appends_zeros():
 
 def test_pauli_target_entries():
     psi = np.asarray(ideal_strategy(2).state)
-    t = pauli_target(2, "00", "00")
+    t = pauli_target(2, int("00", 2), int("00", 2))
     assert np.array_equal(t, psi)
     # X on both qubits permutes amplitudes
-    t = pauli_target(2, "00", "11")
+    t = pauli_target(2, int("00", 2), int("11", 2))
     assert np.allclose(t, psi[[3, 2, 1, 0]])
     # Z on qubit 1 flips the sign of amplitudes with bit 1 set
-    t = pauli_target(2, "10", "00")
+    t = pauli_target(2, int("10", 2), int("00", 2))
     assert np.allclose(t, psi * np.array([1, 1, -1, -1]))
 
 
@@ -335,6 +337,32 @@ def test_compute_junk_on_ideal():
     junk, norm = compute_junk(s, build_xz(s))
     assert norm == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(junk) == pytest.approx(1.0, abs=1e-12)
+
+
+def orthogonal_junk_strategy():
+    """The ideal n = 2 observables on a state whose isometry output is
+    orthogonal to the ideal state: valid, with exact value 0."""
+    s = ideal_strategy(2)
+    return Strategy(state=np.array([1, 1, -1, 1]) / 2, alice=s.alice, bob=s.bob)
+
+
+def test_certify_reports_junk_orthogonal_to_the_ideal_state():
+    s = orthogonal_junk_strategy()
+    assert validate(s).ok and exact_value(s).value == 0.0
+    ops = build_xz(s)
+    junk, norm = compute_junk(s, ops)
+    assert norm == 0.0 and np.all(junk == 0)
+    rep = certify(s)
+    assert rep.transcript == [] and rep.junk_norm == 0.0
+    numbers = []
+    json.loads(rep.to_text(), parse_float=lambda x: numbers.append(float(x)))
+    assert numbers and all(map(math.isfinite, numbers))
+    # with zero junk the fixed distance is the norm of the isometry output,
+    # which is the norm of its input
+    for (p, q), d in rep.distances_fixed.items():
+        w = dense_string(ops, "x", q) @ dense_string(ops, "z", p) @ s.state
+        assert d == pytest.approx(np.linalg.norm(w), abs=1e-12)
+    assert rep.passed  # a value of 0 makes every certified ceiling vacuous
 
 
 def test_extraction_distances_vanish_on_ideal():
