@@ -1,30 +1,14 @@
-"""Parallel CHSH self-testing: exact values, sampling, and certification."""
+"""Parallel CHSH self-testing: exact values, sampling, and certification.
 
-from .extraction import (
-    ExtractedOperators,
-    QuestionSearchResult,
-    build_xz,
-    find_pair_question,
-    log_question_set,
-    relabel,
-    search_questions,
-)
-from .game import (
-    MAX_EXACT_N,
-    TSIRELSON,
-    GameValue,
-    exact_value,
-    expectation_table,
-    referee_simulate,
-    subtest_table,
-    subtest_value,
-)
+The root exports the documented API; everything else is imported from
+its module (``chsh_selftest.extraction``, ``chsh_selftest.verifier``, ...).
+"""
+
+from .game import MAX_EXACT_N, TSIRELSON, exact_value, referee_simulate
 from .strategy import (
     NOISE_MODELS,
     NoiseSpec,
     Strategy,
-    StrategyDiagnostics,
-    ideal_state,
     ideal_strategy,
     load_strategy,
     noisy_strategy,
@@ -34,62 +18,27 @@ from .strategy import (
     strategy_to_text,
     validate,
 )
-from .verifier import (
-    MAX_CERTIFY_N,
-    ConditionNorms,
-    Coverage,
-    SelfTestReport,
-    certified_bounds,
-    certify,
-    compute_junk,
-    extraction_distance,
-    measure_epsilons,
-    measure_general_conditions,
-    pauli_target,
-    swap_isometry_apply,
-)
+from .verifier import MAX_CERTIFY_N, SelfTestReport, certify
 
 __all__ = [
-    "ExtractedOperators",
-    "QuestionSearchResult",
-    "build_xz",
-    "find_pair_question",
-    "log_question_set",
-    "relabel",
-    "search_questions",
-    "MAX_EXACT_N",
-    "TSIRELSON",
-    "GameValue",
-    "exact_value",
-    "expectation_table",
-    "referee_simulate",
-    "subtest_table",
-    "subtest_value",
-    "NOISE_MODELS",
-    "NoiseSpec",
     "Strategy",
-    "StrategyDiagnostics",
-    "ideal_state",
+    "NoiseSpec",
+    "NOISE_MODELS",
     "ideal_strategy",
-    "load_strategy",
     "noisy_strategy",
     "random_strategy",
+    "load_strategy",
     "save_strategy",
     "strategy_from_text",
     "strategy_to_text",
     "validate",
-    "MAX_CERTIFY_N",
-    "ConditionNorms",
-    "Coverage",
-    "SelfTestReport",
-    "certified_bounds",
+    "exact_value",
+    "referee_simulate",
     "certify",
-    "compute_junk",
-    "extraction_distance",
-    "measure_epsilons",
-    "measure_general_conditions",
-    "pauli_target",
-    "swap_isometry_apply",
+    "SelfTestReport",
+    "MAX_EXACT_N",
+    "MAX_CERTIFY_N",
+    "TSIRELSON",
 ]
 
 __version__ = "0.1.0"

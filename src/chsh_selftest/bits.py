@@ -1,9 +1,11 @@
-"""Bit-string bookkeeping for questions and answers.
+"""Bits of questions and answers.
 
-Bit strings are plain ``str`` objects over the alphabet {'0', '1'}.
-Positions are 1-indexed (bit 1 is the leftmost character) to match the
-usual numbering of tested qubits, and the integer encoding is big-endian:
-bit 1 is the most significant bit of the index.
+Inside the package a question or answer is a big-endian integer: bit k
+(1-indexed, to match the usual numbering of tested qubits) of an m-bit
+value i is ``(i >> (m - k)) & 1``, so bit 1 is the most significant.
+This module holds the vectorized bit table and parity over such integers,
+and the formatting of an integer as the bit string that documents show
+(bit 1 its leftmost character).
 """
 
 from __future__ import annotations
@@ -11,25 +13,6 @@ from __future__ import annotations
 from typing import Iterator
 
 import numpy as np
-
-
-def check(s: str) -> str:
-    """Validate that ``s`` is a nonempty bit string and return it unchanged."""
-    if not isinstance(s, str) or not s or any(c not in "01" for c in s):
-        raise ValueError(f"not a bit string: {s!r}")
-    return s
-
-
-def bit(s: str, k: int) -> int:
-    """The k-th bit of ``s`` as an int, 1-indexed."""
-    if not 1 <= k <= len(s):
-        raise ValueError(f"bit index {k} out of range for length {len(s)}")
-    return int(s[k - 1])
-
-
-def to_int(s: str) -> int:
-    """Big-endian integer value of a bit string."""
-    return int(s, 2) if s else 0
 
 
 def from_int(i: int, n: int) -> str:

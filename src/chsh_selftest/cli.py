@@ -124,8 +124,7 @@ def _report_row(report: SelfTestReport, model: str, param: float) -> list[str]:
 
 
 def cmd_value(args) -> int:
-    result = exact_value(_resolve_strategy(args, MAX_EXACT_N, "exhaustive value"))
-    print(f"{result.value:.12f}")
+    print(f"{exact_value(_resolve_strategy(args, MAX_EXACT_N, 'exhaustive value')):.12f}")
     return EXIT_OK
 
 

@@ -112,8 +112,8 @@ def build_xz(strategy: Strategy) -> ExtractedOperators:
 # ---------------------------------------------------------------------------
 # relabeling symmetry and pigeonhole searches
 
-def relabel(strategy: Strategy, q_a: str, q_b: str) -> Strategy:
-    """Flip the bits of q_b in Bob's questions, then those of q_a in Alice's.
+def relabel(strategy: Strategy, q_a: int, q_b: int) -> Strategy:
+    """Flip the bits of mask q_b in Bob's questions, then those of q_a in Alice's.
 
     Alice's family at x is her old one at x xor q_a, and Bob's at y his
     old one at y xor q_b (one gather per player); observable k of either
@@ -124,12 +124,11 @@ def relabel(strategy: Strategy, q_a: str, q_b: str) -> Strategy:
     the table of ``strategy``.
     """
     m = strategy.half
-    if len(bits.check(q_a)) != m or len(bits.check(q_b)) != m:
-        raise ValueError(f"flip masks must have length {m}")
-    qa, qb = bits.to_int(q_a), bits.to_int(q_b)
+    if not (0 <= q_a < 1 << m and 0 <= q_b < 1 << m):
+        raise ValueError(f"flip masks must be {m}-bit integers")
     idx, table = np.arange(1 << m), bits.bit_table(m)
-    alice, bob = strategy.alice[idx ^ qa], strategy.bob[idx ^ qb]
-    for stack, questions, mask in ((alice, idx ^ qa, qb), (bob, idx, qa)):
+    alice, bob = strategy.alice[idx ^ q_a], strategy.bob[idx ^ q_b]
+    for stack, questions, mask in ((alice, idx ^ q_a, q_b), (bob, idx, q_a)):
         flip = (table[questions] & table[mask]).astype(bool)
         np.negative(stack, out=stack, where=flip[:, :, None, None])
     return Strategy(state=strategy.state, alice=alice, bob=bob)
@@ -140,14 +139,13 @@ def _best(scores: np.ndarray) -> int:
     return int(np.flatnonzero(scores >= np.max(scores) - PIGEONHOLE_SLACK)[0])
 
 
-def find_pair_question(table: np.ndarray, k: int, ell: int) -> tuple[str, float]:
+def find_pair_question(table: np.ndarray, k: int, ell: int) -> tuple[int, float]:
     """Best Alice question with bit k = 0 and bit ell = 1, and its score.
 
     ``table`` is the subtest table of the canonical strategy.  The score
     of q is the smaller of f(q, 0..0, k) and f(q, 0..0, ell); ties go to
-    the lexicographically smallest question.  Since subtest values are
-    complement-invariant, restricting the search to the (0, 1) bit
-    pattern loses nothing.
+    the smallest question.  Since subtest values are complement-invariant,
+    restricting the search to the (0, 1) bit pattern loses nothing.
     """
     m = table.shape[-1]
     if k == ell:
@@ -159,7 +157,7 @@ def find_pair_question(table: np.ndarray, k: int, ell: int) -> tuple[str, float]
     scores = np.where(allowed, np.minimum(table[:, 0, k - 1], table[:, 0, ell - 1]),
                       -np.inf)
     best = _best(scores)
-    return bits.from_int(best, m), float(scores[best])
+    return best, float(scores[best])
 
 
 def log_question_set(n: int) -> list[str]:
@@ -191,30 +189,26 @@ class QuestionSearchResult:
     """
 
     value: float
-    q_b_star: str
-    q_a_star: str
+    q_b_star: int
+    q_a_star: int
     per_subtest_delta: tuple
     pair_questions: dict
     pair_scores: dict
 
 
-def search_questions(strategy: Strategy) -> tuple[Strategy, list[dict], QuestionSearchResult]:
+def search_questions(strategy: Strategy) -> tuple[Strategy, QuestionSearchResult]:
     """Pick the distinguished questions and relabel them to all-zeros.
 
     One subtest table F gives the game value and drives every choice:
     q_b* maximizes Bob's total score, q_a* Alice's total against q_b*, and
     each pair question is read off the canonical table
-    F[x xor q_a*, y xor q_b*, k].  Returns
-    the canonical strategy, the transcript of relabeled bits (Bob's
-    first) and the search result.
+    F[x xor q_a*, y xor q_b*, k].  Returns the canonical strategy and
+    the search result.
     """
     m = strategy.half
     table = subtest_table(strategy)
     qb = _best(table.sum(axis=(0, 2)))
     qa = _best(table[:, qb, :].sum(axis=1))
-    q_b_star, q_a_star = bits.from_int(qb, m), bits.from_int(qa, m)
-    transcript = ([{"party": "B", "bit": k} for k in range(1, m + 1) if bits.bit(q_b_star, k)]
-                  + [{"party": "A", "bit": k} for k in range(1, m + 1) if bits.bit(q_a_star, k)])
     idx = np.arange(1 << m)
     canon_table = table[(idx ^ qa)[:, None], (idx ^ qb)[None, :], :]
     deltas = np.maximum(0.0, TSIRELSON - canon_table[0, 0, :])
@@ -223,7 +217,7 @@ def search_questions(strategy: Strategy) -> tuple[Strategy, list[dict], Question
         for ell in range(k + 1, m + 1):
             pairs[(k, ell)], scores[(k, ell)] = find_pair_question(canon_table, k, ell)
     result = QuestionSearchResult(value=table_value(table),
-                                  q_b_star=q_b_star, q_a_star=q_a_star,
+                                  q_b_star=qb, q_a_star=qa,
                                   per_subtest_delta=tuple(float(d) for d in deltas),
                                   pair_questions=pairs, pair_scores=scores)
-    return relabel(strategy, q_a_star, q_b_star), transcript, result
+    return relabel(strategy, qa, qb), result

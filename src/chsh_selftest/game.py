@@ -30,34 +30,28 @@ MAX_EXACT_N = 12
 
 @dataclass(frozen=True)
 class GameValue:
-    """A game value together with how it was obtained.
-
-    ``stderr`` is zero in exact mode; ``win_rate`` is the win probability
-    implied by the value (score = 4 * (2p - 1)) or the empirical rate.
-    """
+    """A referee estimate: the mean score, its standard error (0 for a
+    single round) and the empirical win rate."""
 
     value: float
-    mode: str  # "exact" | "sampled"
-    rounds: int | None = None
-    stderr: float = 0.0
-    win_rate: float | None = None
+    stderr: float
+    win_rate: float
 
 
-def subtest_value(strategy: Strategy, q_a: str, q_b: str, k: int) -> float:
-    """The four-term CHSH expectation for pair k at questions (q_a, q_b).
+def subtest_value(strategy: Strategy, qa: int, qb: int, k: int) -> float:
+    """The four-term CHSH expectation for pair k at questions (qa, qb).
 
     Sums (-1)^{r_a[k] r_b[k]} <M^{r_a}_k N^{r_b}_k> over r_a in
-    {q_a, ~q_a} and r_b in {q_b, ~q_b}.  Terms are accumulated with each
+    {qa, ~qa} and r_b in {qb, ~qb}.  Terms are accumulated with each
     question pair in ascending numeric order, which makes the value
-    exactly invariant under complementing q_a or q_b.
+    exactly invariant under complementing qa or qb.
     """
     m = strategy.half
-    if len(bits.check(q_a)) != m or len(bits.check(q_b)) != m:
-        raise ValueError(f"questions must have length {m}")
+    mask = (1 << m) - 1
+    if not (0 <= qa <= mask and 0 <= qb <= mask):
+        raise ValueError(f"questions must be {m}-bit integers")
     if not 1 <= k <= m:
         raise ValueError(f"subtest {k} out of range")
-    mask = (1 << m) - 1
-    qa, qb = bits.to_int(q_a), bits.to_int(q_b)
     total = 0.0
     for ra in sorted({qa, qa ^ mask}):
         for rb in sorted({qb, qb ^ mask}):
@@ -114,13 +108,11 @@ def table_value(table: np.ndarray) -> float:
     return float(table.sum()) / (n * (1 << (n - 1)))
 
 
-def exact_value(strategy: Strategy) -> GameValue:
+def exact_value(strategy: Strategy) -> float:
     """Exhaustive game value: (1/(n 2^(n-1))) * sum of all subtest terms."""
     if strategy.n > MAX_EXACT_N:
         raise ValueError(f"exhaustive value limited to n <= {MAX_EXACT_N}")
-    value = table_value(subtest_table(strategy))
-    return GameValue(value=value, mode="exact", stderr=0.0,
-                     win_rate=(value + 4.0) / 8.0)
+    return table_value(subtest_table(strategy))
 
 
 def referee_simulate(strategy: Strategy, rounds: int,
@@ -147,5 +139,4 @@ def referee_simulate(strategy: Strategy, rounds: int,
     scores = np.where(wins, 4.0, -4.0)
     estimate = float(scores.mean())
     stderr = float(scores.std(ddof=1) / math.sqrt(rounds)) if rounds > 1 else 0.0
-    return GameValue(value=estimate, mode="sampled", rounds=rounds,
-                     stderr=stderr, win_rate=float(wins.mean()))
+    return GameValue(value=estimate, stderr=stderr, win_rate=float(wins.mean()))

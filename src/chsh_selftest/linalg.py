@@ -65,10 +65,6 @@ def commutation_residual(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a @ b - b @ a)))
 
 
-def is_hermitian(m: np.ndarray) -> bool:
-    return hermiticity_residual(m) <= VALIDATION_TOL
-
-
 def sign_normalize(m: np.ndarray) -> np.ndarray:
     """Hermitian unitary with the same eigenvectors as m and +-1 eigenvalues.
 
@@ -80,7 +76,7 @@ def sign_normalize(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not is_hermitian(m):
+    if not hermiticity_residual(m) <= VALIDATION_TOL:  # a NaN residual fails too
         raise ValueError("matrix is not Hermitian")
     vals, vecs = np.linalg.eigh((m + dagger(m)) / 2)
     signs = np.where(np.abs(vals) < ZERO_TOL, 1.0, np.sign(vals))

@@ -269,15 +269,18 @@ def extraction_distance(strategy: Strategy, ops: ExtractedOperators,
 
 @dataclass(frozen=True)
 class SelfTestReport:
-    """Everything the certification pipeline measured and concluded."""
+    """Everything the certification pipeline measured and concluded.
+
+    Questions are big-endian integers, and the distance maps are keyed by
+    integer (p, q); ``to_document`` writes them all as bit strings.
+    """
 
     n: int
     value: float
     epsilon: float
     delta_cert: float
-    transcript: list
-    q_b_star: str
-    q_a_star: str
+    q_b_star: int
+    q_a_star: int
     per_subtest_delta: tuple
     pair_questions: dict
     certified: dict
@@ -293,26 +296,35 @@ class SelfTestReport:
         return all(self.flags.values())
 
     def to_document(self) -> dict:
+        """The report with every question written as a bit string, and the
+        transcript of relabeled bits (Bob's first) that took the searched
+        questions to all-zeros."""
+        n, m = self.n, self.n // 2
         coverage = self.measured.coverage
         meas = dict(vars(self.measured), coverage=coverage.describe() if coverage else None)
+
+        def by_pair(distances):
+            return {f"{bits.from_int(p, n)}:{bits.from_int(q, n)}": d
+                    for (p, q), d in sorted(distances.items())}
+
         return {
-            "n": self.n,
+            "n": n,
             "value": self.value,
             "epsilon": self.epsilon,
             "delta_cert": self.delta_cert,
-            "transcript": self.transcript,
-            "q_b_star": self.q_b_star,
-            "q_a_star": self.q_a_star,
+            "transcript": [{"party": party, "bit": k}
+                           for party, q in (("B", self.q_b_star), ("A", self.q_a_star))
+                           for k in range(1, m + 1) if (q >> (m - k)) & 1],
+            "q_b_star": bits.from_int(self.q_b_star, m),
+            "q_a_star": bits.from_int(self.q_a_star, m),
             "per_subtest_delta": list(self.per_subtest_delta),
-            "pair_questions": {f"{k},{ell}": q
+            "pair_questions": {f"{k},{ell}": bits.from_int(q, m)
                                for (k, ell), q in sorted(self.pair_questions.items())},
             "certified": self.certified,
             "measured": meas,
             "junk_norm": self.junk_norm,
-            "distances_fixed": {f"{p}:{q}": d
-                                for (p, q), d in sorted(self.distances_fixed.items())},
-            "distances_optimal": {f"{p}:{q}": d
-                                  for (p, q), d in sorted(self.distances_optimal.items())},
+            "distances_fixed": by_pair(self.distances_fixed),
+            "distances_optimal": by_pair(self.distances_optimal),
             "distance_coverage": self.distance_coverage.describe(),
             "flags": self.flags,
             "passed": self.passed,
@@ -348,7 +360,7 @@ def certify(strategy: Strategy, seed: int = 0) -> SelfTestReport:
     if n > MAX_CERTIFY_N:
         raise ValueError(f"certification pipeline limited to n <= {MAX_CERTIFY_N}")
     m = n // 2
-    canonical, transcript, searches = search_questions(strategy)
+    canonical, searches = search_questions(strategy)
     value = searches.value
     epsilon = max(0.0, TSIRELSON - value)
     flags = {}
@@ -368,11 +380,10 @@ def certify(strategy: Strategy, seed: int = 0) -> SelfTestReport:
     junk, junk_norm = compute_junk(canonical, ops)
     pairs, dist_cov = _distance_pairs(n, seed)
     fixed, optimal = extraction_distance(canonical, ops, pairs, junk)
-    keys = [(bits.from_int(int(p), n), bits.from_int(int(q), n)) for p, q in pairs]
+    keys = list(map(tuple, pairs.tolist()))
     dist_fixed = dict(zip(keys, fixed.tolist()))
     dist_opt = dict(zip(keys, optimal.tolist()))
-    return SelfTestReport(n=n, value=value, epsilon=epsilon,
-                          delta_cert=delta_cert, transcript=transcript,
+    return SelfTestReport(n=n, value=value, epsilon=epsilon, delta_cert=delta_cert,
                           q_b_star=searches.q_b_star, q_a_star=searches.q_a_star,
                           per_subtest_delta=searches.per_subtest_delta,
                           pair_questions=searches.pair_questions,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import chsh_selftest as cs
-from chsh_selftest import bits
+from chsh_selftest import extraction, game, verifier
 
 SQ2 = np.sqrt(2)
 TS = 2 * SQ2
@@ -24,7 +24,7 @@ def _criterion(num, name, ok, detail=""):
 def test_criterion_01_ideal_value():
     worst = 0.0
     for n in (2, 4, 6):
-        v = cs.exact_value(cs.ideal_strategy(n)).value
+        v = cs.exact_value(cs.ideal_strategy(n))
         worst = max(worst, abs(v - TS))
     _criterion(1, "ideal strategies reach 2*sqrt(2)", worst <= 1e-9,
                f"worst |value - 2sqrt2| = {worst:.3e}")
@@ -33,10 +33,10 @@ def test_criterion_01_ideal_value():
 def test_criterion_02_every_subtest_ideal():
     s = cs.ideal_strategy(4)
     worst = 0.0
-    for qa in bits.all_strings(2):
-        for qb in bits.all_strings(2):
+    for qa in range(4):
+        for qb in range(4):
             for k in (1, 2):
-                f = cs.subtest_value(s, qa, qb, k)
+                f = game.subtest_value(s, qa, qb, k)
                 worst = max(worst, abs(f - TS))
     _criterion(2, "all 32 ideal n=4 subtests at 2*sqrt(2)", worst <= 1e-9,
                f"worst deviation = {worst:.3e}")
@@ -48,12 +48,12 @@ def test_criterion_03_classical_value():
     state = np.zeros(4, dtype=complex)
     state[0] = 1.0
     s = cs.Strategy(state=state, alice=ident, bob=ident)
-    got = cs.exact_value(s).value
+    got = cs.exact_value(s)
 
     total, count = 0.0, 0
-    for q in bits.all_strings(2):
+    for q in ("00", "01", "10", "11"):
         for k in (1,):
-            wins = (bits.bit(q, k) & bits.bit(q, k + m)) == 0
+            wins = (int(q[k - 1]) & int(q[k - 1 + m])) == 0
             total += 4.0 if wins else -4.0
             count += 1
     oracle = total / count
@@ -66,12 +66,12 @@ def test_criterion_04_ideal_extraction_is_exact():
     fails = []
     for n in (2, 4):
         s = cs.ideal_strategy(n)
-        ops = cs.build_xz(s)
-        norms = cs.measure_epsilons(s, ops)
+        ops = extraction.build_xz(s)
+        norms = verifier.measure_epsilons(s, ops)
         if max(norms.eps1, norms.eps2, norms.eps3) > 1e-8:
             fails.append(f"n={n} eps norms {norms.eps1:.2e}/{norms.eps2:.2e}/"
                          f"{norms.eps3:.2e}")
-        gen = cs.measure_general_conditions(s, ops)
+        gen = verifier.measure_general_conditions(s, ops)
         if max(gen.general_anticommute_max, gen.general_swap_max) > 1e-7:
             fails.append(f"n={n} general norms")
         rep = cs.certify(s)
@@ -89,9 +89,9 @@ def test_criterion_05_measured_below_certified():
         for eta in (0.02, 0.05, 0.1):
             s = cs.noisy_strategy(n, cs.NoiseSpec(model="bob-rotation",
                                                   param=eta))
-            eps = max(0.0, TS - cs.exact_value(s).value)
-            ceil = cs.certified_bounds(n * eps)
-            norms = cs.measure_epsilons(s, cs.build_xz(s))
+            eps = max(0.0, TS - cs.exact_value(s))
+            ceil = verifier.certified_bounds(n * eps)
+            norms = verifier.measure_epsilons(s, extraction.build_xz(s))
             for name, meas in (("eps1", norms.eps1), ("eps2", norms.eps2),
                                ("eps3", norms.eps3)):
                 if meas > ceil[name] + 1e-9:
@@ -112,11 +112,11 @@ def test_criterion_06_pigeonhole_guarantees():
               for seed in range(5)]
     for i, s in enumerate(cases):
         m = s.half
-        v = cs.exact_value(s).value
+        v = cs.exact_value(s)
         eps = max(0.0, TS - v)
-        canon, transcript, result = cs.search_questions(s)
+        canon, result = extraction.search_questions(s)
         # the best question scores at least the average
-        qb_score = float(cs.subtest_table(canon)[:, 0, :].sum()) / (s.n * (1 << (m - 1)))
+        qb_score = float(game.subtest_table(canon)[:, 0, :].sum()) / (s.n * (1 << (m - 1)))
         if qb_score < v - 1e-12:
             fails.append(f"case {i}: best question below average")
         for k, delta in enumerate(result.per_subtest_delta, start=1):
@@ -124,8 +124,8 @@ def test_criterion_06_pigeonhole_guarantees():
                 fails.append(f"case {i}: delta_{k} = {delta:.3e} > "
                              f"{m * eps:.3e}")
         for (k, ell), q in result.pair_questions.items():
-            fk = cs.subtest_value(canon, q, "0" * m, k)
-            fl = cs.subtest_value(canon, q, "0" * m, ell)
+            fk = game.subtest_value(canon, q, 0, k)
+            fl = game.subtest_value(canon, q, 0, ell)
             if min(fk, fl) < TS - 2 * m * eps - 1e-12:
                 fails.append(f"case {i}: pair ({k},{ell}) f = "
                              f"{min(fk, fl):.6f}")
@@ -137,10 +137,10 @@ def test_criterion_07_relabel_invariance():
     exact_failures = 0
     for seed in range(100):
         s = cs.random_strategy(2, np.random.default_rng(seed))
-        v = cs.exact_value(s).value
-        for q_a, q_b in (("1", "0"), ("0", "1")):
-            worst = max(worst, abs(cs.exact_value(cs.relabel(s, q_a, q_b)).value - v))
-            twice = cs.relabel(cs.relabel(s, q_a, q_b), q_a, q_b)
+        v = cs.exact_value(s)
+        for q_a, q_b in ((1, 0), (0, 1)):
+            worst = max(worst, abs(cs.exact_value(extraction.relabel(s, q_a, q_b)) - v))
+            twice = extraction.relabel(extraction.relabel(s, q_a, q_b), q_a, q_b)
             if not (np.array_equal(twice.alice, s.alice)
                     and np.array_equal(twice.bob, s.bob)):
                 exact_failures += 1
@@ -200,13 +200,13 @@ def test_criterion_10_log_question_set():
     fails = []
     for n in range(2, 66, 2):
         m = n // 2
-        qs = cs.log_question_set(n)
+        qs = extraction.log_question_set(n)
         bound = math.ceil(math.log2(m + 1)) if m > 1 else 0
         if len(qs) > bound:
             fails.append(f"n={n}: {len(qs)} questions > bound {bound}")
         for k in range(1, m + 1):
             for ell in range(k + 1, m + 1):
-                if not any(bits.bit(q, k) != bits.bit(q, ell) for q in qs):
+                if not any(q[k - 1] != q[ell - 1] for q in qs):
                     fails.append(f"n={n}: bits ({k},{ell}) not separated")
     _criterion(10, "log-size question set separates all pairs", not fails,
                "; ".join(fails[:3]))

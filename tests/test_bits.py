@@ -1,4 +1,4 @@
-"""Bitstring helpers: 1-indexed, big-endian, strings of '0'/'1'."""
+"""Bit helpers: big-endian integers, the bit table, parity, string formatting."""
 
 import numpy as np
 import pytest
@@ -7,30 +7,7 @@ from hypothesis import given, strategies as st
 from chsh_selftest import bits
 
 
-def test_check_accepts_valid():
-    bits.check("0")
-    bits.check("0110")
-
-
-@pytest.mark.parametrize("bad", ["", "01a", "2", " 01", "0 1"])
-def test_check_rejects(bad):
-    with pytest.raises(ValueError):
-        bits.check(bad)
-
-
-def test_bit_is_one_indexed_big_endian():
-    s = "100"
-    assert bits.bit(s, 1) == 1
-    assert bits.bit(s, 2) == 0
-    assert bits.bit(s, 3) == 0
-    with pytest.raises(ValueError):
-        bits.bit(s, 0)
-    with pytest.raises(ValueError):
-        bits.bit(s, 4)
-
-
 def test_int_round_trip():
-    assert bits.to_int("0110") == 6
     assert bits.from_int(6, 4) == "0110"
     assert bits.from_int(0, 3) == "000"
     with pytest.raises(ValueError):
@@ -50,7 +27,7 @@ def test_round_trip_random(n, data):
     i = data.draw(st.integers(min_value=0, max_value=2**n - 1))
     s = bits.from_int(i, n)
     assert len(s) == n
-    assert bits.to_int(s) == i
+    assert int(s, 2) == i
 
 
 def test_parity_matches_popcount():

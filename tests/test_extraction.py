@@ -10,19 +10,19 @@ from chsh_selftest import (
     TSIRELSON,
     NoiseSpec,
     Strategy,
-    build_xz,
     exact_value,
-    find_pair_question,
     ideal_strategy,
-    log_question_set,
     noisy_strategy,
     random_strategy,
+)
+from chsh_selftest.extraction import (
+    build_xz,
+    find_pair_question,
+    log_question_set,
     relabel,
     search_questions,
-    subtest_table,
-    subtest_value,
 )
-from chsh_selftest import bits
+from chsh_selftest.game import subtest_table, subtest_value
 from chsh_selftest.linalg import PAULI_X, PAULI_Z
 
 
@@ -49,32 +49,39 @@ def test_build_xz_ideal_n4():
 def test_relabel_preserves_value():
     for seed in range(10):
         s = random_strategy(2, np.random.default_rng(seed))
-        v = exact_value(s).value
-        assert exact_value(relabel(s, "1", "0")).value == pytest.approx(v, abs=1e-9)
-        assert exact_value(relabel(s, "0", "1")).value == pytest.approx(v, abs=1e-9)
+        v = exact_value(s)
+        assert exact_value(relabel(s, 1, 0)) == pytest.approx(v, abs=1e-9)
+        assert exact_value(relabel(s, 0, 1)) == pytest.approx(v, abs=1e-9)
 
 
 def test_relabel_preserves_value_n4():
     s = noisy_strategy(4, NoiseSpec(model="bob-rotation", param=0.2))
-    v = exact_value(s).value
-    for q_a in bits.all_strings(2):
-        for q_b in bits.all_strings(2):
-            assert exact_value(relabel(s, q_a, q_b)).value == pytest.approx(v, abs=1e-9)
+    v = exact_value(s)
+    for q_a in range(4):
+        for q_b in range(4):
+            assert exact_value(relabel(s, q_a, q_b)) == pytest.approx(v, abs=1e-9)
 
 
 def test_double_relabel_is_identity():
     s = random_strategy(2, np.random.default_rng(44))
-    for q_a, q_b in (("1", "0"), ("0", "1")):
+    for q_a, q_b in ((1, 0), (0, 1)):
         twice = relabel(relabel(s, q_a, q_b), q_a, q_b)
         assert np.array_equal(twice.alice, s.alice)
         assert np.array_equal(twice.bob, s.bob)
 
 
 def test_relabel_index_range():
-    s = ideal_strategy(2)
-    for q_a, q_b in (("", "0"), ("01", "0"), ("0", "00"), ("2", "0")):
+    s = ideal_strategy(4)
+    table = subtest_table(s)
+    for bad in (1 << 2, -1):
+        for q_a, q_b in ((bad, 0), (0, bad)):
+            with pytest.raises(ValueError):
+                relabel(s, q_a, q_b)
+            with pytest.raises(ValueError):
+                subtest_value(s, q_a, q_b, 1)
+    for k, ell in ((3, 1), (2, 0)):  # test_find_pair_question_rejects_bad_indices has the rest
         with pytest.raises(ValueError):
-            relabel(s, q_a, q_b)
+            find_pair_question(table, k, ell)
 
 
 def _flip_bits(strategy, mask, party):
@@ -84,12 +91,12 @@ def _flip_bits(strategy, mask, party):
     m = strategy.half
     alice, bob = strategy.alice, strategy.bob
     for k in range(1, m + 1):
-        if not bits.bit(mask, k):
+        if mask[k - 1] == "0":
             continue
         own, other = (alice, bob) if party == "A" else (bob, alice)
         unit = 1 << (m - k)
         flipped = np.array([own[q ^ unit] for q in range(1 << m)])
-        signed = np.array([[-o if i == k - 1 and bits.bit(bits.from_int(q, m), k) else o
+        signed = np.array([[-o if i == k - 1 and f"{q:0{m}b}"[k - 1] == "1" else o
                             for i, o in enumerate(family)] for q, family in enumerate(other)])
         alice, bob = (flipped, signed) if party == "A" else (signed, flipped)
     return Strategy(state=strategy.state, alice=alice, bob=bob)
@@ -110,10 +117,9 @@ def test_relabel_permutes_the_subtest_table(n, index, data):
     m = n // 2
     qa = data.draw(st.integers(min_value=0, max_value=(1 << m) - 1))
     qb = data.draw(st.integers(min_value=0, max_value=(1 << m) - 1))
-    q_a, q_b = bits.from_int(qa, m), bits.from_int(qb, m)
-    relabeled = relabel(s, q_a, q_b)
+    relabeled = relabel(s, qa, qb)
     # one pass equals Bob's per-bit flips followed by Alice's, bit for bit
-    oracle = _flip_bits(_flip_bits(s, q_b, "B"), q_a, "A")
+    oracle = _flip_bits(_flip_bits(s, f"{qb:0{m}b}", "B"), f"{qa:0{m}b}", "A")
     assert relabeled.alice.tobytes() == oracle.alice.tobytes()
     assert relabeled.bob.tobytes() == oracle.bob.tobytes()
     idx = np.arange(1 << m)
@@ -122,16 +128,16 @@ def test_relabel_permutes_the_subtest_table(n, index, data):
 
 
 def test_find_best_qb_on_ideal_is_zeros():
-    _, _, result = search_questions(ideal_strategy(4))
-    assert result.q_b_star == "00"
-    assert result.q_a_star == "00"
+    _, result = search_questions(ideal_strategy(4))
+    assert result.q_b_star == 0b00
+    assert result.q_a_star == 0b00
 
 
 def build_single_question_strategy(n, special):
     """Alice ideal everywhere; Bob ideal only at ``special`` (and so, by
     complement symmetry of subtests, at its complement), identity elsewhere."""
     ideal = ideal_strategy(n)
-    playing = np.arange(1 << (n // 2)) == bits.to_int(special)
+    playing = np.arange(1 << (n // 2)) == int(special, 2)
     bob = np.where(playing[:, None, None, None], ideal.bob, np.eye(ideal.dim_b))
     return Strategy(state=ideal.state, alice=ideal.alice, bob=bob)
 
@@ -139,57 +145,58 @@ def build_single_question_strategy(n, special):
 def test_find_best_qb_prefers_the_playing_question():
     s = build_single_question_strategy(8, "0110")
     # "1001" scores the same (complement symmetry); the smaller index wins
-    assert search_questions(s)[2].q_b_star == "0110"
+    assert search_questions(s)[1].q_b_star == 0b0110
 
 
 def test_best_question_beats_average():
     for seed in range(40):
         s = random_strategy(2, np.random.default_rng(200 + seed))
-        v = exact_value(s).value
-        best = search_questions(s)[2].q_b_star
+        v = exact_value(s)
+        best = search_questions(s)[1].q_b_star
         # average subtest expectation seen by Bob's question; its mean over
         # Bob's questions is the game value
-        score = (float(subtest_table(s)[:, bits.to_int(best), :].sum())
+        score = (float(subtest_table(s)[:, best, :].sum())
                  / (s.n * (1 << (s.half - 1))))
         assert score >= v - 1e-12
 
 
 def test_canonicalize_moves_best_questions_to_zero():
     s = build_single_question_strategy(8, "0110")
-    canon, transcript, _ = search_questions(s)
-    assert search_questions(canon)[2].q_b_star == "0000"
-    assert {(step["party"], step["bit"]) for step in transcript} >= {("B", 2), ("B", 3)}
+    canon, result = search_questions(s)
+    assert search_questions(canon)[1].q_b_star == 0b0000
+    # Bob's bits 2 and 3 are among the relabeled ones
+    assert result.q_b_star & 0b0110 == 0b0110
     # value is untouched by relabeling
-    assert exact_value(canon).value == pytest.approx(exact_value(s).value, abs=1e-9)
+    assert exact_value(canon) == pytest.approx(exact_value(s), abs=1e-9)
 
 
 def test_canonicalize_ideal_is_empty_transcript():
-    canon, transcript, _ = search_questions(ideal_strategy(4))
-    assert transcript == []
-    assert search_questions(canon)[2].q_b_star == "00"
+    canon, result = search_questions(ideal_strategy(4))
+    assert result.q_b_star == result.q_a_star == 0  # nothing to relabel
+    assert search_questions(canon)[1].q_b_star == 0b00
 
 
 def test_per_subtest_deltas_bounded_by_pigeonhole():
     for eta in (0.05, 0.2):
         s = noisy_strategy(4, NoiseSpec(model="bob-rotation", param=eta))
-        eps = max(0.0, TSIRELSON - exact_value(s).value)
-        canon, _, result = search_questions(s)
+        eps = max(0.0, TSIRELSON - exact_value(s))
+        canon, result = search_questions(s)
         deltas = np.array(result.per_subtest_delta)
         assert deltas.shape == (2,)
         assert np.all(deltas <= 2 * eps + 1e-12)
         # each is its subtest's shortfall at the canonical all-zeros questions
         for k, d in enumerate(deltas, start=1):
-            direct = max(0.0, TSIRELSON - subtest_value(canon, "00", "00", k))
+            direct = max(0.0, TSIRELSON - subtest_value(canon, 0b00, 0b00, k))
             assert d == pytest.approx(direct, abs=1e-12)
 
 
 def test_find_pair_question_pattern_and_guarantee():
     s = noisy_strategy(4, NoiseSpec(model="bob-rotation", param=0.1))
-    canon, _, result = search_questions(s)
-    eps = max(0.0, TSIRELSON - exact_value(s).value)
+    canon, result = search_questions(s)
+    eps = max(0.0, TSIRELSON - exact_value(s))
     q = result.pair_questions[(1, 2)]
-    assert bits.bit(q, 1) == 0 and bits.bit(q, 2) == 1
-    zeros = "00"
+    assert f"{q:02b}" == "01"  # bit 1 is 0 and bit 2 is 1
+    zeros = 0b00
     f1 = subtest_value(canon, q, zeros, 1)
     f2 = subtest_value(canon, q, zeros, 2)
     assert min(f1, f2) >= TSIRELSON - 4 * eps - 1e-12
@@ -212,10 +219,10 @@ def test_find_pair_question_ties_go_to_the_smallest_question():
     for bump in (0.0, 1e-15, -1e-15):
         table = np.full((8, 8, 3), 2.0)
         table[0b011, 0, :] += bump
-        assert find_pair_question(table, 1, 3) == ("001", 2.0)
+        assert find_pair_question(table, 1, 3) == (0b001, 2.0)
     table = np.full((8, 8, 3), 2.0)
     table[0b011, 0, :] += 1e-9
-    assert find_pair_question(table, 1, 3) == ("011", 2.0 + 1e-9)
+    assert find_pair_question(table, 1, 3) == (0b011, 2.0 + 1e-9)
 
 
 def test_log_question_set_examples():
@@ -231,7 +238,7 @@ def test_log_question_set_size_and_separation():
         assert len(qs) == math.ceil(math.log2(m + 1))
         for k in range(1, m + 1):
             for ell in range(k + 1, m + 1):
-                assert any(bits.bit(q, k) != bits.bit(q, ell) for q in qs), \
+                assert any(q[k - 1] != q[ell - 1] for q in qs), \
                     f"n={n}: bits {k},{ell} not separated"
 
 
@@ -244,9 +251,8 @@ def test_log_question_set_rejects_odd():
 
 def test_search_questions_reports_canonical_names():
     s = noisy_strategy(4, NoiseSpec(model="bob-rotation", param=0.1))
-    canon, transcript, result = search_questions(s)
-    assert result.q_b_star == "00"
-    assert result.q_a_star == "00"
-    assert transcript == []
+    canon, result = search_questions(s)
+    assert result.q_b_star == 0b00
+    assert result.q_a_star == 0b00
     assert set(result.pair_questions) == {(1, 2)}
     assert len(result.per_subtest_delta) == 2

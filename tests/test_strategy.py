@@ -9,8 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from chsh_selftest import (
     NoiseSpec,
     Strategy,
-    build_xz,
-    ideal_state,
     ideal_strategy,
     noisy_strategy,
     random_strategy,
@@ -19,8 +17,9 @@ from chsh_selftest import (
     validate,
 )
 from chsh_selftest import bits, strategy as strategy_module
+from chsh_selftest.extraction import build_xz
 from chsh_selftest.linalg import PAULI_X, PAULI_Z, branch_tree, tensor
-from chsh_selftest.strategy import _answer_masses, born_answers
+from chsh_selftest.strategy import _answer_masses, born_answers, ideal_state
 from test_verifier import family_strategy
 
 SQ2 = np.sqrt(2)
@@ -226,7 +225,7 @@ def collapse_sample(strategy, qa_idx, qb_idx, uniforms):
 def sample_answers(strategy, q_a, q_b, rng):
     """One round's answer strings at questions (q_a, q_b), drawn by the
     collapse oracle from exactly n uniforms of ``rng``."""
-    qa, qb = np.array([bits.to_int(q_a)]), np.array([bits.to_int(q_b)])
+    qa, qb = np.array([int(q_a, 2)]), np.array([int(q_b, 2)])
     x, y = collapse_sample(strategy, qa, qb, rng.random((1, strategy.n)))
     return "".join(map(str, x[0])), "".join(map(str, y[0]))
 
@@ -318,7 +317,7 @@ def test_noise_models_hit_analytic_values(model, param, expect):
     from chsh_selftest import exact_value
     s = noisy_strategy(2, NoiseSpec(model=model, param=param))
     assert validate(s).ok
-    assert exact_value(s).value == pytest.approx(expect, abs=1e-12)
+    assert exact_value(s) == pytest.approx(expect, abs=1e-12)
     # model "none" is rotation 0 on the ideal pair state: the ideal strategy,
     # whose observables are one-qubit operators tensored with identities
     bob_pair = ((PAULI_Z + PAULI_X) / SQ2, (PAULI_Z - PAULI_X) / SQ2)

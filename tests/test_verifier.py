@@ -10,27 +10,18 @@ from hypothesis import example, given, settings, strategies as st
 from chsh_selftest import (
     MAX_CERTIFY_N,
     TSIRELSON,
-    ExtractedOperators,
     NoiseSpec,
     Strategy,
-    build_xz,
-    certified_bounds,
     certify,
-    compute_junk,
     exact_value,
-    extraction_distance,
-    ideal_state,
     ideal_strategy,
-    measure_epsilons,
-    measure_general_conditions,
     noisy_strategy,
-    pauli_target,
     random_strategy,
-    relabel,
-    swap_isometry_apply,
     validate,
 )
 from chsh_selftest import bits, jsonio
+from chsh_selftest.extraction import ExtractedOperators, build_xz, relabel
+from chsh_selftest.strategy import ideal_state
 from chsh_selftest.linalg import PAULI_X, PAULI_Z, dagger, tensor
 from chsh_selftest.verifier import (
     _anticommute_rows,
@@ -39,6 +30,13 @@ from chsh_selftest.verifier import (
     _pauli_rows,
     _products,
     _swap_rows,
+    certified_bounds,
+    compute_junk,
+    extraction_distance,
+    measure_epsilons,
+    measure_general_conditions,
+    pauli_target,
+    swap_isometry_apply,
 )
 
 
@@ -88,7 +86,7 @@ def test_certified_bounds_formulas():
 @pytest.mark.parametrize("eta", [0.02, 0.1])
 def test_measured_norms_below_certified_ceilings(n, eta):
     s = noisy_strategy(n, NoiseSpec(model="bob-rotation", param=eta))
-    eps = max(0.0, TSIRELSON - exact_value(s).value)
+    eps = max(0.0, TSIRELSON - exact_value(s))
     delta = n * eps
     ceilings = certified_bounds(delta)
     norms = measure_epsilons(s, build_xz(s))
@@ -348,19 +346,19 @@ def orthogonal_junk_strategy():
 
 def test_certify_reports_junk_orthogonal_to_the_ideal_state():
     s = orthogonal_junk_strategy()
-    assert validate(s).ok and exact_value(s).value == 0.0
+    assert validate(s).ok and exact_value(s) == 0.0
     ops = build_xz(s)
     junk, norm = compute_junk(s, ops)
     assert norm == 0.0 and np.all(junk == 0)
     rep = certify(s)
-    assert rep.transcript == [] and rep.junk_norm == 0.0
+    assert rep.to_document()["transcript"] == [] and rep.junk_norm == 0.0
     numbers = []
     json.loads(rep.to_text(), parse_float=lambda x: numbers.append(float(x)))
     assert numbers and all(map(math.isfinite, numbers))
     # with zero junk the fixed distance is the norm of the isometry output,
     # which is the norm of its input
     for (p, q), d in rep.distances_fixed.items():
-        w = dense_string(ops, "x", q) @ dense_string(ops, "z", p) @ s.state
+        w = dense_string(ops, "x", f"{q:02b}") @ dense_string(ops, "z", f"{p:02b}") @ s.state
         assert d == pytest.approx(np.linalg.norm(w), abs=1e-12)
     assert rep.passed  # a value of 0 makes every certified ceiling vacuous
 
@@ -385,7 +383,7 @@ def test_optimal_distance_never_beats_fixed(case):
     s, pairs = case
     ops = build_xz(s)
     junk, _ = compute_junk(s, ops)
-    pairs = np.array([(bits.to_int(p), bits.to_int(q)) for p, q in pairs])
+    pairs = np.array([(int(p, 2), int(q, 2)) for p, q in pairs])
     d_fixed, d_opt = extraction_distance(s, ops, pairs, junk)
     assert np.all(d_opt <= d_fixed + 1e-12)
 
@@ -491,8 +489,8 @@ def test_certify_ideal_report():
     assert rep.delta_cert < 1e-11
     assert all(rep.flags.values())
     assert rep.junk_norm == pytest.approx(1.0, abs=1e-10)
-    assert rep.q_b_star == "0" and rep.q_a_star == "0"
-    assert rep.transcript == []
+    assert rep.q_b_star == 0b0 and rep.q_a_star == 0b0
+    assert rep.to_document()["transcript"] == []
 
 
 def test_certify_report_document_round_trips():
@@ -517,7 +515,7 @@ def test_certify_passes_across_noise_models():
 def test_certify_is_relabel_invariant_in_substance():
     s = noisy_strategy(2, NoiseSpec(model="bob-rotation", param=0.2))
     rep0 = certify(s)
-    rep1 = certify(relabel(s, "1", "0"))
+    rep1 = certify(relabel(s, 1, 0))
     assert rep1.value == pytest.approx(rep0.value, abs=1e-9)
     assert rep1.epsilon == pytest.approx(rep0.epsilon, abs=1e-9)
     assert rep1.measured.eps2 == pytest.approx(rep0.measured.eps2, abs=1e-9)
@@ -525,16 +523,16 @@ def test_certify_is_relabel_invariant_in_substance():
     # these models score every question identically, so no flips are needed,
     # even after relabeling; the questions keep their canonical names, and
     # ties that differ only by roundoff go to the smallest question
-    assert rep1.q_b_star == "0" and rep1.q_a_star == "0"
+    assert rep1.q_b_star == 0b0 and rep1.q_a_star == 0b0
     for n, model, param in ((4, "bob-rotation", 0.04), (6, "bob-rotation", 0.01),
                             (4, "partial-entanglement", 0.5),
                             (8, "partial-entanglement", 0.39)):
         rep = certify(noisy_strategy(n, NoiseSpec(model=model, param=param)))
         m = n // 2
-        assert rep.transcript == [], (n, model, param)
-        assert rep.q_a_star == rep.q_b_star == "0" * m
+        assert rep.to_document()["transcript"] == [], (n, model, param)
+        assert rep.q_a_star == rep.q_b_star == 0
         assert rep.pair_questions == {
-            (k, ell): bits.from_int(1 << (m - ell), m)
+            (k, ell): 1 << (m - ell)
             for k in range(1, m + 1) for ell in range(k + 1, m + 1)}
 
 
@@ -563,4 +561,4 @@ def test_certify_value_is_the_exact_value():
     # certify reads the value off the search's subtest table, bit for bit
     for s in (ideal_strategy(4), random_strategy(4, np.random.default_rng(8)),
               noisy_strategy(6, NoiseSpec(model="partial-entanglement", param=0.6))):
-        assert certify(s).value == exact_value(s).value
+        assert certify(s).value == exact_value(s)
