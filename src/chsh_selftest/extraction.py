@@ -19,7 +19,7 @@ import numpy as np
 from . import bits
 from .game import PIGEONHOLE_SLACK, TSIRELSON, subtest_table, table_value
 from .game import subtest_value  # not called; perfbench/tracer.py patches this binding
-from .linalg import apply_on_a, apply_on_b, branch_tree, sign_normalize
+from .linalg import apply_on_a, apply_on_b, branch_tree, dagger, sign_normalize
 from .strategy import Strategy
 
 
@@ -30,8 +30,9 @@ class ExtractedOperators:
     Entries 1..n/2 act on Alice's side (dim_a), entries n/2+1..n on
     Bob's (dim_b): Alice's as ``op @ w`` and Bob's as ``w @ op.T`` on
     states shaped (..., dim_a, dim_b), so Bob's products on an identity
-    come out transposed.  Alice's string products and both sides'
-    swap-isometry branch stacks are built on first use and kept.
+    come out transposed.  Alice's string products, both sides'
+    swap-isometry branch stacks, their Gram sums and the Walsh transform
+    of Bob's are built on first use and kept.
     Compared and hashed by identity.
     """
 
@@ -87,6 +88,20 @@ class ExtractedOperators:
         return tuple(branch_tree(np.eye(d, dtype=complex), np.array(self.z_ops[side]),
                                  np.array(self.x_ops[side]))
                      for side, d in ((slice(0, m), self.dim_a), (slice(m, None), self.dim_b)))
+
+    @cached_property
+    def bob_walsh(self) -> np.ndarray:
+        """Walsh-Hadamard transform of Bob's branch stack B: entry c is
+        sum_v (-1)^{v.c} B[v], shaped like B."""
+        bob = self.branches[1]
+        idx = np.arange(len(bob))
+        signs = np.where(bits.parity(idx[:, None] & idx), -1.0, 1.0)
+        return (signs @ bob.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+    @cached_property
+    def branch_grams(self) -> tuple[np.ndarray, np.ndarray]:
+        """Alice's and Bob's sum over the branch stack of branch^dag branch."""
+        return tuple(np.sum(dagger(stack) @ stack, axis=0) for stack in self.branches)
 
 
 def build_xz(strategy: Strategy) -> ExtractedOperators:

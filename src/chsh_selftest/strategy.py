@@ -61,8 +61,9 @@ class Strategy:
     with big-endian integer index q, so ``alice`` has shape
     (2^(n/2), n/2, dim_a, dim_a); ``bob`` likewise with dim_b.  The state
     is A-major: index = i_A * dim_b + i_B.  n, dim_a and dim_b are read off
-    the shapes.  The arrays are copied and marked read-only on construction;
-    strategies compare and hash by identity.
+    the shapes.  The arrays are copied and marked read-only on construction
+    (the loader hands its own arrays over uncopied); strategies compare and
+    hash by identity.
     """
 
     state: np.ndarray
@@ -70,8 +71,21 @@ class Strategy:
     bob: np.ndarray
 
     def __post_init__(self):
+        self._freeze(copy=True)
+
+    @classmethod
+    def _adopt(cls, state: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> Strategy:
+        """A strategy over complex arrays that their builder hands over and
+        no longer holds: they are checked and marked read-only, not copied."""
+        strategy = object.__new__(cls)
+        for name, a in (("state", state), ("alice", alice), ("bob", bob)):
+            object.__setattr__(strategy, name, a)
+        strategy._freeze(copy=False)
+        return strategy
+
+    def _freeze(self, copy: bool) -> None:
         for name in ("alice", "bob"):
-            obs = _frozen(getattr(self, name))
+            obs = _frozen(getattr(self, name), copy)
             m = obs.shape[1] if obs.ndim == 4 else 0
             if m < 1 or obs.shape[0] != 1 << m or obs.shape[2] != obs.shape[3]:
                 raise ValueError(f"{name} must have shape (2^m, m, d, d) with m >= 1, "
@@ -79,7 +93,7 @@ class Strategy:
             object.__setattr__(self, name, obs)
         if self.alice.shape[1] != self.bob.shape[1]:
             raise ValueError("alice and bob must answer questions of the same length")
-        state = _frozen(np.reshape(self.state, -1))
+        state = _frozen(np.reshape(self.state, -1), copy)
         if state.size != self.dim_a * self.dim_b:
             raise ValueError("state length does not match dim_a * dim_b")
         object.__setattr__(self, "state", state)
@@ -112,8 +126,8 @@ class Strategy:
         return dict(zip(bits.all_strings(self.half), map(tuple, self.bob)))
 
 
-def _frozen(a) -> np.ndarray:
-    a = np.array(a, dtype=complex)
+def _frozen(a, copy: bool) -> np.ndarray:
+    a = np.array(a, dtype=complex) if copy else np.asarray(a, dtype=complex)
     a.setflags(write=False)
     return a
 
@@ -374,17 +388,29 @@ def _holds_bool(obj) -> bool:
 
 
 def _stack_from_doc(families, what: str, m: int, dim: int) -> np.ndarray:
-    """One player's (2^m, m, dim, dim) observable stack from its question map."""
+    """One player's (2^m, m, dim, dim) observable stack from its question map.
+
+    Each question's payload is popped from the map into a stack that grows
+    in place (``ndarray.resize`` reallocates), so the parsed and the stacked
+    copy of a side never both exist in full.
+    """
     if not isinstance(families, dict):
         raise ValueError(f"{what} must be an object keyed by question")
     questions = sorted(families)
-    stack = _from_pairs([families[q] for q in questions], what)
-    # m is compared first, so a huge n in the document never builds 2^(n/2) questions
-    if (stack.shape[1:2] != (m,) or stack.shape != (1 << m, m, dim * dim)
-            or questions != list(bits.all_strings(m))):
-        raise ValueError(f"{what} must hold {m} flat {dim}x{dim} matrices "
-                         f"for each length-{m} question")
-    return stack.reshape(1 << m, m, dim, dim)
+    stack = np.empty(0, dtype=complex)
+    for i, q in enumerate(questions):
+        block = _from_pairs(families.pop(q), what)
+        if block.shape != (m, dim * dim):
+            break
+        stack.resize((i + 1, m, dim * dim), refcheck=False)
+        stack[i] = block
+    else:
+        # the count is compared first, so a huge n in the document never
+        # builds 2^(n/2) question strings
+        if len(questions) == 1 << m and questions == list(bits.all_strings(m)):
+            return stack.reshape(1 << m, m, dim, dim)
+    raise ValueError(f"{what} must hold {m} flat {dim}x{dim} matrices "
+                     f"for each length-{m} question")
 
 
 def strategy_from_text(text: str) -> Strategy:
@@ -404,7 +430,7 @@ def strategy_from_text(text: str) -> Strategy:
         # popped, so each side's parsed families are freed once stacked
         alice = _stack_from_doc(doc.pop("alice_obs"), "alice_obs", n // 2, da)
         bob = _stack_from_doc(doc.pop("bob_obs"), "bob_obs", n // 2, db)
-        return Strategy(state=state, alice=alice, bob=bob)
+        return Strategy._adopt(state, alice, bob)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed strategy document: {exc}") from exc
 

@@ -10,6 +10,7 @@ operators are from the ideal pair (up to a junk register).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -35,8 +36,16 @@ DEFAULT_GENERAL_SAMPLES = 10_000
 DISTANCE_PAIRS = 256
 
 #: bytes one chunk holds: gathered terms and products in the condition
-#: norms, isometry output in extraction_distance
+#: norms; in extraction_distance, the inputs and the three stacks of their
+#: size that the Walsh overlap forms and, on the exact path, isometry
+#: output (2^n per input)
 CHUNK_BYTES = 2 << 20
+
+#: pairs with |rest|^2 below this fraction of |Phi(w)|^2 take the exact
+#: kernel: |rest|^2 = |Phi(w)|^2 - |overlap|^2 inherits the overlap's own
+#: error and is off by up to about 5e-15 |Phi(w)|^2, so |rest| is off by
+#: that over 2 |rest|, which the floor keeps below about 2.5e-13 |Phi(w)|
+EXACT_REST_FLOOR = 1e-4
 
 #: slack for comparing measured norms against certified ceilings
 BOUND_SLACK = 1e-9
@@ -72,6 +81,7 @@ class ConditionNorms:
     coverage: Coverage | None = None
 
 
+@functools.lru_cache(maxsize=1)
 def _operands(strategy: Strategy, ops: ExtractedOperators) -> tuple[np.ndarray, np.ndarray]:
     """Left (3 * 2^n, dim_a, dim_a) and right (2 * 2^n, dim_a, dim_b) gather stacks.
 
@@ -81,18 +91,44 @@ def _operands(strategy: Strategy, ops: ExtractedOperators) -> tuple[np.ndarray, 
     Bob's products applied to psi.  His factors act on psi one at a time:
     a product matrix would keep roundoff entries of his operators that
     acting on psi absorbs, and turn norms that are exactly 0 into ~1e-17.
+    Strategies and operators hash by identity, so the stacks of the last
+    pair are kept (read-only) for the next stage that reads them; certify
+    clears them when its stages end, whether they return or raise.  A
+    caller of the stages outside certify holds them until its next call or
+    ``_operands.cache_clear()``.
     """
     alice = ops.alice_strings
     psi = strategy.state.reshape(ops.dim_a, ops.dim_b)
-    return (np.concatenate([alice[0], -alice[1], alice[1]]),
-            ops.string_table(1, psi).reshape(-1, ops.dim_a, ops.dim_b))
+    stacks = (np.concatenate([alice[0], -alice[1], alice[1]]),
+              ops.string_table(1, psi).reshape(-1, ops.dim_a, ops.dim_b))
+    for stack in stacks:
+        stack.setflags(write=False)
+    return stacks
 
 
-def _products(left: np.ndarray, right: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-    """Row p is the sum over j of left[ia[p, j]] @ right[ib[p, j]]."""
-    w = left[ia[:, 0]] @ right[ib[:, 0]]
-    for j in range(1, ia.shape[1]):
-        w += left[ia[:, j]] @ right[ib[:, j]]
+def _workspace(left: np.ndarray, right: np.ndarray, rows: int) -> tuple[np.ndarray, ...]:
+    """Buffers for ``_products`` over up to ``rows`` rows: the sum, one
+    term, and one gathered row of each side."""
+    shape = (rows, left.shape[1], right.shape[2])
+    return (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex),
+            np.empty((rows,) + left.shape[1:], dtype=complex),
+            np.empty((rows,) + right.shape[1:], dtype=complex))
+
+
+def _products(left: np.ndarray, right: np.ndarray, ia: np.ndarray, ib: np.ndarray,
+              work: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+    """Row p is the sum over j of left[ia[p, j]] @ right[ib[p, j]].
+
+    Written into a view of ``work`` (``_workspace`` buffers) when given:
+    a chunked stage passes the same buffers for every chunk, so it takes
+    fresh pages from the allocator once, not once per chunk.
+    """
+    w, term, gl, gr = (buf[:len(ia)] for buf in work or _workspace(left, right, len(ia)))
+    for j in range(ia.shape[1]):
+        np.matmul(np.take(left, ia[:, j], axis=0, out=gl, mode="clip"),
+                  np.take(right, ib[:, j], axis=0, out=gr, mode="clip"), out=term if j else w)
+        if j:
+            w += term
     return w
 
 
@@ -100,8 +136,9 @@ def _max_norm(left: np.ndarray, right: np.ndarray, ia: np.ndarray, ib: np.ndarra
     """Largest Frobenius norm of the rows of ``_products``; each chunk's
     gathered terms and their products take about CHUNK_BYTES."""
     rows = max(1, CHUNK_BYTES // (ia.shape[1] * (left[0].nbytes + 2 * right[0].nbytes)))
+    work = _workspace(left, right, min(rows, len(ia)))
     return max(float(np.max(np.linalg.norm(
-        _products(left, right, ia[i:i + rows], ib[i:i + rows]), axis=(1, 2))))
+        _products(left, right, ia[i:i + rows], ib[i:i + rows], work), axis=(1, 2))))
         for i in range(0, len(ia), rows))
 
 
@@ -218,6 +255,49 @@ def pauli_target(n: int, p, q) -> np.ndarray:
     return np.where(bits.parity(idx & p), -1.0, 1.0) * ideal_state(n)[idx]
 
 
+def _walsh_overlaps(ops: ExtractedOperators, w: np.ndarray, p: np.ndarray,
+                    q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per (dim_a, dim_b) row of w: the overlap of Phi(w) with the target
+    X^q Z^p psi, flat over dim_a dim_b, and |Phi(w)|^2; Phi(w) is never formed.
+
+    The target is t[a] = 2^{-n/2} (-1)^{(a^q).p + (a_A^q_A).(a_B^q_B)}, so
+    summing Bob's branches against it leaves his Walsh transform G:
+    overlap = 2^{-n/2} sum_c (-1)^{u.p_A + c.q_B} A[u^q_A] w G[c]^T with
+    u = c^p_B.  |Phi(w)|^2 = Re tr(w^dag M_A w M_B^T), M = sum of
+    branch^dag branch, holds whether or not the operators are unitary.
+    Every product is a stack of single (d, d) products, too small for a
+    threaded BLAS to hand to its worker threads, whose wake-ups would
+    otherwise set the pace of this loop.
+    """
+    n, alice = ops.n, ops.branches[0]
+    pa, pb, qa, qb = _split(n, p, q)
+    c = np.arange(len(alice))[:, None]
+    u = c ^ pb  # [c, row]
+    signs = np.where(bits.parity(u & pa ^ c & qb), -1.0, 1.0)
+    overlap = np.zeros(w.shape, dtype=complex)
+    for walsh, sign, index in zip(ops.bob_walsh, signs, u ^ qa):
+        terms = alice[index] @ w
+        terms *= sign[:, None, None]
+        overlap += terms @ walsh.T
+    overlap *= 2.0 ** (-n / 2)
+    gram_a, gram_b = ops.branch_grams
+    image = gram_a @ w @ gram_b.T
+    flat = (w.reshape(len(w), -1).view(float), image.reshape(len(w), -1).view(float))
+    return overlap.reshape(len(w), -1), np.einsum("pk,pk->p", *flat)
+
+
+def _exact_overlaps(ops: ExtractedOperators, w: np.ndarray, p: np.ndarray,
+                    q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of w: the overlap of Phi(w) with X^q Z^p psi and |rest|, read
+    off the isometry output itself."""
+    out = swap_isometry_apply(ops, w).reshape(len(w), w[0].size, -1)
+    target = pauli_target(ops.n, p, q)
+    overlap = out @ target[:, :, None].conj()
+    out -= overlap * target[:, None, :]  # out is now rest
+    flat = out.reshape(len(w), 1, -1).view(float)  # |rest|^2 is a real dot product
+    return overlap[..., 0], np.sqrt((flat @ flat.transpose(0, 2, 1))[:, 0, 0])
+
+
 def compute_junk(strategy: Strategy, ops: ExtractedOperators) -> tuple[np.ndarray, float]:
     """Device-register residual of the isometry output at p = q = 0.
 
@@ -227,8 +307,8 @@ def compute_junk(strategy: Strategy, ops: ExtractedOperators) -> tuple[np.ndarra
     returned unnormalized rather than blown up into nonsense, so the fixed
     distances are about |Phi(input)| and the norm reports the failure.
     """
-    out = swap_isometry_apply(ops, strategy.state)
-    raw = out.reshape(-1, 1 << ops.n) @ pauli_target(ops.n, 0, 0).conj()
+    psi, zero = strategy.state.reshape(1, ops.dim_a, ops.dim_b), np.zeros(1, dtype=int)
+    raw = _walsh_overlaps(ops, psi, zero, zero)[0][0]
     norm = float(np.linalg.norm(raw))
     return (raw if norm < 1e-12 else raw / norm), norm
 
@@ -241,26 +321,30 @@ def extraction_distance(strategy: Strategy, ops: ExtractedOperators,
     overlap (x) target + rest, with target = X^q Z^p psi a unit vector and
     rest orthogonal to every junk (x) target.  So fixed = |out - junk (x)
     target| = hypot(|overlap - junk|, |rest|), and the optimum over unit
-    junk is hypot(|overlap| - 1, |rest|); both keep full precision near 0.
-    Pairs run in chunks of about CHUNK_BYTES of isometry output.
+    junk is hypot(|overlap| - 1, |rest|).  The Walsh overlap gives
+    |rest|^2 = |out|^2 - |overlap|^2 in chunks of about CHUNK_BYTES; pairs
+    below EXACT_REST_FLOOR take the exact kernel, which forms out.
     """
     n, pairs = ops.n, np.asarray(pairs).reshape(-1, 2)
+    p, q = pairs[:, 0], pairs[:, 1]
     left, right = _operands(strategy, ops)
+    ia, ib = _pauli_rows(n, p, q)
+    overlap = np.empty((len(pairs), right[0].size), dtype=complex)
+    norm2 = np.empty(len(pairs))
+    rows = max(1, CHUNK_BYTES // (4 * right[0].nbytes))
+    work = _workspace(left, right, min(rows, len(pairs)))
+    for chunk in (slice(i, i + rows) for i in range(0, len(pairs), rows)):
+        overlap[chunk], norm2[chunk] = _walsh_overlaps(
+            ops, _products(left, right, ia[chunk], ib[chunk], work), p[chunk], q[chunk])
+    rest2 = norm2 - np.einsum("pk,pk->p", *(overlap.view(float),) * 2)
+    rest = np.sqrt(np.maximum(rest2, 0.0))
+    exact = np.flatnonzero(rest2 < EXACT_REST_FLOOR * norm2)
     rows = max(1, CHUNK_BYTES // (right[0].nbytes << n))
-    targets = pauli_target(n, pairs[:, 0], pairs[:, 1])
-    ia, ib = _pauli_rows(n, pairs[:, 0], pairs[:, 1])
-    fixed, optimal = np.empty(len(pairs)), np.empty(len(pairs))
-    for start in range(0, len(pairs), rows):
-        chunk, target = slice(start, start + rows), targets[start:start + rows]
-        w = _products(left, right, ia[chunk], ib[chunk])
-        out = swap_isometry_apply(ops, w).reshape(len(w), right[0].size, -1)
-        overlap = out @ target[:, :, None].conj()
-        out -= overlap * target[:, None, :]  # out is now rest
-        flat = out.reshape(len(w), 1, -1).view(float)  # |rest|^2 is a real dot product
-        rest = np.sqrt((flat @ flat.transpose(0, 2, 1))[:, 0, 0])
-        overlap = overlap[..., 0]
-        fixed[chunk] = np.hypot(np.linalg.norm(overlap - junk, axis=1), rest)
-        optimal[chunk] = np.hypot(np.linalg.norm(overlap, axis=1) - 1.0, rest)
+    for chunk in (exact[i:i + rows] for i in range(0, len(exact), rows)):
+        overlap[chunk], rest[chunk] = _exact_overlaps(
+            ops, _products(left, right, ia[chunk], ib[chunk], work), p[chunk], q[chunk])
+    fixed = np.hypot(np.linalg.norm(overlap - junk, axis=1), rest)
+    optimal = np.hypot(np.linalg.norm(overlap, axis=1) - 1.0, rest)
     return fixed, optimal
 
 
@@ -373,13 +457,15 @@ def certify(strategy: Strategy, seed: int = 0) -> SelfTestReport:
     delta_cert = n * epsilon
     certified = certified_bounds(delta_cert)
     ops = build_xz(canonical)
-    measured = measure_general_conditions(canonical, ops, seed=seed)
+    try:
+        measured = measure_general_conditions(canonical, ops, seed=seed)
+        junk, junk_norm = compute_junk(canonical, ops)
+        pairs, dist_cov = _distance_pairs(n, seed)
+        fixed, optimal = extraction_distance(canonical, ops, pairs, junk)
+    finally:
+        _operands.cache_clear()
     for name in ("eps1", "eps2", "eps3"):
         flags[name] = getattr(measured, name) <= certified[name] + BOUND_SLACK
-
-    junk, junk_norm = compute_junk(canonical, ops)
-    pairs, dist_cov = _distance_pairs(n, seed)
-    fixed, optimal = extraction_distance(canonical, ops, pairs, junk)
     keys = list(map(tuple, pairs.tolist()))
     dist_fixed = dict(zip(keys, fixed.tolist()))
     dist_opt = dict(zip(keys, optimal.tolist()))

@@ -22,6 +22,7 @@ from chsh_selftest import (
     validate,
 )
 from chsh_selftest import cli
+from chsh_selftest import strategy as strategy_mod
 from chsh_selftest.cli import main
 from chsh_selftest.game import MAX_EXACT_N
 from chsh_selftest.verifier import MAX_CERTIFY_N
@@ -191,6 +192,27 @@ def test_malformed_strategy_file(capsys, tmp_path):
     path.write_text(json.dumps({"n": 2}))
     code, _, _ = run(capsys, "value", "--strategy", str(path))
     assert code == 2
+
+
+def test_a_document_declaring_a_huge_n_is_refused_before_listing_its_questions(
+        capsys, tmp_path):
+    # n = 80 with one question of 40 observables: listing every length-40
+    # question would ask for 2^40 strings, so the loader must count first
+    family = [[[1.0, 0.0]]] * 40  # 40 flat 1x1 identities
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "n": 80, "dim_A": 1, "dim_B": 1, "state": [[1.0, 0.0]],
+        "alice_obs": {"0" * 40: family}, "bob_obs": {"0" * 40: family},
+    }))
+    real = strategy_mod.bits.all_strings
+
+    def bounded(m):
+        assert m <= 20, f"listed all 2^{m} questions"
+        return real(m)
+
+    with mock.patch.object(strategy_mod.bits, "all_strings", bounded):
+        code, out, err = run(capsys, "value", "--strategy", str(path))
+    assert code == 2 and out == "" and "malformed strategy document" in err
 
 
 @pytest.mark.parametrize("mangle", MALFORMED_EDITS, ids=lambda mangle: mangle.__name__)

@@ -118,6 +118,16 @@ def test_strategy_arrays_are_frozen():
         s.bob_obs["0"][0][0, 0] = 5.0
 
 
+def test_strategy_copies_caller_arrays():
+    ideal = ideal_strategy(2)
+    state, alice, bob = (np.array(a) for a in (ideal.state, ideal.alice, ideal.bob))
+    s = Strategy(state=state, alice=alice, bob=bob)
+    for mine, theirs in ((state, s.state), (alice, s.alice), (bob, s.bob)):
+        kept = theirs.copy()
+        mine[...] = 7.0
+        assert np.array_equal(theirs, kept)
+
+
 def test_strategy_and_operators_compare_by_identity():
     # the array fields have no truth value, so equality is identity
     s = ideal_strategy(2)
@@ -360,6 +370,22 @@ def test_serialization_round_trip_bit_exact():
     for got, want in ((back.state, s.state), (back.alice, s.alice), (back.bob, s.bob)):
         assert got.tobytes() == want.tobytes()
     assert strategy_to_text(back) == text
+
+
+def test_loading_holds_one_copy_of_the_arrays():
+    # the parsed payloads become the strategy's arrays: no second copy of a
+    # side coexists with the first, so the peak is the arrays plus parse buffers
+    import tracemalloc
+
+    text = strategy_to_text(noisy_strategy(10, NoiseSpec(model="bob-rotation", param=0.1)))
+    tracemalloc.start()
+    try:
+        s = strategy_from_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (s.state.nbytes + s.alice.nbytes + s.bob.nbytes)
+    assert not (s.state.flags.writeable or s.alice.flags.writeable or s.bob.flags.writeable)
 
 
 def test_serialization_keeps_negative_zeros():

@@ -20,28 +20,47 @@ def test_every_traced_binding_resolves():
     assert not missing, f"perfbench/tracer.py patches names that do not exist: {missing}"
 
 
-def test_traced_certify_records_the_distance_spans():
-    """A traced certify records every distance-stage span and reports the same."""
-    from chsh_selftest import NoiseSpec, noisy_strategy, verifier
+def _traced(strategy):
+    """Spans of a traced certify of ``strategy``, with its traced and plain reports."""
+    from chsh_selftest import certify
 
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    s = noisy_strategy(2, NoiseSpec(model="bob-rotation", param=0.1))
-    plain = verifier.certify(s).to_text()
+    plain = certify(strategy).to_text()
     trace = tracer.Tracer()
     trace.install()
     try:
-        traced = verifier.certify(s).to_text()
+        traced = certify(strategy).to_text()
     finally:
         trace.uninstall()
-    names = [name for name, *_ in trace.spans]
-    spans = ("extraction_distance", "swap_isometry_apply", "pauli_target", "compute_junk")
-    missing = [name for name in spans if f"verifier.{name}" not in names]
+    return trace.spans, traced, plain
+
+
+def test_traced_certify_records_the_distance_spans():
+    """A traced certify records the distance-stage spans and reports the same.
+
+    Noise-model pairs take the Walsh overlap, which forms no isometry output,
+    so only the distance and junk spans are required there."""
+    from chsh_selftest import NoiseSpec, noisy_strategy
+
+    s = noisy_strategy(2, NoiseSpec(model="bob-rotation", param=0.1))
+    spans, traced, plain = _traced(s)
+    names = [name for name, *_ in spans]
+    missing = [name for name in ("extraction_distance", "compute_junk")
+               if f"verifier.{name}" not in names]
     assert not missing, f"certify bypasses the traced bindings of {missing}"
-    # the distance stage itself, not only compute_junk, runs the traced kernels
-    nested = {(name, names[parent]) for name, _, _, parent, _ in trace.spans
-              if parent is not None}
+    assert traced == plain
+
+
+def test_traced_exact_distances_nest_the_isometry_kernels():
+    """On the ideal strategy every pair has no rest, so each takes the exact
+    kernel, and the distance stage runs both traced kernels itself."""
+    from chsh_selftest import ideal_strategy
+
+    spans, traced, plain = _traced(ideal_strategy(2))
+    names = [name for name, *_ in spans]
+    nested = {(name, names[parent]) for name, _, _, parent, _ in spans if parent is not None}
     for kernel in ("swap_isometry_apply", "pauli_target"):
         assert (f"verifier.{kernel}", "verifier.extraction_distance") in nested
     assert traced == plain

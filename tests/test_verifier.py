@@ -23,13 +23,16 @@ from chsh_selftest import bits, jsonio
 from chsh_selftest.extraction import ExtractedOperators, build_xz, relabel
 from chsh_selftest.strategy import ideal_state
 from chsh_selftest.linalg import PAULI_X, PAULI_Z, dagger, tensor
+from chsh_selftest import verifier
 from chsh_selftest.verifier import (
+    EXACT_REST_FLOOR,
     _anticommute_rows,
     _max_norm,
     _operands,
     _pauli_rows,
     _products,
     _swap_rows,
+    _walsh_overlaps,
     certified_bounds,
     compute_junk,
     extraction_distance,
@@ -428,7 +431,8 @@ def test_extraction_distance_matches_dense_definitions(n, family):
 
 
 def test_extraction_distance_batch_matches_single_pairs():
-    # n = 6 spreads 256 pairs over several chunks
+    # a batch of 256 pairs gives what each pair gives alone (chunking:
+    # test_small_chunks_give_what_one_chunk_gives)
     for n, family in ((4, "random"), (6, "bob-rotation"), (6, "random")):
         s = family_strategy(n, family, seed=70 + n)
         ops = build_xz(s)
@@ -439,6 +443,130 @@ def test_extraction_distance_batch_matches_single_pairs():
             one_fixed, one_opt = extraction_distance(s, ops, row[None], junk)
             assert abs(one_fixed[0] - d_fixed) < 1e-13
             assert abs(one_opt[0] - d_opt) < 1e-13
+
+
+def distance_inputs(s, ops, pairs):
+    """The inputs X'^q Z'^p psi of the distance stage, one (dim_a, dim_b) row per pair."""
+    return _products(*_operands(s, ops), *_pauli_rows(ops.n, pairs[:, 0], pairs[:, 1]))
+
+
+def exact_distances(s, ops, pairs, junk):
+    """Fixed and optimal distances read off the isometry output of every pair."""
+    out = swap_isometry_apply(ops, distance_inputs(s, ops, pairs)).reshape(
+        len(pairs), s.dim_a * s.dim_b, -1)
+    target = pauli_target(ops.n, pairs[:, 0], pairs[:, 1])
+    overlap = np.einsum("pik,pk->pi", out, target.conj())
+    rest = np.linalg.norm(out - overlap[:, :, None] * target[:, None, :], axis=(1, 2))
+    return (np.hypot(np.linalg.norm(overlap - junk, axis=1), rest),
+            np.hypot(np.linalg.norm(overlap, axis=1) - 1.0, rest))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+@pytest.mark.parametrize("family", ["random", "random-3x5", "bob-rotation",
+                                    "partial-entanglement", "non-unitary"])
+def test_walsh_overlap_matches_the_isometry_output(n, family):
+    if family == "non-unitary":
+        # the Gram norm must not assume unitary operators: X'_k and Z'_k
+        # here are arbitrary matrices of norm about 1
+        s = family_strategy(n, "random-3x5", seed=120 + n)
+        rng = np.random.default_rng(n)
+        x_ops, z_ops = ([(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / d
+                         for d in (s.dim_a,) * (n // 2) + (s.dim_b,) * (n // 2)]
+                        for _ in range(2))
+        ops = ExtractedOperators(n=n, dim_a=s.dim_a, dim_b=s.dim_b,
+                                 x_ops=tuple(x_ops), z_ops=tuple(z_ops))
+    else:
+        s = family_strategy(n, family, seed=120 + n)
+        ops = build_xz(s)
+    if n <= 4:
+        pairs = np.stack(np.divmod(np.arange(1 << 2 * n), 1 << n), axis=1)
+    else:
+        pairs = np.random.default_rng(n).integers(0, 1 << n, size=(12, 2))
+    w = distance_inputs(s, ops, pairs)
+    overlap, norm2 = _walsh_overlaps(ops, w, pairs[:, 0], pairs[:, 1])
+    out = swap_isometry_apply(ops, w).reshape(len(pairs), w[0].size, -1)
+    want = np.einsum("pik,pk->pi", out, pauli_target(n, pairs[:, 0], pairs[:, 1]).conj())
+    assert np.max(np.abs(overlap - want)) < 1e-13
+    assert np.max(np.abs(norm2 - np.linalg.norm(out, axis=(1, 2)) ** 2)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_distances_near_the_exact_floor_match_the_exact_kernel(n, monkeypatch):
+    # every pair of a bob-rotation strategy has |rest|^2 / |Phi|^2 = 1 - cos^n(eta/2):
+    # the angles put it below, at (where roundoff picks the kernel per pair) and
+    # above the floor, whose neighbourhood holds the least accurate fast-path inputs
+    exact_rows = []
+    apply = verifier.swap_isometry_apply
+    monkeypatch.setattr(verifier, "swap_isometry_apply",
+                        lambda ops, v: exact_rows.append(len(v)) or apply(ops, v))
+    at_floor = 2 * math.acos((1 - EXACT_REST_FLOOR) ** (1 / n))
+    pairs = np.stack(np.divmod(np.arange(1 << 2 * n), 1 << n), axis=1)
+    for scale, exact in ((0.5, len(pairs)), (1 - 1e-6, len(pairs)), (1.0, None),
+                         (1 + 1e-6, 0), (2.0, 0)):
+        s = noisy_strategy(n, NoiseSpec(model="bob-rotation", param=scale * at_floor))
+        ops = build_xz(s)
+        junk, _ = compute_junk(s, ops)
+        exact_rows.clear()
+        fixed, optimal = extraction_distance(s, ops, pairs, junk)
+        assert exact is None or sum(exact_rows) == exact
+        want_fixed, want_optimal = exact_distances(s, ops, pairs, junk)
+        assert np.max(np.abs(fixed - want_fixed)) < 1e-12
+        assert np.max(np.abs(optimal - want_optimal)) < 1e-12
+
+
+def test_certify_builds_the_gather_operands_once(monkeypatch):
+    # Bob's string table on psi takes 4 (2^(n/2) - 1) one-sided products
+    from chsh_selftest import extraction
+
+    calls = []
+    apply = extraction.apply_on_b
+    monkeypatch.setattr(extraction, "apply_on_b", lambda m, w: calls.append(1) or apply(m, w))
+    certify(noisy_strategy(4, NoiseSpec(model="bob-rotation", param=0.1)))
+    assert len(calls) == 4 * 3
+    assert verifier._operands.cache_info().currsize == 0  # released with the run
+
+
+def test_certify_releases_the_gather_operands_when_a_stage_raises(monkeypatch):
+    def exhausted(*args):
+        raise MemoryError("no room for the distances")
+
+    monkeypatch.setattr(verifier, "extraction_distance", exhausted)
+    with pytest.raises(MemoryError):
+        certify(noisy_strategy(4, NoiseSpec(model="bob-rotation", param=0.1)))
+    assert verifier._operands.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("model", ["none", "bob-rotation"])
+def test_small_chunks_give_what_one_chunk_gives(model, monkeypatch):
+    # every chunk of a stage reuses one set of buffers; with a chunk of a
+    # few rows (the last one shorter) the norms and distances must not
+    # change.  "none" takes the exact kernel on every pair, bob-rotation
+    # the Walsh overlap.
+    s = noisy_strategy(4, NoiseSpec(model=model, param=0.0 if model == "none" else 0.1))
+    ops = build_xz(s)
+    junk, _ = compute_junk(s, ops)
+    pairs = np.stack(np.divmod(np.arange(1 << 8), 1 << 4), axis=1)
+    whole = measure_general_conditions(s, ops), *extraction_distance(s, ops, pairs, junk)
+    # 5 rows per condition-norm chunk, 7 per Walsh chunk, 1 per exact chunk
+    monkeypatch.setattr(verifier, "CHUNK_BYTES", 5 * 2 * 3 * s.dim_a * s.dim_b * 16)
+    chunked = measure_general_conditions(s, ops), *extraction_distance(s, ops, pairs, junk)
+    assert chunked[0] == whole[0]
+    for got, want in zip(chunked[1:], whole[1:]):
+        assert np.max(np.abs(got - want)) < 1e-15
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_noise_model_distances_take_the_walsh_overlap(n, monkeypatch):
+    def forbidden(ops, v):
+        raise AssertionError("the exact kernel ran on a noise-model input")
+
+    monkeypatch.setattr(verifier, "swap_isometry_apply", forbidden)
+    for spec in (NoiseSpec(model="bob-rotation", param=0.05),
+                 NoiseSpec(model="bob-rotation", param=0.25),
+                 NoiseSpec(model="partial-entanglement", param=0.55),
+                 NoiseSpec(model="partial-entanglement", param=0.7)):
+        rep = certify(noisy_strategy(n, spec))
+        assert rep.passed
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
