@@ -10,10 +10,19 @@ A strategy file is mostly ``[re, im]`` pairs: millions of numbers that
 the stdlib decoder would turn into Python lists and floats.  ``loads``
 lets the stdlib decoder read the document's skeleton (objects, strings,
 the numbers outside arrays) but reads each array that holds only numbers
-with one numpy text parse, into a float64 array of the array's nesting
-shape.  The numerals keep JSON's grammar; any array that the fast path
-does not accept is handed to the stdlib decoder, which parses it into
-lists (reading its numbers as floats) or raises as ``json.loads`` would.
+straight into a float64 array of the array's nesting shape.  The
+numerals keep JSON's grammar; any array that the fast path does not
+accept is handed to the stdlib decoder, which parses it into lists
+(reading its numbers as floats) or raises as ``json.loads`` would.
+
+Most arrays go through one numpy text parse.  The paper's operators are
+tensor products of one-qubit Paulis and rotations, so their matrices are
+nearly all zeros, written ``0.0`` or ``-0.0``; numpy would spend most of
+a parse on them.  An array in which at least half the numerals end in
+the digit 0 (a count the grammar check takes anyway) therefore finds
+where each numeral starts, reads the ones spelled ``0``, ``-0``, ``0.0``
+or ``-0.0`` as +0.0 or -0.0 from their sign, and hands only the others
+to numpy.  Both ways give the same bits.
 """
 
 from __future__ import annotations
@@ -85,8 +94,9 @@ def _pair_ok(a: int, b: int) -> bool:
 
 def _pair_table() -> bytes:
     """Symbol for each pair code 16 a + b: b"!" for a pair no numeric
-    array holds, and the letters of the leading-zero patterns
-    (Z D: a numeral starting "0" and a digit; M N D: "-0" and a digit)."""
+    array holds, the letters of the leading-zero patterns (Z D: a numeral
+    starting "0" and a digit; M N D: "-0" and a digit), and E where a
+    numeral ends in the digit 0."""
     table = bytearray(b"!") * 256
     for a in range(1, 11):
         for b in range(1, 11):
@@ -98,6 +108,8 @@ def _pair_table() -> bytes:
     table[16 * _MINUS + _ZERO] = ord("N")
     for b in _DIGITS:
         table[16 * _ZERO + b] = ord("D")
+    for b in (_COMMA, _CLOSE):
+        table[16 * _ZERO + b] = ord("E")
     return bytes(table)
 
 
@@ -105,7 +117,8 @@ _CLASSES = _class_table()
 _PAIRS = _pair_table()
 _WHITESPACE = b" \t\n\r"
 _NUMERAL_CODES = bytes([_MINUS, _PLUS, _DOT, _EXP, _ZERO, _DIGIT])
-_TO_SPACES = bytes.maketrans(b",[]", b"   ")
+_TO_BLANKS = bytes.maketrans(b",[]\t\n\r", b"      ")
+_BLANK, _MINUS_SIGN, _DOT_SIGN, _ZERO_DIGIT = b" -.0"
 
 
 def _shape(skeleton: bytes) -> tuple | None:
@@ -145,35 +158,101 @@ def _numeric(region: str) -> np.ndarray | None:
 
     After the byte-pair check, every slot of the bracket skeleton holds a
     run of numeral characters that starts and ends like a JSON numeral and
-    has no leading zero.  numpy then reads the whitespace-separated tokens;
+    has no leading zero.  The text is then read as blank-separated tokens;
     a run split by whitespace or holding two numerals ("1.2.3") gives more
-    values than slots or a partial parse, and both are refused, so each
+    tokens than slots or a partial parse, and both are refused, so each
     slot holds exactly one JSON numeral.
+
+    Each buffer is dropped as soon as it has been read, and the caller
+    passes the only reference to ``region``.
     """
     try:
         raw = region.encode("ascii")
     except UnicodeEncodeError:
         return None
+    del region
     packed = raw.translate(_CLASSES, _WHITESPACE)
-    codes = np.frombuffer(packed, dtype=np.uint8)
-    pairs = codes[:-1] * 16
-    pairs += codes[1:]
-    symbols = pairs.tobytes().translate(_PAIRS)
-    if b"!" in symbols or b"ZD" in symbols or b"MND" in symbols:
-        return None
     shape = _shape(packed.translate(None, _NUMERAL_CODES))
     if shape is None:
         return None
+    codes = np.frombuffer(packed, dtype=np.uint8)
+    pairs = codes[:-1] * 16
+    pairs += codes[1:]
+    del codes, packed
+    pairs = pairs.tobytes()
+    symbols = pairs.translate(_PAIRS)
+    del pairs
+    if b"!" in symbols or b"ZD" in symbols or b"MND" in symbols:
+        return None
+    ends_in_zero = np.count_nonzero(np.frombuffer(symbols, dtype=np.uint8) == ord("E"))
+    del symbols
+    size = math.prod(shape)
+    text = raw.translate(_TO_BLANKS)
+    del raw
+    # Only a numeral that ends in 0 can be a zero: a payload of mostly such
+    # numerals (the paper's operators) takes the path that skips its zeros.
+    values = _parse(text) if 2 * ends_in_zero < size else _parse_sparse(text, size)
+    if values is None or values.size != size:
+        return None
+    return values.reshape(shape)
+
+
+def _parse(text: bytes) -> np.ndarray | None:
+    """The blank-separated numerals of ``text`` through one numpy parse, or
+    None if numpy cannot read it to its end."""
     # numpy < 2.4 only warns about a partial parse, and returns what it read
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         try:
-            values = np.fromstring(raw.translate(_TO_SPACES), dtype=float, sep=" ")
+            return np.fromstring(text, dtype=float, sep=" ")
         except (ValueError, DeprecationWarning):
             return None
-    if values.size != math.prod(shape):
+
+
+def _parse_sparse(text: bytes, size: int) -> np.ndarray | None:
+    """``_parse`` for a payload of mostly zeros: a token spelled 0, -0, 0.0
+    or -0.0 becomes +0.0 or -0.0 by its sign, and numpy reads the others.
+    None unless ``text`` holds exactly ``size`` tokens and numpy reads every
+    other one.  ``text`` holds blanks and numeral characters, begins with a
+    blank and ends with one."""
+    chars = np.frombuffer(text, dtype=np.uint8)
+    blank = chars == _BLANK
+    at = np.flatnonzero(blank[:-1] > blank[1:])  # the blank before each token
+    del blank
+    if at.size != size:
         return None
-    return values.reshape(shape)
+    at += 1
+    negative = chars[at] == _MINUS_SIGN
+    at += negative  # each token's first digit; a blank follows at the latest
+    zero = chars[at] == _ZERO_DIGIT
+    at += 1
+    after = chars[at]
+    # then a blank, or ".0" and a blank.  A dot is followed by a digit and
+    # that by a blank at the latest, so only a token that is no zero anyway
+    # can read past the end, where the clip holds it.
+    tail = after == _DOT_SIGN
+    at += 1
+    tail &= chars.take(at, mode="clip") == _ZERO_DIGIT
+    at += 1
+    tail &= chars.take(at, mode="clip") == _BLANK
+    tail |= after == _BLANK
+    zero &= tail
+    keep = ~zero
+    # Runs of tokens that are all zeros or all not: the tokens of the other
+    # runs, each with the blanks after it, go to one parse.
+    runs = np.flatnonzero(keep[1:] != keep[:-1])
+    runs = np.concatenate(([0], runs + 1))
+    starts = at[runs] - 3 - negative[runs]  # at is each token's first digit + 3
+    del at, after, tail, zero
+    mask = np.repeat(keep[runs], np.diff(starts, append=chars.size))
+    read = _parse(chars[starts[0]:][mask].tobytes())
+    del mask
+    if read is None or read.size != np.count_nonzero(keep):
+        return None
+    values = np.zeros(size)
+    values[negative] = -0.0
+    values[keep] = read
+    return values
 
 
 def _ascii(parse):
@@ -209,11 +288,13 @@ class _Decoder(json.JSONDecoder):
         stop = text.find('"', end)
         stop = len(text) if stop < 0 else stop
         brace = text.find("}", end, stop)
-        region = text[start:stop if brace < 0 else brace].rstrip(" \t\n\r,")
-        values = _numeric(region)
+        stop = stop if brace < 0 else brace
+        while text[stop - 1] in " \t\n\r,":  # text[start] is '['
+            stop -= 1
+        values = _numeric(text[start:stop])  # _numeric holds the only reference
         if values is None:
             return self._stdlib.scan_once(text, start)
-        return values, start + len(region)
+        return values, stop
 
 
 def loads(text: str):

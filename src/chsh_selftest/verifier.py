@@ -41,6 +41,11 @@ DISTANCE_PAIRS = 256
 #: output (2^n per input)
 CHUNK_BYTES = 2 << 20
 
+#: multiply-adds in the largest product the swap isometry hands to BLAS:
+#: OpenBLAS hands a product of 65,536 or more to its worker threads, whose
+#: wake-ups would otherwise set the pace of the exact kernel
+SERIAL_MACS = 1 << 15
+
 #: pairs with |rest|^2 below this fraction of |Phi(w)|^2 take the exact
 #: kernel: |rest|^2 = |Phi(w)|^2 - |overlap|^2 inherits the overlap's own
 #: error and is off by up to about 5e-15 |Phi(w)|^2, so |rest| is off by
@@ -229,19 +234,35 @@ def swap_isometry_apply(ops: ExtractedOperators, v: np.ndarray) -> np.ndarray:
     """Append n |0> ancillas and run the swap circuit for each qubit.
 
     ``v`` is a flat state or a batch shaped (..., dim_a, dim_b).  With the
-    branch stacks A and B, Phi(v) is two GEMMs: A v, then (A v) B^T.  Each
-    output is device-major with the ancilla register (qubit 1 most
-    significant) last, and has the norm of its input.
+    branch stacks A and B, Phi(v) holds A_i v B_j^T for every branch pair:
+    first (A v)^T, then B (A v)^T with (A v)^T read as a real matrix, its
+    real and imaginary parts side by side, so that the real part of B
+    makes one real product and the imaginary part another (none when B is
+    real, as in the ideal and noise-model strategies).  No product exceeds
+    SERIAL_MACS multiply-adds where one row allows.  Each output is
+    device-major with the ancilla register (qubit 1 most significant)
+    last, and has the norm of its input.
     """
     da, db = ops.dim_a, ops.dim_b
     v = np.asarray(v, dtype=complex)
     lead, v = v.shape[:-2], v.reshape(-1, da, db)
     a_rows, b_rows = (stack.transpose(1, 0, 2).reshape(-1, stack.shape[-1])
                       for stack in ops.branches)
-    w = a_rows @ v.transpose(1, 0, 2).reshape(da, -1)  # [i, a_A, batch, j]
-    w = w.reshape(-1, db) @ b_rows.T  # [i, a_A, batch, j, a_B]
-    w = w.reshape(da, -1, len(v), db, len(b_rows) // db).transpose(2, 0, 3, 1, 4)
-    return w.reshape(lead + (-1,))
+    w = _serial_product(v.transpose(0, 2, 1).reshape(-1, da), a_rows.T)  # [batch, c, a_A, i]
+    w = w.reshape(len(v), db, -1).transpose(1, 0, 2).reshape(db, -1).view(float)
+    # [c, (batch, a_A, i, re/im)]: real and imaginary parts side by side
+    out = _serial_product(b_rows.real, w).view(complex)  # [a_B, j, batch, a_A, i]
+    if b_rows.imag.any():
+        out += 1j * _serial_product(b_rows.imag, w).view(complex)
+    out = out.reshape(db, -1, len(v), da, len(a_rows) // da).transpose(2, 3, 0, 4, 1)
+    return out.reshape(lead + (-1,))
+
+
+def _serial_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b as a stack of products of a few rows of a each, none above
+    SERIAL_MACS multiply-adds where one row allows."""
+    rows = math.gcd(len(a), max(1, SERIAL_MACS // b.size))
+    return (a.reshape(-1, rows, a.shape[1]) @ b).reshape(len(a), -1)
 
 
 def pauli_target(n: int, p, q) -> np.ndarray:
@@ -286,16 +307,14 @@ def _walsh_overlaps(ops: ExtractedOperators, w: np.ndarray, p: np.ndarray,
     return overlap.reshape(len(w), -1), np.einsum("pk,pk->p", *flat)
 
 
-def _exact_overlaps(ops: ExtractedOperators, w: np.ndarray, p: np.ndarray,
-                    q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of w: the overlap of Phi(w) with X^q Z^p psi and |rest|, read
-    off the isometry output itself."""
+def _exact_rest(ops: ExtractedOperators, w: np.ndarray, overlap: np.ndarray,
+                p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per row of w: |rest| = |Phi(w) - overlap (x) X^q Z^p psi|, read off
+    the isometry output itself."""
     out = swap_isometry_apply(ops, w).reshape(len(w), w[0].size, -1)
-    target = pauli_target(ops.n, p, q)
-    overlap = out @ target[:, :, None].conj()
-    out -= overlap * target[:, None, :]  # out is now rest
-    flat = out.reshape(len(w), 1, -1).view(float)  # |rest|^2 is a real dot product
-    return overlap[..., 0], np.sqrt((flat @ flat.transpose(0, 2, 1))[:, 0, 0])
+    out -= overlap[:, :, None] * pauli_target(ops.n, p, q)[:, None, :]  # out is now rest
+    flat = out.reshape(len(w), -1).view(float)  # |rest|^2 is a real dot product
+    return np.sqrt(np.einsum("pk,pk->p", flat, flat))
 
 
 def compute_junk(strategy: Strategy, ops: ExtractedOperators) -> tuple[np.ndarray, float]:
@@ -323,7 +342,8 @@ def extraction_distance(strategy: Strategy, ops: ExtractedOperators,
     target| = hypot(|overlap - junk|, |rest|), and the optimum over unit
     junk is hypot(|overlap| - 1, |rest|).  The Walsh overlap gives
     |rest|^2 = |out|^2 - |overlap|^2 in chunks of about CHUNK_BYTES; pairs
-    below EXACT_REST_FLOOR take the exact kernel, which forms out.
+    below EXACT_REST_FLOOR take the exact kernel, which forms out to
+    read |rest| off it.
     """
     n, pairs = ops.n, np.asarray(pairs).reshape(-1, 2)
     p, q = pairs[:, 0], pairs[:, 1]
@@ -341,8 +361,8 @@ def extraction_distance(strategy: Strategy, ops: ExtractedOperators,
     exact = np.flatnonzero(rest2 < EXACT_REST_FLOOR * norm2)
     rows = max(1, CHUNK_BYTES // (right[0].nbytes << n))
     for chunk in (exact[i:i + rows] for i in range(0, len(exact), rows)):
-        overlap[chunk], rest[chunk] = _exact_overlaps(
-            ops, _products(left, right, ia[chunk], ib[chunk], work), p[chunk], q[chunk])
+        rest[chunk] = _exact_rest(ops, _products(left, right, ia[chunk], ib[chunk], work),
+                                  overlap[chunk], p[chunk], q[chunk])
     fixed = np.hypot(np.linalg.norm(overlap - junk, axis=1), rest)
     optimal = np.hypot(np.linalg.norm(overlap, axis=1) - 1.0, rest)
     return fixed, optimal

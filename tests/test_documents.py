@@ -257,7 +257,8 @@ def test_numerals_outside_json_are_malformed(documents, tmp_path, numeral):
 
 @pytest.mark.parametrize("numeral", ["+1", "01", "-01", "00", ".5", "-.5", "1.", "1.e5",
                                      "1e", "1e+", "--1", "-", "1.2.3", "1e5e5", "1e5.5",
-                                     "1 2", "1-2", "0x1", "inf", "1_0"])
+                                     "1 2", "1-2", "0x1", "inf", "1_0", "0 .0", "0. 0",
+                                     "- 0", "-0 .0", "0.0 0", "0 0.0", "0.0.0", "-0.0.0"])
 def test_the_fast_path_refuses_what_json_refuses(numeral):
     # refused by the numpy path itself, not only by the stdlib it falls back to
     assert jsonio._numeric(f"[[{numeral}, 0], [0, 0]]") is None
@@ -327,21 +328,78 @@ def test_numpy_partial_parse_is_caught_in_every_numpy(monkeypatch):
     if values is not None:
         assert values.tolist() == [1.0, 2.0]
         assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-    text = "[[1, 0], [0, 1]]"
-    assert jsonio._numeric(text).tolist() == [[1, 0], [0, 1]]
+    fromstring = np.fromstring
 
     def old_numpy(short: bool, warn: bool):
-        def fromstring(data, dtype=float, sep=" "):
+        def partial(data, dtype=float, sep=" "):
             if warn:
                 warnings.warn("string or file could not be read to its end due to "
                               "unmatched data", DeprecationWarning, stacklevel=2)
-            return np.array([1.0, 0.0, 0.0] if short else [1.0, 0.0, 0.0, 1.0])
-        return fromstring
+            values = fromstring(data, dtype=dtype, sep=sep)
+            return values[:-1] if short else values
+        return partial
 
-    for short, warn in ((True, True), (True, False), (False, True)):
-        monkeypatch.setattr(np, "fromstring", old_numpy(short, warn))
-        assert jsonio._numeric(text) is None
-        assert jsonio.loads(text) == [[1, 0], [0, 1]]  # the stdlib parse instead
+    # a payload numpy reads whole, and one of mostly zeros, which it reads
+    # but for its zeros
+    for text in ("[[1, 2], [3, 4]]", "[[1, 0], [0.0, -0.0], [0, 2]]"):
+        want = json.loads(text)
+        assert jsonio._numeric(text).tolist() == want
+        for short, warn in ((True, True), (True, False), (False, True)):
+            monkeypatch.setattr(np, "fromstring", old_numpy(short, warn))
+            assert jsonio._numeric(text) is None
+            assert jsonio.loads(text) == want  # the stdlib parse instead
+        monkeypatch.setattr(np, "fromstring", fromstring)
+
+
+def _spy_sparse(monkeypatch) -> list:
+    """The sizes of the payloads ``jsonio`` reads on its zero path from now on."""
+    calls = []
+    sparse = jsonio._parse_sparse
+
+    def spy(text, size):
+        calls.append(size)
+        return sparse(text, size)
+
+    monkeypatch.setattr(jsonio, "_parse_sparse", spy)
+    return calls
+
+
+#: every way JSON spells a zero; the zero path reads 0, -0, 0.0 and -0.0 itself
+ZERO_SPELLINGS = ["0", "-0", "0.0", "-0.0", "0e0", "-0.0e-0", "0.000", "0E+5"]
+
+
+@pytest.mark.parametrize("where", ["first", "interior", "last"])
+@pytest.mark.parametrize("spelling", ZERO_SPELLINGS)
+def test_zero_spellings_load_like_the_oracle(monkeypatch, spelling, where):
+    # Alice's payloads hold X and Z: six of their eight numerals are zeros
+    text = strategy_to_text(noisy_strategy(2, NoiseSpec("bob-rotation", 0.2)))
+    start = text.index("[", text.index('"alice_obs"'))
+    spans = [m.span() for m in NUMERAL.finditer(text, start, text.index("]]]", start))]
+    at = {"first": 0, "interior": len(spans) // 2, "last": len(spans) - 1}[where]
+    edited = text[:spans[at][0]] + spelling + text[spans[at][1]:]
+    payload = edited[start:edited.index("]]]", start) + 3]
+    calls = _spy_sparse(monkeypatch)
+    got = jsonio._numeric(payload)
+    assert calls == [len(spans)]  # read on the zero path
+    want = np.array(json.loads(payload, parse_int=_oracle_int), dtype=float)
+    assert got.tobytes() == want.tobytes()
+    entry = got.reshape(-1)[at]
+    assert entry == 0.0 and np.signbit(entry) == spelling.startswith("-")
+    assert _same_bits(strategy_from_text(edited), oracle_from_text(edited))
+
+
+@pytest.mark.parametrize("text, sparse", [
+    ("[[1.5, 0.0], [-2.5, -0.0]]", True),   # half the numerals end in 0
+    ("[[1.5, 0.0], [-2.5, 0.5]]", False),   # fewer than half
+    ("[[10.0, 20], [-30.0, 0.05]]", True),  # numerals that end in 0 but are no zeros
+    ("[[0.05, -0.0], [0.0, 0.0e5]]", True),  # and ones that begin like a zero
+])
+def test_the_zero_gate_changes_no_value(monkeypatch, text, sparse):
+    calls = _spy_sparse(monkeypatch)
+    got = jsonio._numeric(text)
+    want = np.array(json.loads(text, parse_int=_oracle_int), dtype=float)
+    assert bool(calls) == sparse
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _array_bytes(s: Strategy) -> int:
@@ -362,4 +420,5 @@ def test_loading_holds_about_one_copy_of_the_arrays(make):
     finally:
         tracemalloc.stop()
     assert back.alice.tobytes() == s.alice.tobytes()
-    assert peak <= 4 * _array_bytes(s)
+    # measured: 1.24x (random) and 1.15x (bob-rotation)
+    assert peak <= 1.5 * _array_bytes(s)
