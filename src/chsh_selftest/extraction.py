@@ -25,32 +25,46 @@ from .strategy import Strategy
 
 @dataclass(frozen=True, eq=False)
 class ExtractedOperators:
-    """Candidate X'/Z' pairs, one per tested qubit.
+    """Candidate X'/Z' pairs, one per tested qubit, on the test state.
 
-    Entries 1..n/2 act on Alice's side (dim_a), entries n/2+1..n on
-    Bob's (dim_b): Alice's as ``op @ w`` and Bob's as ``w @ op.T`` on
-    states shaped (..., dim_a, dim_b), so Bob's products on an identity
-    come out transposed.  Alice's string products, both sides'
+    ``state`` is psi as a (dim_a, dim_b) matrix and ``alice`` and ``bob``
+    are (2, n/2, d, d) stacks with X' at index 0 and Z' at index 1, all
+    marked read-only on construction.  Alice's act as ``op @ w`` and Bob's
+    as ``w @ op.T`` on states shaped (..., dim_a, dim_b), so Bob's products
+    on an identity come out transposed.  The gather stacks, both sides'
     swap-isometry branch stacks, their Gram sums and the Walsh transform
-    of Bob's are built on first use and kept.
-    Compared and hashed by identity.
+    of Bob's are built on first use and kept.  Compared and hashed by
+    identity.
     """
 
-    n: int
-    dim_a: int
-    dim_b: int
-    x_ops: tuple
-    z_ops: tuple
+    state: np.ndarray
+    alice: np.ndarray
+    bob: np.ndarray
 
-    def _side_table(self, kind: str, side: int, w: np.ndarray) -> np.ndarray:
-        """table[u] = X'^u or Z'^u of one side (0 Alice, 1 Bob) applied to w.
+    def __post_init__(self):
+        for a in (self.state, self.alice, self.bob):
+            a.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return 2 * self.alice.shape[1]
+
+    @property
+    def dim_a(self) -> int:
+        return self.alice.shape[2]
+
+    @property
+    def dim_b(self) -> int:
+        return self.bob.shape[2]
+
+    def _side_table(self, kind: int, side: int, w: np.ndarray) -> np.ndarray:
+        """table[u] = X'^u (kind 0) or Z'^u (kind 1) of side 0 (Alice) or 1 (Bob) on w.
 
         u is an n/2-bit integer whose most significant bit is the side's
         first qubit.  Built by recursion on that bit, which is the leftmost
         (last applied) factor of the ordered product.
         """
-        m = self.n // 2
-        ops = (self.x_ops if kind == "x" else self.z_ops)[side * m:(side + 1) * m]
+        m, ops = self.n // 2, (self.alice, self.bob)[side][kind]
         act = apply_on_b if side else apply_on_a
         table = np.empty((1 << m,) + w.shape, dtype=complex)
         table[0] = w
@@ -65,14 +79,27 @@ class ExtractedOperators:
         Shaped (2, 2^n) + w.shape: [0, t * 2^(n/2) + s] is Z'^t X'^s w and
         [1, s * 2^(n/2) + t] is X'^s Z'^t w, for s, t on the side's qubits.
         """
-        zx = self._side_table("z", side, self._side_table("x", side, w))
-        xz = self._side_table("x", side, self._side_table("z", side, w))
+        zx = self._side_table(1, side, self._side_table(0, side, w))
+        xz = self._side_table(0, side, self._side_table(1, side, w))
         return np.stack([zx, xz]).reshape((2, -1) + w.shape)
 
     @cached_property
-    def alice_strings(self) -> np.ndarray:
-        """Alice's string products as (2, 2^n, dim_a, dim_a) matrices."""
-        return self.string_table(0, np.eye(self.dim_a, dtype=complex))
+    def gather_stacks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Left (3 * 2^n, dim_a, dim_a) and right (2 * 2^n, dim_a, dim_b) gather stacks.
+
+        Alice's and Bob's operators act on different tensor factors, so every
+        signed string product on psi is left[ia] @ right[ib]: left holds Alice's
+        string products SA as [SA[0], -SA[1], SA[1]], right Bob's products
+        applied to psi.  His factors act on psi one at a time: a product
+        matrix would keep roundoff entries of his operators that acting on
+        psi absorbs, and turn norms that are exactly 0 into ~1e-17.
+        """
+        alice = self.string_table(0, np.eye(self.dim_a, dtype=complex))
+        stacks = (np.concatenate([alice[0], -alice[1], alice[1]]),
+                  self.string_table(1, self.state).reshape(-1, self.dim_a, self.dim_b))
+        for stack in stacks:
+            stack.setflags(write=False)
+        return stacks
 
     @cached_property
     def branches(self) -> tuple[np.ndarray, np.ndarray]:
@@ -84,10 +111,8 @@ class ExtractedOperators:
         and qubit 1 is the most significant bit of a.  Each stack is the
         ``branch_tree`` of the identity split by Z'_k with X'_k as flips.
         """
-        m = self.n // 2
-        return tuple(branch_tree(np.eye(d, dtype=complex), np.array(self.z_ops[side]),
-                                 np.array(self.x_ops[side]))
-                     for side, d in ((slice(0, m), self.dim_a), (slice(m, None), self.dim_b)))
+        return tuple(branch_tree(np.eye(stack.shape[-1], dtype=complex), stack[1], stack[0])
+                     for stack in (self.alice, self.bob))
 
     @cached_property
     def bob_walsh(self) -> np.ndarray:
@@ -113,15 +138,12 @@ def build_xz(strategy: Strategy) -> ExtractedOperators:
     observable on the test state) and the difference gives X; both are
     halved and sign-normalized back to Hermitian unitaries.
     """
-    x_ops = list(strategy.alice[0])
-    z_ops = list(strategy.alice[-1])
-    for n0, n1 in zip(strategy.bob[0], strategy.bob[-1]):
-        # halving keeps the Hermiticity residual within the validation ceiling
-        x_ops.append(sign_normalize((n0 - n1) / 2))
-        z_ops.append(sign_normalize((n0 + n1) / 2))
-    return ExtractedOperators(n=strategy.n, dim_a=strategy.dim_a,
-                              dim_b=strategy.dim_b,
-                              x_ops=tuple(x_ops), z_ops=tuple(z_ops))
+    n0, n1 = strategy.bob[0], strategy.bob[-1]
+    # halving keeps the Hermiticity residual within the validation ceiling
+    bob = np.array([[sign_normalize(m) for m in (n0 - n1) / 2],
+                    [sign_normalize(m) for m in (n0 + n1) / 2]])
+    return ExtractedOperators(state=strategy.state.reshape(strategy.dim_a, strategy.dim_b),
+                              alice=strategy.alice[[0, -1]], bob=bob)
 
 
 # ---------------------------------------------------------------------------

@@ -405,9 +405,9 @@ def _stack_from_doc(families, what: str, m: int, dim: int) -> np.ndarray:
         stack.resize((i + 1, m, dim * dim), refcheck=False)
         stack[i] = block
     else:
-        # the count is compared first, so a huge n in the document never
-        # builds 2^(n/2) question strings
-        if len(questions) == 1 << m and questions == list(bits.all_strings(m)):
+        # the count's bit length is compared first, so a huge n in the document
+        # builds neither the integer 2^m nor more question strings than it holds
+        if len(questions).bit_length() == m + 1 and questions == list(bits.all_strings(m)):
             return stack.reshape(1 << m, m, dim, dim)
     raise ValueError(f"{what} must hold {m} flat {dim}x{dim} matrices "
                      f"for each length-{m} question")
@@ -424,6 +424,8 @@ def strategy_from_text(text: str) -> Strategy:
         n, da, db = doc["n"], doc["dim_A"], doc["dim_B"]
         if n < 2 or n % 2 != 0:
             raise ValueError("n must be even and at least 2")
+        if min(da, db) < 1:
+            raise ValueError(f"dim_A and dim_B must be at least 1, got {da} and {db}")
         state = _from_pairs(doc["state"], "state")
         if state.shape != (da * db,):
             raise ValueError("state must hold dim_A * dim_B amplitudes")

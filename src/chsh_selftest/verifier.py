@@ -10,7 +10,6 @@ operators are from the ideal pair (up to a junk register).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -52,6 +51,9 @@ SERIAL_MACS = 1 << 15
 #: that over 2 |rest|, which the floor keeps below about 2.5e-13 |Phi(w)|
 EXACT_REST_FLOOR = 1e-4
 
+#: junk overlaps with a smaller norm are returned unnormalized (compute_junk)
+JUNK_NORM_FLOOR = 1e-12
+
 #: slack for comparing measured norms against certified ceilings
 BOUND_SLACK = 1e-9
 
@@ -84,31 +86,6 @@ class ConditionNorms:
     general_anticommute_max: float | None = None
     general_swap_max: float | None = None
     coverage: Coverage | None = None
-
-
-@functools.lru_cache(maxsize=1)
-def _operands(strategy: Strategy, ops: ExtractedOperators) -> tuple[np.ndarray, np.ndarray]:
-    """Left (3 * 2^n, dim_a, dim_a) and right (2 * 2^n, dim_a, dim_b) gather stacks.
-
-    Alice's and Bob's operators act on different tensor factors, so every
-    signed string product on psi is left[ia] @ right[ib]: left holds Alice's
-    products SA = ``ops.alice_strings`` as [SA[0], -SA[1], SA[1]], right
-    Bob's products applied to psi.  His factors act on psi one at a time:
-    a product matrix would keep roundoff entries of his operators that
-    acting on psi absorbs, and turn norms that are exactly 0 into ~1e-17.
-    Strategies and operators hash by identity, so the stacks of the last
-    pair are kept (read-only) for the next stage that reads them; certify
-    clears them when its stages end, whether they return or raise.  A
-    caller of the stages outside certify holds them until its next call or
-    ``_operands.cache_clear()``.
-    """
-    alice = ops.alice_strings
-    psi = strategy.state.reshape(ops.dim_a, ops.dim_b)
-    stacks = (np.concatenate([alice[0], -alice[1], alice[1]]),
-              ops.string_table(1, psi).reshape(-1, ops.dim_a, ops.dim_b))
-    for stack in stacks:
-        stack.setflags(write=False)
-    return stacks
 
 
 def _workspace(left: np.ndarray, right: np.ndarray, rows: int) -> tuple[np.ndarray, ...]:
@@ -178,14 +155,13 @@ def _pauli_rows(n: int, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nd
     return (2 * size + qa * stride + pa)[:, None], (size + qb * stride + pb)[:, None]
 
 
-def measure_epsilons(strategy: Strategy, ops: ExtractedOperators) -> ConditionNorms:
+def measure_epsilons(ops: ExtractedOperators) -> ConditionNorms:
     """Worst single-qubit condition norms (general fields left unset).
 
     eps1 and eps3 are the weight-1 rows of the anticommutation family
     with k != l and k = l, and eps2 the weight-1 rows of the swap family.
     """
-    n = ops.n
-    left, right = _operands(strategy, ops)
+    n, (left, right) = ops.n, ops.gather_stacks
     unit = 1 << np.arange(n)
     s, t = np.repeat(unit, n), np.tile(unit, n)
     return ConditionNorms(eps1=_max_norm(left, right, *_anticommute_rows(n, s[s != t], t[s != t])),
@@ -193,8 +169,7 @@ def measure_epsilons(strategy: Strategy, ops: ExtractedOperators) -> ConditionNo
                           eps3=_max_norm(left, right, *_anticommute_rows(n, unit, unit)))
 
 
-def measure_general_conditions(strategy: Strategy, ops: ExtractedOperators,
-                               seed: int = 0) -> ConditionNorms:
+def measure_general_conditions(ops: ExtractedOperators, seed: int = 0) -> ConditionNorms:
     """Worst string-product condition norms over (s, t) pairs.
 
     Every pair for n <= MAX_EXHAUSTIVE_N, otherwise DEFAULT_GENERAL_SAMPLES
@@ -211,8 +186,8 @@ def measure_general_conditions(strategy: Strategy, ops: ExtractedOperators,
         s = rng.integers(0, 1 << n, size=DEFAULT_GENERAL_SAMPLES)
         t = rng.integers(0, 1 << n, size=DEFAULT_GENERAL_SAMPLES)
         cov = Coverage(mode="sampled", count=DEFAULT_GENERAL_SAMPLES, seed=seed)
-    left, right = _operands(strategy, ops)
-    return replace(measure_epsilons(strategy, ops),
+    left, right = ops.gather_stacks
+    return replace(measure_epsilons(ops),
                    general_anticommute_max=_max_norm(left, right, *_anticommute_rows(n, s, t)),
                    general_swap_max=_max_norm(left, right, *_swap_rows(n, np.unique(s))),
                    coverage=cov)
@@ -317,23 +292,23 @@ def _exact_rest(ops: ExtractedOperators, w: np.ndarray, overlap: np.ndarray,
     return np.sqrt(np.einsum("pk,pk->p", flat, flat))
 
 
-def compute_junk(strategy: Strategy, ops: ExtractedOperators) -> tuple[np.ndarray, float]:
+def compute_junk(ops: ExtractedOperators) -> tuple[np.ndarray, float]:
     """Device-register residual of the isometry output at p = q = 0.
 
     Returns the normalized junk vector and its pre-normalization norm
-    (1 for perfect extraction).  A norm below 1e-12 means the output has
-    essentially no overlap with the ideal state; the overlap is then
-    returned unnormalized rather than blown up into nonsense, so the fixed
-    distances are about |Phi(input)| and the norm reports the failure.
+    (1 for perfect extraction).  A norm below JUNK_NORM_FLOOR means the
+    output has essentially no overlap with the ideal state; the overlap is
+    then returned unnormalized rather than blown up into nonsense, so the
+    fixed distances are about |Phi(input)| and the norm reports the failure.
     """
-    psi, zero = strategy.state.reshape(1, ops.dim_a, ops.dim_b), np.zeros(1, dtype=int)
-    raw = _walsh_overlaps(ops, psi, zero, zero)[0][0]
+    zero = np.zeros(1, dtype=int)
+    raw = _walsh_overlaps(ops, ops.state[None], zero, zero)[0][0]
     norm = float(np.linalg.norm(raw))
-    return (raw if norm < 1e-12 else raw / norm), norm
+    return (raw if norm < JUNK_NORM_FLOOR else raw / norm), norm
 
 
-def extraction_distance(strategy: Strategy, ops: ExtractedOperators,
-                        pairs: np.ndarray, junk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def extraction_distance(ops: ExtractedOperators, pairs: np.ndarray,
+                        junk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(fixed, optimal) distances between extracted and ideal Pauli actions.
 
     Per integer (p, q) row of ``pairs``, out = Phi(X'^q Z'^p psi') splits as
@@ -347,7 +322,7 @@ def extraction_distance(strategy: Strategy, ops: ExtractedOperators,
     """
     n, pairs = ops.n, np.asarray(pairs).reshape(-1, 2)
     p, q = pairs[:, 0], pairs[:, 1]
-    left, right = _operands(strategy, ops)
+    left, right = ops.gather_stacks
     ia, ib = _pauli_rows(n, p, q)
     overlap = np.empty((len(pairs), right[0].size), dtype=complex)
     norm2 = np.empty(len(pairs))
@@ -477,13 +452,10 @@ def certify(strategy: Strategy, seed: int = 0) -> SelfTestReport:
     delta_cert = n * epsilon
     certified = certified_bounds(delta_cert)
     ops = build_xz(canonical)
-    try:
-        measured = measure_general_conditions(canonical, ops, seed=seed)
-        junk, junk_norm = compute_junk(canonical, ops)
-        pairs, dist_cov = _distance_pairs(n, seed)
-        fixed, optimal = extraction_distance(canonical, ops, pairs, junk)
-    finally:
-        _operands.cache_clear()
+    measured = measure_general_conditions(ops, seed=seed)
+    junk, junk_norm = compute_junk(ops)
+    pairs, dist_cov = _distance_pairs(n, seed)
+    fixed, optimal = extraction_distance(ops, pairs, junk)
     for name in ("eps1", "eps2", "eps3"):
         flags[name] = getattr(measured, name) <= certified[name] + BOUND_SLACK
     keys = list(map(tuple, pairs.tolist()))

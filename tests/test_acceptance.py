@@ -67,11 +67,11 @@ def test_criterion_04_ideal_extraction_is_exact():
     for n in (2, 4):
         s = cs.ideal_strategy(n)
         ops = extraction.build_xz(s)
-        norms = verifier.measure_epsilons(s, ops)
+        norms = verifier.measure_epsilons(ops)
         if max(norms.eps1, norms.eps2, norms.eps3) > 1e-8:
             fails.append(f"n={n} eps norms {norms.eps1:.2e}/{norms.eps2:.2e}/"
                          f"{norms.eps3:.2e}")
-        gen = verifier.measure_general_conditions(s, ops)
+        gen = verifier.measure_general_conditions(ops)
         if max(gen.general_anticommute_max, gen.general_swap_max) > 1e-7:
             fails.append(f"n={n} general norms")
         rep = cs.certify(s)
@@ -91,7 +91,7 @@ def test_criterion_05_measured_below_certified():
                                                   param=eta))
             eps = max(0.0, TS - cs.exact_value(s))
             ceil = verifier.certified_bounds(n * eps)
-            norms = verifier.measure_epsilons(s, extraction.build_xz(s))
+            norms = verifier.measure_epsilons(extraction.build_xz(s))
             for name, meas in (("eps1", norms.eps1), ("eps2", norms.eps2),
                                ("eps3", norms.eps3)):
                 if meas > ceil[name] + 1e-9:

@@ -27,23 +27,26 @@ from chsh_selftest.linalg import PAULI_X, PAULI_Z
 
 
 def test_build_xz_recovers_paulis_on_ideal():
-    ops = build_xz(ideal_strategy(2))
-    assert np.allclose(ops.x_ops[0], PAULI_X)
-    assert np.allclose(ops.z_ops[0], PAULI_Z)
-    assert np.allclose(ops.x_ops[1], PAULI_X)
-    assert np.allclose(ops.z_ops[1], PAULI_Z)
+    s = ideal_strategy(2)
+    ops = build_xz(s)
+    for stack in (ops.alice, ops.bob):
+        assert stack.shape == (2, 1, 2, 2) and not stack.flags.writeable
+        assert np.allclose(stack[0, 0], PAULI_X)
+        assert np.allclose(stack[1, 0], PAULI_Z)
+    assert (ops.n, ops.dim_a, ops.dim_b) == (2, 2, 2)
+    # Alice's operators are her all-zeros and all-ones families, bit for bit
+    assert np.array_equal(ops.alice, s.alice[[0, -1]])
+    assert np.shares_memory(ops.state, s.state) and ops.state.shape == (2, 2)
 
 
 def test_build_xz_ideal_n4():
     ops = build_xz(ideal_strategy(4))
-    for k in range(4):
-        m = np.asarray(ops.x_ops[k])
-        assert np.allclose(m @ m, np.eye(m.shape[0]), atol=1e-12)
-        z = np.asarray(ops.z_ops[k])
-        assert np.allclose(z @ z, np.eye(z.shape[0]), atol=1e-12)
-        # X and Z on the same tested qubit anticommute
-        da = ops.dim_a
-        assert np.allclose(m @ z + z @ m, 0, atol=1e-12)
+    for x_ops, z_ops in (ops.alice, ops.bob):
+        for m, z in zip(x_ops, z_ops):
+            assert np.allclose(m @ m, np.eye(m.shape[0]), atol=1e-12)
+            assert np.allclose(z @ z, np.eye(z.shape[0]), atol=1e-12)
+            # X and Z on the same tested qubit anticommute
+            assert np.allclose(m @ z + z @ m, 0, atol=1e-12)
 
 
 def test_relabel_preserves_value():

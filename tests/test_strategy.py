@@ -246,7 +246,7 @@ def answer_ints(answer_bits):
     return answer_bits @ (1 << np.arange(m - 1, -1, -1))
 
 
-FAMILIES = ["bob-rotation", "partial-entanglement", "random", "random-3x5"]
+FAMILIES = ["bob-rotation", "partial-entanglement", "random", "random-3x5", "twisted-ideal"]
 
 
 def test_sampling_is_deterministic():
@@ -388,6 +388,24 @@ def test_loading_holds_one_copy_of_the_arrays():
     assert not (s.state.flags.writeable or s.alice.flags.writeable or s.bob.flags.writeable)
 
 
+def test_a_huge_n_is_refused_before_any_size_is_built_from_it():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="alice_obs must hold 1000000000 flat"):
+            strategy_from_text(json.dumps(HUGE_N_DOC))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_dimensions_below_one_are_refused_by_name():
+    with pytest.raises(ValueError, match="dim_A and dim_B must be at least 1, got -1 and -1"):
+        strategy_from_text(json.dumps(NEGATIVE_DIMS_DOC))
+
+
 def test_serialization_keeps_negative_zeros():
     # Bob's rotated observables hold -0.0 entries, which the text writes as "-0.0"
     s = noisy_strategy(4, NoiseSpec(model="bob-rotation", param=0.1))
@@ -420,7 +438,24 @@ def _edited(name, path, value):
     return mangle
 
 
+def _replaced(name, doc):
+    """A mangle that swaps the whole document for ``doc``; pytest shows it as ``name``."""
+    def mangle(text):
+        return json.dumps(doc)
+    mangle.__name__ = name
+    return mangle
+
+
 ONE = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]  # a flat 2x2 identity
+
+#: n = 2 * 10^9 with no questions: 2^(n/2) as an integer alone takes 125 MB
+HUGE_N_DOC = {"n": 2_000_000_000, "dim_A": 1, "dim_B": 1, "state": [[1.0, 0.0]],
+              "alice_obs": {}, "bob_obs": {}}
+
+#: dimensions whose product matches the one amplitude, but below 1
+_ONE_BY_ONE = {"0": [[[1.0, 0.0]]], "1": [[[1.0, 0.0]]]}
+NEGATIVE_DIMS_DOC = {"n": 2, "dim_A": -1, "dim_B": -1, "state": [[1.0, 0.0]],
+                     "alice_obs": _ONE_BY_ONE, "bob_obs": _ONE_BY_ONE}
 
 #: edits that turn the ideal n = 2 document into JSON that is no strategy document
 MALFORMED_EDITS = [
@@ -437,6 +472,8 @@ MALFORMED_EDITS = [
     _edited("extra-question", ["alice_obs", "00"], [ONE]),
     _edited("odd-n", ["n"], 3),
     _edited("short-state", ["state"], ONE[:3]),
+    _replaced("huge-n-no-questions", HUGE_N_DOC),
+    _replaced("negative-dims", NEGATIVE_DIMS_DOC),
 ]
 
 

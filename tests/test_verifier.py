@@ -2,6 +2,7 @@
 
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -25,10 +26,10 @@ from chsh_selftest.strategy import ideal_state
 from chsh_selftest.linalg import PAULI_X, PAULI_Z, dagger, tensor
 from chsh_selftest import verifier
 from chsh_selftest.verifier import (
+    BOUND_SLACK,
     EXACT_REST_FLOOR,
     _anticommute_rows,
     _max_norm,
-    _operands,
     _pauli_rows,
     _products,
     _swap_rows,
@@ -46,7 +47,7 @@ from chsh_selftest.verifier import (
 def test_measure_epsilons_vanish_on_ideal():
     for n in (2, 4):
         s = ideal_strategy(n)
-        norms = measure_epsilons(s, build_xz(s))
+        norms = measure_epsilons(build_xz(s))
         assert norms.eps1 < 1e-12
         assert norms.eps2 < 1e-12
         assert norms.eps3 < 1e-12
@@ -55,10 +56,9 @@ def test_measure_epsilons_vanish_on_ideal():
 def test_eps2_detects_sign_error():
     s = ideal_strategy(2)
     ops = build_xz(s)
-    wrong = ExtractedOperators(
-        n=2, dim_a=2, dim_b=2, x_ops=ops.x_ops,
-        z_ops=(ops.z_ops[0], -np.asarray(ops.z_ops[1])))
-    norms = measure_epsilons(s, wrong)
+    bob = ops.bob.copy()
+    bob[1] *= -1  # Bob's Z'
+    norms = measure_epsilons(ExtractedOperators(state=ops.state, alice=ops.alice, bob=bob))
     assert norms.eps2 == pytest.approx(2.0, abs=1e-12)
 
 
@@ -66,10 +66,8 @@ def test_eps3_detects_commuting_pair():
     # Z' equal to X' on one qubit: ||Z'X'psi + X'Z'psi|| = 2
     s = ideal_strategy(2)
     ops = build_xz(s)
-    wrong = ExtractedOperators(
-        n=2, dim_a=2, dim_b=2,
-        x_ops=ops.x_ops, z_ops=(ops.x_ops[0], ops.z_ops[1]))
-    norms = measure_epsilons(s, wrong)
+    wrong = ExtractedOperators(state=ops.state, alice=ops.alice[[0, 0]], bob=ops.bob)
+    norms = measure_epsilons(wrong)
     assert norms.eps3 == pytest.approx(2.0, abs=1e-12)
 
 
@@ -92,7 +90,7 @@ def test_measured_norms_below_certified_ceilings(n, eta):
     eps = max(0.0, TSIRELSON - exact_value(s))
     delta = n * eps
     ceilings = certified_bounds(delta)
-    norms = measure_epsilons(s, build_xz(s))
+    norms = measure_epsilons(build_xz(s))
     assert norms.eps1 <= ceilings["eps1"] + 1e-9
     assert norms.eps2 <= ceilings["eps2"] + 1e-9
     assert norms.eps3 <= ceilings["eps3"] + 1e-9
@@ -101,7 +99,7 @@ def test_measured_norms_below_certified_ceilings(n, eta):
 def test_general_conditions_vanish_on_ideal():
     for n in (2, 4):
         s = ideal_strategy(n)
-        norms = measure_general_conditions(s, build_xz(s))
+        norms = measure_general_conditions(build_xz(s))
         assert norms.coverage.mode == "exhaustive"
         assert norms.general_anticommute_max < 1e-7
         assert norms.general_swap_max < 1e-7
@@ -111,13 +109,13 @@ def test_general_conditions_sampled_mode_is_deterministic():
     # above MAX_EXHAUSTIVE_N the (s, t) pairs are DEFAULT_GENERAL_SAMPLES seeded draws
     s = noisy_strategy(8, NoiseSpec(model="bob-rotation", param=0.1))
     ops = build_xz(s)
-    a = measure_general_conditions(s, ops, seed=9)
-    b = measure_general_conditions(s, ops, seed=9)
+    a = measure_general_conditions(ops, seed=9)
+    b = measure_general_conditions(ops, seed=9)
     assert a.general_anticommute_max == b.general_anticommute_max
     assert a.general_swap_max == b.general_swap_max
     assert a.coverage.describe() == {"mode": "sampled", "count": 10_000, "seed": 9}
     # sampled maxima are bounded by the maxima over every pair
-    left, right = _operands(s, ops)
+    left, right = ops.gather_stacks
     s_all, t_all = np.divmod(np.arange(1 << 16), 1 << 8)
     full_anticommute = _max_norm(left, right, *_anticommute_rows(8, s_all, t_all))
     full_swap = _max_norm(left, right, *_swap_rows(8, np.arange(1 << 8)))
@@ -130,8 +128,9 @@ def test_general_conditions_sampled_mode_is_deterministic():
 
 
 def dense_op(ops, kind, k):
-    op = (ops.x_ops if kind == "x" else ops.z_ops)[k - 1]
-    if k <= ops.n // 2:
+    m = ops.n // 2
+    op = (ops.alice if k <= m else ops.bob)["xz".index(kind), (k - 1) % m]
+    if k <= m:
         return np.kron(op, np.eye(ops.dim_b))
     return np.kron(np.eye(ops.dim_a), op)
 
@@ -185,9 +184,9 @@ def dense_condition_norms(ops, state, s, t):
     return np.linalg.norm(zx - sign * xz, axis=1), np.linalg.norm(swap, axis=1)
 
 
-def kernel_condition_norms(strategy, ops, s, t):
+def kernel_condition_norms(ops, s, t):
     """The same per-row norms from the gather kernel."""
-    left, right = _operands(strategy, ops)
+    left, right = ops.gather_stacks
     return tuple(np.linalg.norm(_products(left, right, *rows), axis=(1, 2))
                  for rows in (_anticommute_rows(ops.n, s, t), _swap_rows(ops.n, s)))
 
@@ -200,7 +199,7 @@ def test_apply_string_matches_dense_products(n):
     ops = build_xz(s)
     dense = dense_tables(ops)
     p, q = np.divmod(np.arange(1 << 2 * n), 1 << n)
-    got = _products(*_operands(s, ops), *_pauli_rows(n, p, q)).reshape(len(p), -1)
+    got = _products(*ops.gather_stacks, *_pauli_rows(n, p, q)).reshape(len(p), -1)
     want = dense["x"][q] @ dense["z"][p] @ s.state
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -212,7 +211,7 @@ def test_string_stacks_match_dense_products(n, family):
     s = family_strategy(n, family, seed=100 + n)
     ops = build_xz(s)
     dense, m = dense_tables(ops), n // 2
-    alice, bob = ops.alice_strings, ops.string_table(1, np.eye(s.dim_b))
+    alice, bob = ops.string_table(0, np.eye(s.dim_a)), ops.string_table(1, np.eye(s.dim_b))
     assert alice.shape == (2, 1 << n, s.dim_a, s.dim_a)
     assert bob.shape == (2, 1 << n, s.dim_b, s.dim_b)
     eye_a, eye_b = np.eye(s.dim_a), np.eye(s.dim_b)
@@ -231,16 +230,16 @@ def test_string_stacks_match_dense_products(n, family):
 
 @pytest.mark.parametrize("n", [2, 4])
 @pytest.mark.parametrize("family", ["random", "random-3x5", "bob-rotation",
-                                    "partial-entanglement"])
+                                    "partial-entanglement", "twisted-ideal"])
 def test_condition_rows_match_dense_definitions(n, family):
     s = family_strategy(n, family, seed=110 + n)
     ops = build_xz(s)
     every_s, every_t = np.divmod(np.arange(1 << 2 * n), 1 << n)
-    anticommute, swap = kernel_condition_norms(s, ops, every_s, every_t)
+    anticommute, swap = kernel_condition_norms(ops, every_s, every_t)
     want_anticommute, want_swap = dense_condition_norms(ops, s.state, every_s, every_t)
     assert np.max(np.abs(anticommute - want_anticommute)) < 1e-12
     assert np.max(np.abs(swap - want_swap)) < 1e-12
-    general = measure_general_conditions(s, ops)
+    general = measure_general_conditions(ops)
     assert abs(general.general_anticommute_max - np.max(want_anticommute)) < 1e-12
     assert abs(general.general_swap_max - np.max(want_swap)) < 1e-12
     # eps1..eps3 are the weight-1 rows of the same families
@@ -253,14 +252,15 @@ def test_condition_rows_match_dense_definitions(n, family):
 
 
 @settings(max_examples=8, deadline=None)
-@given(st.sampled_from(["random", "random-3x5", "bob-rotation", "partial-entanglement"]),
+@given(st.sampled_from(["random", "random-3x5", "bob-rotation", "partial-entanglement",
+                        "twisted-ideal"]),
        st.integers(0, 2**32 - 1),
        st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), min_size=1, max_size=8))
 def test_condition_rows_match_dense_definitions_n6(family, seed, rows):
     s = family_strategy(6, family, seed)
     ops = build_xz(s)
     every_s, every_t = np.array(rows).T
-    anticommute, swap = kernel_condition_norms(s, ops, every_s, every_t)
+    anticommute, swap = kernel_condition_norms(ops, every_s, every_t)
     want_anticommute, want_swap = dense_condition_norms(ops, s.state, every_s, every_t)
     assert np.max(np.abs(anticommute - want_anticommute)) < 1e-12
     assert np.max(np.abs(swap - want_swap)) < 1e-12
@@ -283,11 +283,15 @@ def test_swap_isometry_matches_dense_circuit(n):
 
 @st.composite
 def strategies_and_pairs(draw):
-    """A random or noise-model strategy at n in {2, 4, 6} plus Pauli pairs."""
+    """A random, noise-model or twisted ideal strategy at n in {2, 4, 6} plus Pauli pairs."""
     n = draw(st.sampled_from([2, 4, 6]))
-    family = draw(st.sampled_from(["random", "bob-rotation", "partial-entanglement"]))
+    family = draw(st.sampled_from(["random", "bob-rotation", "partial-entanglement",
+                                   "twisted-ideal"]))
     if family == "random":
         strat = random_strategy(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    elif family == "twisted-ideal":
+        strat = twisted_ideal_strategy(n, draw(st.floats(1e-4, 0.3)), draw(st.sampled_from([1, 2])),
+                                       draw(st.integers(0, 2**32 - 1)))
     elif family == "bob-rotation":
         strat = noisy_strategy(n, NoiseSpec(model=family, param=draw(st.floats(-1.0, 1.0))))
     else:
@@ -312,9 +316,8 @@ def test_swap_isometry_preserves_norm(case, seed):
 
 
 def test_swap_isometry_with_identity_operators_appends_zeros():
-    ident = np.eye(2, dtype=complex)
-    ops = ExtractedOperators(n=2, dim_a=2, dim_b=2,
-                             x_ops=(ident, ident), z_ops=(ident, ident))
+    ident = np.broadcast_to(np.eye(2, dtype=complex), (2, 1, 2, 2))
+    ops = ExtractedOperators(state=np.eye(2) / math.sqrt(2), alice=ident.copy(), bob=ident.copy())
     v = np.array([0.3, 0.4, -0.5, 0.1], dtype=complex)
     out = swap_isometry_apply(ops, v).reshape(4, 4)
     assert np.allclose(out[:, 0], v)
@@ -335,7 +338,7 @@ def test_pauli_target_entries():
 
 def test_compute_junk_on_ideal():
     s = ideal_strategy(2)
-    junk, norm = compute_junk(s, build_xz(s))
+    junk, norm = compute_junk(build_xz(s))
     assert norm == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(junk) == pytest.approx(1.0, abs=1e-12)
 
@@ -351,7 +354,7 @@ def test_certify_reports_junk_orthogonal_to_the_ideal_state():
     s = orthogonal_junk_strategy()
     assert validate(s).ok and exact_value(s) == 0.0
     ops = build_xz(s)
-    junk, norm = compute_junk(s, ops)
+    junk, norm = compute_junk(ops)
     assert norm == 0.0 and np.all(junk == 0)
     rep = certify(s)
     assert rep.to_document()["transcript"] == [] and rep.junk_norm == 0.0
@@ -369,9 +372,9 @@ def test_certify_reports_junk_orthogonal_to_the_ideal_state():
 def test_extraction_distances_vanish_on_ideal():
     s = ideal_strategy(2)
     ops = build_xz(s)
-    junk, _ = compute_junk(s, ops)
+    junk, _ = compute_junk(ops)
     pairs = np.array([(p, q) for p in range(4) for q in range(4)])
-    d_fixed, d_opt = extraction_distance(s, ops, pairs, junk)
+    d_fixed, d_opt = extraction_distance(ops, pairs, junk)
     assert d_fixed.shape == d_opt.shape == (16,)
     assert np.all(d_fixed < 1e-12)
     assert np.all(d_opt < 1e-12)
@@ -385,13 +388,59 @@ def test_extraction_distances_vanish_on_ideal():
 def test_optimal_distance_never_beats_fixed(case):
     s, pairs = case
     ops = build_xz(s)
-    junk, _ = compute_junk(s, ops)
+    junk, _ = compute_junk(ops)
     pairs = np.array([(int(p, 2), int(q, 2)) for p, q in pairs])
-    d_fixed, d_opt = extraction_distance(s, ops, pairs, junk)
+    d_fixed, d_opt = extraction_distance(ops, pairs, junk)
     assert np.all(d_opt <= d_fixed + 1e-12)
 
 
+def twisted_ideal_strategy(n, eps, junk, seed=0):
+    """ideal_strategy(n) tensored with a random junk x junk state, A-major,
+    with each question's family conjugated by U_q = exp(i eps H_q / sqrt(d)).
+
+    The junk makes the state no product of pairs, and a conjugation keeps
+    a family commuting Hermitian unitaries while it moves the value
+    O(eps^2) below Tsirelson's.  H_q is a random Hermitian matrix.
+    """
+    rng = np.random.default_rng(seed)
+    ideal = ideal_strategy(n)
+    dim = ideal.dim_a
+    j_state = rng.normal(size=(junk, junk)) + 1j * rng.normal(size=(junk, junk))
+    state = np.kron(ideal.state.reshape(dim, dim), j_state / np.linalg.norm(j_state))
+
+    def twisted(stack):
+        families = np.kron(stack, np.eye(junk))
+        d = families.shape[-1]
+        for family in families:
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            vals, vecs = np.linalg.eigh((g + dagger(g)) / 2)
+            u = (vecs * np.exp(1j * eps * vals / math.sqrt(d))) @ dagger(vecs)
+            family[...] = u @ family @ dagger(u)
+        return families
+
+    return Strategy(state=state, alice=twisted(ideal.alice), bob=twisted(ideal.bob))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from([2, 4, 6]), st.floats(1e-4, 0.3), st.sampled_from([1, 2]),
+       st.integers(0, 2**32 - 1))
+@example(8, 0.1, 1, 0)
+def test_twisted_ideal_strategies_certify(n, eps, junk, seed):
+    # near-optimal, not a product of pairs, and not a noise model: the
+    # measured norms stay under the ceilings the value shortfall certifies
+    s = twisted_ideal_strategy(n, eps, junk, seed)
+    assert validate(s).ok
+    rep = certify(s)
+    assert rep.passed, rep.flags
+    for name in ("eps1", "eps2", "eps3"):
+        assert getattr(rep.measured, name) <= rep.certified[name] + BOUND_SLACK
+
+
 def family_strategy(n, family, seed=0):
+    if family == "twisted-ideal":
+        # a 2 x 2 junk state while the dense oracles' (dim_a dim_b)^2
+        # matrices stay at most 64 x 64
+        return twisted_ideal_strategy(n, 0.1, 2 if n <= 4 else 1, seed)
     if family == "random":
         return random_strategy(n, np.random.default_rng(seed))
     if family == "random-3x5":
@@ -412,13 +461,13 @@ def dense_pauli_target(n, p, q):
 def test_extraction_distance_matches_dense_definitions(n, family):
     s = family_strategy(n, family, seed=60 + n)
     ops = build_xz(s)
-    junk, _ = compute_junk(s, ops)
+    junk, _ = compute_junk(ops)
     strings = list(bits.all_strings(n))
     pairs = np.array([(p, q) for p in range(1 << n) for q in range(1 << n)])
     inputs = np.stack([dense_string(ops, "x", strings[q]) @ dense_string(ops, "z", strings[p])
                        @ s.state for p, q in pairs], axis=1)
     outs = dense_swap_circuit(ops, inputs).T.reshape(len(pairs), -1, 1 << n)
-    fixed, optimal = extraction_distance(s, ops, pairs, junk)
+    fixed, optimal = extraction_distance(ops, pairs, junk)
     targets = pauli_target(n, pairs[:, 0], pairs[:, 1])
     for (p, q), out, target, d_fixed, d_opt in zip(pairs, outs, targets, fixed, optimal):
         want = dense_pauli_target(n, strings[p], strings[q])
@@ -436,24 +485,24 @@ def test_extraction_distance_batch_matches_single_pairs():
     for n, family in ((4, "random"), (6, "bob-rotation"), (6, "random")):
         s = family_strategy(n, family, seed=70 + n)
         ops = build_xz(s)
-        junk, _ = compute_junk(s, ops)
+        junk, _ = compute_junk(ops)
         pairs = np.random.default_rng(n).integers(0, 1 << n, size=(256, 2))
-        fixed, optimal = extraction_distance(s, ops, pairs, junk)
+        fixed, optimal = extraction_distance(ops, pairs, junk)
         for row, d_fixed, d_opt in zip(pairs, fixed, optimal):
-            one_fixed, one_opt = extraction_distance(s, ops, row[None], junk)
+            one_fixed, one_opt = extraction_distance(ops, row[None], junk)
             assert abs(one_fixed[0] - d_fixed) < 1e-13
             assert abs(one_opt[0] - d_opt) < 1e-13
 
 
-def distance_inputs(s, ops, pairs):
+def distance_inputs(ops, pairs):
     """The inputs X'^q Z'^p psi of the distance stage, one (dim_a, dim_b) row per pair."""
-    return _products(*_operands(s, ops), *_pauli_rows(ops.n, pairs[:, 0], pairs[:, 1]))
+    return _products(*ops.gather_stacks, *_pauli_rows(ops.n, pairs[:, 0], pairs[:, 1]))
 
 
-def exact_distances(s, ops, pairs, junk):
+def exact_distances(ops, pairs, junk):
     """Fixed and optimal distances read off the isometry output of every pair."""
-    out = swap_isometry_apply(ops, distance_inputs(s, ops, pairs)).reshape(
-        len(pairs), s.dim_a * s.dim_b, -1)
+    out = swap_isometry_apply(ops, distance_inputs(ops, pairs)).reshape(
+        len(pairs), ops.dim_a * ops.dim_b, -1)
     target = pauli_target(ops.n, pairs[:, 0], pairs[:, 1])
     overlap = np.einsum("pik,pk->pi", out, target.conj())
     rest = np.linalg.norm(out - overlap[:, :, None] * target[:, None, :], axis=(1, 2))
@@ -463,18 +512,16 @@ def exact_distances(s, ops, pairs, junk):
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 @pytest.mark.parametrize("family", ["random", "random-3x5", "bob-rotation",
-                                    "partial-entanglement", "non-unitary"])
+                                    "partial-entanglement", "twisted-ideal", "non-unitary"])
 def test_walsh_overlap_matches_the_isometry_output(n, family):
     if family == "non-unitary":
         # the Gram norm must not assume unitary operators: X'_k and Z'_k
         # here are arbitrary matrices of norm about 1
         s = family_strategy(n, "random-3x5", seed=120 + n)
         rng = np.random.default_rng(n)
-        x_ops, z_ops = ([(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / d
-                         for d in (s.dim_a,) * (n // 2) + (s.dim_b,) * (n // 2)]
-                        for _ in range(2))
-        ops = ExtractedOperators(n=n, dim_a=s.dim_a, dim_b=s.dim_b,
-                                 x_ops=tuple(x_ops), z_ops=tuple(z_ops))
+        alice, bob = ((rng.normal(size=(2, n // 2, d, d))
+                       + 1j * rng.normal(size=(2, n // 2, d, d))) / d for d in (s.dim_a, s.dim_b))
+        ops = ExtractedOperators(state=s.state.reshape(s.dim_a, s.dim_b), alice=alice, bob=bob)
     else:
         s = family_strategy(n, family, seed=120 + n)
         ops = build_xz(s)
@@ -482,7 +529,7 @@ def test_walsh_overlap_matches_the_isometry_output(n, family):
         pairs = np.stack(np.divmod(np.arange(1 << 2 * n), 1 << n), axis=1)
     else:
         pairs = np.random.default_rng(n).integers(0, 1 << n, size=(12, 2))
-    w = distance_inputs(s, ops, pairs)
+    w = distance_inputs(ops, pairs)
     overlap, norm2 = _walsh_overlaps(ops, w, pairs[:, 0], pairs[:, 1])
     out = swap_isometry_apply(ops, w).reshape(len(pairs), w[0].size, -1)
     want = np.einsum("pik,pk->pi", out, pauli_target(n, pairs[:, 0], pairs[:, 1]).conj())
@@ -505,13 +552,26 @@ def test_distances_near_the_exact_floor_match_the_exact_kernel(n, monkeypatch):
                          (1 + 1e-6, 0), (2.0, 0)):
         s = noisy_strategy(n, NoiseSpec(model="bob-rotation", param=scale * at_floor))
         ops = build_xz(s)
-        junk, _ = compute_junk(s, ops)
+        junk, _ = compute_junk(ops)
         exact_rows.clear()
-        fixed, optimal = extraction_distance(s, ops, pairs, junk)
+        fixed, optimal = extraction_distance(ops, pairs, junk)
         assert exact is None or sum(exact_rows) == exact
-        want_fixed, want_optimal = exact_distances(s, ops, pairs, junk)
+        want_fixed, want_optimal = exact_distances(ops, pairs, junk)
         assert np.max(np.abs(fixed - want_fixed)) < 1e-12
         assert np.max(np.abs(optimal - want_optimal)) < 1e-12
+
+
+def operator_refs(monkeypatch):
+    """Patch certify's build_xz to keep a weak reference to each operator set it builds."""
+    refs, build = [], verifier.build_xz
+
+    def build_and_watch(strategy):
+        ops = build(strategy)
+        refs.append(weakref.ref(ops))
+        return ops
+
+    monkeypatch.setattr(verifier, "build_xz", build_and_watch)
+    return refs
 
 
 def test_certify_builds_the_gather_operands_once(monkeypatch):
@@ -521,9 +581,10 @@ def test_certify_builds_the_gather_operands_once(monkeypatch):
     calls = []
     apply = extraction.apply_on_b
     monkeypatch.setattr(extraction, "apply_on_b", lambda m, w: calls.append(1) or apply(m, w))
+    refs = operator_refs(monkeypatch)
     certify(noisy_strategy(4, NoiseSpec(model="bob-rotation", param=0.1)))
     assert len(calls) == 4 * 3
-    assert verifier._operands.cache_info().currsize == 0  # released with the run
+    assert len(refs) == 1 and refs[0]() is None  # the operators and their stacks go with the run
 
 
 def test_certify_releases_the_gather_operands_when_a_stage_raises(monkeypatch):
@@ -531,9 +592,14 @@ def test_certify_releases_the_gather_operands_when_a_stage_raises(monkeypatch):
         raise MemoryError("no room for the distances")
 
     monkeypatch.setattr(verifier, "extraction_distance", exhausted)
-    with pytest.raises(MemoryError):
+    refs = operator_refs(monkeypatch)
+    try:
         certify(noisy_strategy(4, NoiseSpec(model="bob-rotation", param=0.1)))
-    assert verifier._operands.cache_info().currsize == 0
+    except MemoryError:
+        assert refs[0]() is not None  # the traceback still holds certify's frame
+    else:
+        pytest.fail("the stage's MemoryError did not propagate")
+    assert len(refs) == 1 and refs[0]() is None
 
 
 @pytest.mark.parametrize("model", ["none", "bob-rotation"])
@@ -544,12 +610,12 @@ def test_small_chunks_give_what_one_chunk_gives(model, monkeypatch):
     # the Walsh overlap.
     s = noisy_strategy(4, NoiseSpec(model=model, param=0.0 if model == "none" else 0.1))
     ops = build_xz(s)
-    junk, _ = compute_junk(s, ops)
+    junk, _ = compute_junk(ops)
     pairs = np.stack(np.divmod(np.arange(1 << 8), 1 << 4), axis=1)
-    whole = measure_general_conditions(s, ops), *extraction_distance(s, ops, pairs, junk)
+    whole = measure_general_conditions(ops), *extraction_distance(ops, pairs, junk)
     # 5 rows per condition-norm chunk, 7 per Walsh chunk, 1 per exact chunk
     monkeypatch.setattr(verifier, "CHUNK_BYTES", 5 * 2 * 3 * s.dim_a * s.dim_b * 16)
-    chunked = measure_general_conditions(s, ops), *extraction_distance(s, ops, pairs, junk)
+    chunked = measure_general_conditions(ops), *extraction_distance(ops, pairs, junk)
     assert chunked[0] == whole[0]
     for got, want in zip(chunked[1:], whole[1:]):
         assert np.max(np.abs(got - want)) < 1e-15
@@ -574,12 +640,11 @@ def test_noise_model_distances_take_the_walsh_overlap(n, monkeypatch):
 def test_branch_stacks_are_isometries(n, family):
     s = family_strategy(n, family, seed=80 + n)
     ops = build_xz(s)
-    m = n // 2
-    for side, stack, d in zip((slice(0, m), slice(m, None)), ops.branches, (s.dim_a, s.dim_b)):
+    for (x, z), stack, d in zip((ops.alice, ops.bob), ops.branches, (s.dim_a, s.dim_b)):
         assert stack.shape == (1 << n // 2, d, d)
         assert np.max(np.abs(np.sum(dagger(stack) @ stack, axis=0) - np.eye(d))) < 1e-12
         # the stage products one qubit at a time, later qubits on the left
-        x, z, eye = np.array(ops.x_ops[side]), np.array(ops.z_ops[side]), np.eye(d)
+        eye = np.eye(d)
         stages = np.stack([(eye + z) / 2, x @ (eye - z) / 2], axis=1)  # [qubit, bit]
         want = stages[0]
         for stage in stages[1:]:
