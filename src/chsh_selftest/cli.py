@@ -33,6 +33,10 @@ EXIT_BOUND_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 
+#: largest n logset answers: it prints about (n/2) log2(n/2) characters,
+#: so its time and memory grow with n (about 240 MB of text at n = 2 * 10^7)
+MAX_LOGSET_N = 1 << 16
+
 SWEEP_COLUMNS = ("n,model,param,value,epsilon,delta_cert,"
                  "eps1_meas,eps1_cert,eps2_meas,eps2_cert,eps3_meas,eps3_cert,"
                  "dist_fixed_max,dist_opt_max,junk_norm")
@@ -186,6 +190,8 @@ def cmd_sweep(args) -> int:
 def cmd_logset(args) -> int:
     if args.n is None:
         raise _Refusal("--n is required")
+    if args.n > MAX_LOGSET_N:
+        raise _Refusal(f"pair-separating question set limited to n <= {MAX_LOGSET_N}")
     for q in log_question_set(args.n):
         print(q)
     return EXIT_OK

@@ -40,11 +40,6 @@ DISTANCE_PAIRS = 256
 #: output (2^n per input)
 CHUNK_BYTES = 2 << 20
 
-#: multiply-adds in the largest product the swap isometry hands to BLAS:
-#: OpenBLAS hands a product of 65,536 or more to its worker threads, whose
-#: wake-ups would otherwise set the pace of the exact kernel
-SERIAL_MACS = 1 << 15
-
 #: pairs with |rest|^2 below this fraction of |Phi(w)|^2 take the exact
 #: kernel: |rest|^2 = |Phi(w)|^2 - |overlap|^2 inherits the overlap's own
 #: error and is off by up to about 5e-15 |Phi(w)|^2, so |rest| is off by
@@ -209,35 +204,17 @@ def swap_isometry_apply(ops: ExtractedOperators, v: np.ndarray) -> np.ndarray:
     """Append n |0> ancillas and run the swap circuit for each qubit.
 
     ``v`` is a flat state or a batch shaped (..., dim_a, dim_b).  With the
-    branch stacks A and B, Phi(v) holds A_i v B_j^T for every branch pair:
-    first (A v)^T, then B (A v)^T with (A v)^T read as a real matrix, its
-    real and imaginary parts side by side, so that the real part of B
-    makes one real product and the imaginary part another (none when B is
-    real, as in the ideal and noise-model strategies).  No product exceeds
-    SERIAL_MACS multiply-adds where one row allows.  Each output is
-    device-major with the ancilla register (qubit 1 most significant)
-    last, and has the norm of its input.
+    branch stacks A and B, Phi(v) = sum_a |a> (x) A_{a_A} v B_{a_B}^T: per
+    input, one stack of products A v, then one product of all its rows
+    with every branch of B.  Each output is device-major with the ancilla
+    register (qubit 1 most significant) last, and has the norm of its input.
     """
-    da, db = ops.dim_a, ops.dim_b
+    (alice, bob), da, db = ops.branches, ops.dim_a, ops.dim_b
     v = np.asarray(v, dtype=complex)
     lead, v = v.shape[:-2], v.reshape(-1, da, db)
-    a_rows, b_rows = (stack.transpose(1, 0, 2).reshape(-1, stack.shape[-1])
-                      for stack in ops.branches)
-    w = _serial_product(v.transpose(0, 2, 1).reshape(-1, da), a_rows.T)  # [batch, c, a_A, i]
-    w = w.reshape(len(v), db, -1).transpose(1, 0, 2).reshape(db, -1).view(float)
-    # [c, (batch, a_A, i, re/im)]: real and imaginary parts side by side
-    out = _serial_product(b_rows.real, w).view(complex)  # [a_B, j, batch, a_A, i]
-    if b_rows.imag.any():
-        out += 1j * _serial_product(b_rows.imag, w).view(complex)
-    out = out.reshape(db, -1, len(v), da, len(a_rows) // da).transpose(2, 3, 0, 4, 1)
+    out = (alice @ v[:, None]).reshape(len(v), -1, db) @ bob.transpose(2, 0, 1).reshape(db, -1)
+    out = out.reshape(len(v), len(alice), da, len(bob), db).transpose(0, 2, 4, 1, 3)
     return out.reshape(lead + (-1,))
-
-
-def _serial_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b as a stack of products of a few rows of a each, none above
-    SERIAL_MACS multiply-adds where one row allows."""
-    rows = math.gcd(len(a), max(1, SERIAL_MACS // b.size))
-    return (a.reshape(-1, rows, a.shape[1]) @ b).reshape(len(a), -1)
 
 
 def pauli_target(n: int, p, q) -> np.ndarray:

@@ -310,7 +310,7 @@ def test_sweep_rejects_odd_n(capsys):
     assert code == 2
 
 
-def test_logset(capsys):
+def test_logset(capsys, monkeypatch):
     code, out, _ = run(capsys, "logset", "--n", "8")
     assert code == 0
     assert out.splitlines() == ["1010", "0110", "0001"]
@@ -319,6 +319,16 @@ def test_logset(capsys):
     assert out == ""
     code, _, _ = run(capsys, "logset", "--n", "5")
     assert code == 2
+
+    def unbuilt(n):
+        raise AssertionError("log_question_set ran")
+
+    # refused before the question set is built
+    monkeypatch.setattr(cli, "log_question_set", unbuilt)
+    code, out, err = run(capsys, "logset", "--n", str(cli.MAX_LOGSET_N + 2))
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"error: pair-separating question set limited to n <= {cli.MAX_LOGSET_N}"
 
 
 def test_unknown_command_exits_nonzero(capsys):
@@ -471,7 +481,7 @@ def cli_calls(draw, paths):
             argv.extend([flag, value])
 
     if command == "logset":
-        pick("--n", [None, "2", "4", "8", "3", "0", "-2"])
+        pick("--n", [None, "2", "4", "8", "3", "0", "-2", "2000000000"])
         return argv, None
     noises = [None, None, ("bob-rotation", "0.1"), ("partial-entanglement", "0.6"),
               ("bob-rotation", "2"), ("none", "0.1"), ("partial-entanglement", "-0.5"),

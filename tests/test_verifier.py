@@ -22,6 +22,7 @@ from chsh_selftest import (
 )
 from chsh_selftest import bits, jsonio
 from chsh_selftest.extraction import ExtractedOperators, build_xz, relabel
+from chsh_selftest.game import subtest_table
 from chsh_selftest.strategy import ideal_state
 from chsh_selftest.linalg import PAULI_X, PAULI_Z, dagger, tensor
 from chsh_selftest import verifier
@@ -268,13 +269,13 @@ def test_condition_rows_match_dense_definitions_n6(family, seed, rows):
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_swap_isometry_matches_dense_circuit(n):
-    rng = np.random.default_rng(50 + n)
-    s = random_strategy(n, rng)
-    ops = build_xz(s)
-    for v in (s.state, dense_string(ops, "x", "1" * n) @ s.state):
-        got = swap_isometry_apply(ops, v)
-        want = dense_swap_circuit(ops, np.reshape(v, -1))
-        assert np.max(np.abs(got - want)) < 1e-12
+    for family in ("random", "near-ideal-twisted"):
+        s = family_strategy(n, family, seed=50 + n)
+        ops = build_xz(s)
+        for v in (s.state, dense_string(ops, "x", "1" * n) @ s.state):
+            got = swap_isometry_apply(ops, v)
+            want = dense_swap_circuit(ops, np.reshape(v, -1))
+            assert np.max(np.abs(got - want)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +437,53 @@ def test_twisted_ideal_strategies_certify(n, eps, junk, seed):
         assert getattr(rep.measured, name) <= rep.certified[name] + BOUND_SLACK
 
 
+@settings(max_examples=6, deadline=None)
+@given(st.sampled_from([2, 4, 6]), st.floats(1e-4, 0.3), st.sampled_from([1, 2]),
+       st.integers(0, 2**32 - 1), st.integers(0, 7), st.integers(0, 7))
+@example(6, 0.0067, 2, 3911230070, 1, 0)  # uncomplemented, so same distances
+@example(6, 0.0007, 1, 1103237371, 2, 0)  # uncomplemented, but qa & q_b* moves junk_norm
+def test_twisted_ideal_reports_are_relabel_and_complement_invariant(n, eps, junk, seed, qa, qb):
+    s = twisted_ideal_strategy(n, eps, junk, seed)
+    table = subtest_table(s)
+    # complementing either player's question leaves every subtest as it was
+    assert np.array_equal(table, table[::-1]) and np.array_equal(table, table[:, ::-1])
+    full = (1 << n // 2) - 1
+    qa, qb = qa & full, qb & full
+    rep0, rep1 = certify(s), certify(relabel(s, qa, qb))
+    assert rep1.passed == rep0.passed
+
+    def norms(r):
+        m = r.measured
+        return (r.value, r.epsilon, m.eps1, m.eps2, m.eps3,
+                m.general_anticommute_max, m.general_swap_max)
+
+    assert norms(rep1) == pytest.approx(norms(rep0), abs=1e-12)
+    # a question ties with its complement and the search takes the smaller
+    # one, so the relabeled run may extract from the complemented pair,
+    # whose distances and junk differ
+    assert rep1.q_a_star in (rep0.q_a_star ^ qa, rep0.q_a_star ^ qa ^ full)
+    assert rep1.q_b_star in (rep0.q_b_star ^ qb, rep0.q_b_star ^ qb ^ full)
+    # relabeling by (q_a*, q_b*) after (qa, qb) gives relabel(s, q_a*, q_b*)
+    # with both players' observable k negated for each bit k of qa & q_b*
+    # (relabel's sign rule), so only without such a bit is the canonical
+    # strategy the same, and with it the junk and the distances
+    if ((rep1.q_a_star, rep1.q_b_star) == (rep0.q_a_star ^ qa, rep0.q_b_star ^ qb)
+            and not qa & rep1.q_b_star):
+        assert rep1.junk_norm == pytest.approx(rep0.junk_norm, abs=1e-12)
+        for got, want in ((rep1.distances_fixed, rep0.distances_fixed),
+                          (rep1.distances_optimal, rep0.distances_optimal)):
+            assert got.keys() == want.keys()
+            assert max(abs(got[k] - want[k]) for k in want) <= 1e-12
+
+
 def family_strategy(n, family, seed=0):
     if family == "twisted-ideal":
         # a 2 x 2 junk state while the dense oracles' (dim_a dim_b)^2
         # matrices stay at most 64 x 64
         return twisted_ideal_strategy(n, 0.1, 2 if n <= 4 else 1, seed)
+    if family == "near-ideal-twisted":
+        # complex operators whose every distance pair takes the exact kernel
+        return twisted_ideal_strategy(n, 1e-4, 2 if n <= 2 else 1, seed)
     if family == "random":
         return random_strategy(n, np.random.default_rng(seed))
     if family == "random-3x5":
@@ -457,7 +500,8 @@ def dense_pauli_target(n, p, q):
 
 
 @pytest.mark.parametrize("n", [2, 4])
-@pytest.mark.parametrize("family", ["random", "bob-rotation", "partial-entanglement"])
+@pytest.mark.parametrize("family", ["random", "bob-rotation", "partial-entanglement",
+                                    "near-ideal-twisted"])
 def test_extraction_distance_matches_dense_definitions(n, family):
     s = family_strategy(n, family, seed=60 + n)
     ops = build_xz(s)
@@ -477,6 +521,9 @@ def test_extraction_distance_matches_dense_definitions(n, family):
         overlap = out @ want.conj()
         best = overlap / np.linalg.norm(overlap)
         assert abs(np.linalg.norm(out - np.outer(best, want)) - d_opt) < 1e-12
+        if family == "near-ideal-twisted":  # the pair took the exact kernel
+            norm2 = np.linalg.norm(out) ** 2
+            assert norm2 - np.linalg.norm(overlap) ** 2 < EXACT_REST_FLOOR * norm2
 
 
 def test_extraction_distance_batch_matches_single_pairs():
