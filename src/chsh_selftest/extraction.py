@@ -32,8 +32,8 @@ class ExtractedOperators:
     marked read-only on construction.  Alice's act as ``op @ w`` and Bob's
     as ``w @ op.T`` on states shaped (..., dim_a, dim_b), so Bob's products
     on an identity come out transposed.  The gather stacks, both sides'
-    swap-isometry branch stacks, their Gram sums and the Walsh transform
-    of Bob's are built on first use and kept.  Compared and hashed by
+    swap-isometry branch stacks and the distance kernel's Walsh factors of
+    Bob's are built on first use and kept.  Compared and hashed by
     identity.
     """
 
@@ -115,18 +115,22 @@ class ExtractedOperators:
                      for stack in (self.alice, self.bob))
 
     @cached_property
-    def bob_walsh(self) -> np.ndarray:
-        """Walsh-Hadamard transform of Bob's branch stack B: entry c is
-        sum_v (-1)^{v.c} B[v], shaped like B."""
+    def walsh_factor(self) -> np.ndarray:
+        """The distance kernel's [G^T, R^dag] factors, shaped (2, 2^(n/2), d_b, d_b).
+
+        G[c] = sum_v (-1)^{v.c} B[v] is the Walsh-Hadamard transform of
+        Bob's branch stack B, and R_c the R factor of the stacked conj(G[c'])
+        over c' != c, so |Y R_c^dag|^2 = sum_{c' != c} |Y G[c']^T|^2 for any
+        Y.  Entry [0, c] is G[c]^T and [1, c] is R_c^dag; read-only.
+        """
         bob = self.branches[1]
         idx = np.arange(len(bob))
         signs = np.where(bits.parity(idx[:, None] & idx), -1.0, 1.0)
-        return (signs @ bob.transpose(1, 0, 2)).transpose(1, 0, 2)
-
-    @cached_property
-    def branch_grams(self) -> tuple[np.ndarray, np.ndarray]:
-        """Alice's and Bob's sum over the branch stack of branch^dag branch."""
-        return tuple(np.sum(dagger(stack) @ stack, axis=0) for stack in self.branches)
+        walsh = (signs @ bob.transpose(1, 0, 2)).transpose(1, 0, 2)
+        others = walsh.conj()[idx[:, None] ^ idx[1:]].reshape(len(bob), -1, bob.shape[-1])
+        factor = np.stack([walsh.transpose(0, 2, 1), dagger(np.linalg.qr(others, mode="r"))])
+        factor.setflags(write=False)
+        return factor
 
 
 def build_xz(strategy: Strategy) -> ExtractedOperators:

@@ -4,8 +4,8 @@ Given a strategy near the Tsirelson value, the extracted X'/Z' pairs
 should commute across qubits, anticommute on each qubit, and match
 their partner on the test state.  This module measures those norms,
 converts the observed score shortfall into certified ceilings for them,
-and applies the swap isometry to measure how far the real state and
-operators are from the ideal pair (up to a junk register).
+and measures how far the swap isometry's output is from the ideal state
+and Pauli actions (up to a junk register) without forming that output.
 """
 
 from __future__ import annotations
@@ -35,16 +35,9 @@ DEFAULT_GENERAL_SAMPLES = 10_000
 DISTANCE_PAIRS = 256
 
 #: bytes one chunk holds: gathered terms and products in the condition
-#: norms; in extraction_distance, the inputs and the three stacks of their
-#: size that the Walsh overlap forms and, on the exact path, isometry
-#: output (2^n per input)
+#: norms; in extraction_distance, the inputs and, per Walsh index, the
+#: three stacks of their size that the distance kernel forms
 CHUNK_BYTES = 2 << 20
-
-#: pairs with |rest|^2 below this fraction of |Phi(w)|^2 take the exact
-#: kernel: |rest|^2 = |Phi(w)|^2 - |overlap|^2 inherits the overlap's own
-#: error and is off by up to about 5e-15 |Phi(w)|^2, so |rest| is off by
-#: that over 2 |rest|, which the floor keeps below about 2.5e-13 |Phi(w)|
-EXACT_REST_FLOOR = 1e-4
 
 #: junk overlaps with a smaller norm are returned unnormalized (compute_junk)
 JUNK_NORM_FLOOR = 1e-12
@@ -203,11 +196,12 @@ def certified_bounds(delta: float) -> dict:
 def swap_isometry_apply(ops: ExtractedOperators, v: np.ndarray) -> np.ndarray:
     """Append n |0> ancillas and run the swap circuit for each qubit.
 
-    ``v`` is a flat state or a batch shaped (..., dim_a, dim_b).  With the
-    branch stacks A and B, Phi(v) = sum_a |a> (x) A_{a_A} v B_{a_B}^T: per
-    input, one stack of products A v, then one product of all its rows
-    with every branch of B.  Each output is device-major with the ancilla
-    register (qubit 1 most significant) last, and has the norm of its input.
+    The reference output, which certify never forms.  ``v`` is a flat
+    state or a batch shaped (..., dim_a, dim_b).  With the branch stacks A
+    and B, Phi(v) = sum_a |a> (x) A_{a_A} v B_{a_B}^T: per input, one stack
+    of products A v, then one product of all its rows with every branch of
+    B.  Each output is device-major with the ancilla register (qubit 1 most
+    significant) last, and has the norm of its input.
     """
     (alice, bob), da, db = ops.branches, ops.dim_a, ops.dim_b
     v = np.asarray(v, dtype=complex)
@@ -220,53 +214,54 @@ def swap_isometry_apply(ops: ExtractedOperators, v: np.ndarray) -> np.ndarray:
 def pauli_target(n: int, p, q) -> np.ndarray:
     """X^q Z^p applied to the ideal n-qubit state, on the ancilla register.
 
-    p and q are integers or integer arrays whose most significant of n
-    bits is qubit 1; P pairs give (P, 2^n).
+    The reference target, which certify takes in closed form.  p and q are
+    integers or integer arrays whose most significant of n bits is qubit 1;
+    P pairs give (P, 2^n).
     """
     p, q = (np.asarray(s)[..., None] for s in (p, q))
     idx = np.arange(1 << n) ^ q
     return np.where(bits.parity(idx & p), -1.0, 1.0) * ideal_state(n)[idx]
 
 
-def _walsh_overlaps(ops: ExtractedOperators, w: np.ndarray, p: np.ndarray,
-                    q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per (dim_a, dim_b) row of w: the overlap of Phi(w) with the target
-    X^q Z^p psi, flat over dim_a dim_b, and |Phi(w)|^2; Phi(w) is never formed.
+def _walsh_index(n: int, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's branch u^q_A and the sign (-1)^{u.p_A + c.q_B} of D_c, with
+    u = c^p_B, as [c, row] arrays for the integer pairs (p, q)."""
+    pa, pb, qa, qb = _split(n, p, q)
+    c = np.arange(1 << n // 2)[:, None]
+    u = c ^ pb
+    return u ^ qa, np.where(bits.parity(u & pa ^ c & qb), -1.0, 1.0)
+
+
+def _walsh_split(ops: ExtractedOperators, w: np.ndarray, branch: np.ndarray,
+                 sign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per (dim_a, dim_b) row of w, Phi(w) = overlap (x) X^q Z^p psi + rest:
+    the overlap, flat over dim_a dim_b, and |rest|; Phi(w) is never formed.
 
     The target is t[a] = 2^{-n/2} (-1)^{(a^q).p + (a_A^q_A).(a_B^q_B)}, so
-    summing Bob's branches against it leaves his Walsh transform G:
-    overlap = 2^{-n/2} sum_c (-1)^{u.p_A + c.q_B} A[u^q_A] w G[c]^T with
-    u = c^p_B.  |Phi(w)|^2 = Re tr(w^dag M_A w M_B^T), M = sum of
-    branch^dag branch, holds whether or not the operators are unitary.
-    Every product is a stack of single (d, d) products, too small for a
-    threaded BLAS to hand to its worker threads, whose wake-ups would
-    otherwise set the pace of this loop.
+    in the Walsh basis G of Bob's branches it has one block per Walsh index
+    c.  With u = c^p_B, Y_c = A[u^q_A] w and D_c = (-1)^{u.p_A + c.q_B}
+    Y_c G[c]^T, overlap = mean_c D_c and
+    |rest|^2 = 2^{-n/2} [sum_c |D_c - overlap|^2 + sum_c |Y_c R_c^dag|^2],
+    the second sum being the part of Phi(w) off the target's blocks.
+    ``branch`` and ``sign`` are ``_walsh_index`` of the rows' pairs.  The
+    signed Y_c times ``ops.walsh_factor[:, c]`` gives both terms, and
+    nothing is subtracted after squaring, so |rest| keeps its digits as it
+    nears 0.  None of this assumes unitary operators.  Each product (one
+    per branch of A, two per c) takes every row of w at once: in a chunk
+    of CHUNK_BYTES, about d CHUNK_BYTES / (16 (3 2^(n/2) + 1)) < 2^16
+    multiply-adds for sides of d <= 2^(n/2), too few for OpenBLAS to hand
+    to its worker threads, which stall while another process holds a core.
     """
-    n, alice = ops.n, ops.branches[0]
-    pa, pb, qa, qb = _split(n, p, q)
-    c = np.arange(len(alice))[:, None]
-    u = c ^ pb  # [c, row]
-    signs = np.where(bits.parity(u & pa ^ c & qb), -1.0, 1.0)
-    overlap = np.zeros(w.shape, dtype=complex)
-    for walsh, sign, index in zip(ops.bob_walsh, signs, u ^ qa):
-        terms = alice[index] @ w
-        terms *= sign[:, None, None]
-        overlap += terms @ walsh.T
-    overlap *= 2.0 ** (-n / 2)
-    gram_a, gram_b = ops.branch_grams
-    image = gram_a @ w @ gram_b.T
-    flat = (w.reshape(len(w), -1).view(float), image.reshape(len(w), -1).view(float))
-    return overlap.reshape(len(w), -1), np.einsum("pk,pk->p", *flat)
-
-
-def _exact_rest(ops: ExtractedOperators, w: np.ndarray, overlap: np.ndarray,
-                p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Per row of w: |rest| = |Phi(w) - overlap (x) X^q Z^p psi|, read off
-    the isometry output itself."""
-    out = swap_isometry_apply(ops, w).reshape(len(w), w[0].size, -1)
-    out -= overlap[:, :, None] * pauli_target(ops.n, p, q)[:, None, :]  # out is now rest
-    flat = out.reshape(len(w), -1).view(float)  # |rest|^2 is a real dot product
-    return np.sqrt(np.einsum("pk,pk->p", flat, flat))
+    alice = ops.branches[0]
+    k, (rows, da, db) = len(alice), w.shape
+    y = (alice @ w.transpose(1, 0, 2).reshape(da, -1)).reshape(k, da, rows, db)
+    y = y[branch, :, np.arange(rows)]  # Y_c, [c, row]
+    y *= sign[:, :, None, None]
+    prod = y.reshape(k, -1, db) @ ops.walsh_factor  # [D_c, +-Y_c R_c^dag]
+    overlap = prod[0].sum(axis=0) / k
+    prod[0] -= overlap
+    flat = prod.reshape(2 * k, rows, -1).view(float)
+    return overlap.reshape(rows, -1), np.sqrt(np.einsum("cpk,cpk->p", flat, flat) / k)
 
 
 def compute_junk(ops: ExtractedOperators) -> tuple[np.ndarray, float]:
@@ -279,7 +274,7 @@ def compute_junk(ops: ExtractedOperators) -> tuple[np.ndarray, float]:
     fixed distances are about |Phi(input)| and the norm reports the failure.
     """
     zero = np.zeros(1, dtype=int)
-    raw = _walsh_overlaps(ops, ops.state[None], zero, zero)[0][0]
+    raw = _walsh_split(ops, ops.state[None], *_walsh_index(ops.n, zero, zero))[0][0]
     norm = float(np.linalg.norm(raw))
     return (raw if norm < JUNK_NORM_FLOOR else raw / norm), norm
 
@@ -292,29 +287,21 @@ def extraction_distance(ops: ExtractedOperators, pairs: np.ndarray,
     overlap (x) target + rest, with target = X^q Z^p psi a unit vector and
     rest orthogonal to every junk (x) target.  So fixed = |out - junk (x)
     target| = hypot(|overlap - junk|, |rest|), and the optimum over unit
-    junk is hypot(|overlap| - 1, |rest|).  The Walsh overlap gives
-    |rest|^2 = |out|^2 - |overlap|^2 in chunks of about CHUNK_BYTES; pairs
-    below EXACT_REST_FLOOR take the exact kernel, which forms out to
-    read |rest| off it.
+    junk is hypot(|overlap| - 1, |rest|).  ``_walsh_split`` gives the
+    overlap and |rest| in one pass, in chunks of about CHUNK_BYTES.
     """
     n, pairs = ops.n, np.asarray(pairs).reshape(-1, 2)
     p, q = pairs[:, 0], pairs[:, 1]
     left, right = ops.gather_stacks
-    ia, ib = _pauli_rows(n, p, q)
+    (ia, ib), (branch, sign) = _pauli_rows(n, p, q), _walsh_index(n, p, q)
     overlap = np.empty((len(pairs), right[0].size), dtype=complex)
-    norm2 = np.empty(len(pairs))
-    rows = max(1, CHUNK_BYTES // (4 * right[0].nbytes))
+    rest = np.empty(len(pairs))
+    rows = max(1, CHUNK_BYTES // ((3 * len(branch) + 1) * right[0].nbytes))
     work = _workspace(left, right, min(rows, len(pairs)))
     for chunk in (slice(i, i + rows) for i in range(0, len(pairs), rows)):
-        overlap[chunk], norm2[chunk] = _walsh_overlaps(
-            ops, _products(left, right, ia[chunk], ib[chunk], work), p[chunk], q[chunk])
-    rest2 = norm2 - np.einsum("pk,pk->p", *(overlap.view(float),) * 2)
-    rest = np.sqrt(np.maximum(rest2, 0.0))
-    exact = np.flatnonzero(rest2 < EXACT_REST_FLOOR * norm2)
-    rows = max(1, CHUNK_BYTES // (right[0].nbytes << n))
-    for chunk in (exact[i:i + rows] for i in range(0, len(exact), rows)):
-        rest[chunk] = _exact_rest(ops, _products(left, right, ia[chunk], ib[chunk], work),
-                                  overlap[chunk], p[chunk], q[chunk])
+        overlap[chunk], rest[chunk] = _walsh_split(
+            ops, _products(left, right, ia[chunk], ib[chunk], work),
+            branch[:, chunk], sign[:, chunk])
     fixed = np.hypot(np.linalg.norm(overlap - junk, axis=1), rest)
     optimal = np.hypot(np.linalg.norm(overlap, axis=1) - 1.0, rest)
     return fixed, optimal
@@ -392,7 +379,12 @@ class SelfTestReport:
 
 
 def _distance_pairs(n: int, seed: int) -> tuple[np.ndarray, Coverage]:
-    """Integer (p, q) rows: all 4^n pairs in order, or a seeded sample."""
+    """Integer (p, q) rows: all 4^n pairs in order, or a seeded sample.
+
+    The sample is drawn with replacement (the seed-0 n = 6 draw holds 251
+    distinct pairs, though its coverage says DISTANCE_PAIRS); drawing
+    without replacement waits for the re-pin of the benchmark references.
+    """
     total = 1 << (2 * n)
     if total <= DISTANCE_PAIRS:
         return np.stack(np.divmod(np.arange(total), 1 << n), axis=1), Coverage(mode="exhaustive")

@@ -40,27 +40,15 @@ def _traced(strategy):
 def test_traced_certify_records_the_distance_spans():
     """A traced certify records the distance-stage spans and reports the same.
 
-    Noise-model pairs take the Walsh overlap, which forms no isometry output,
-    so only the distance and junk spans are required there."""
-    from chsh_selftest import NoiseSpec, noisy_strategy
+    No input forms the isometry output, not even the ideal strategy, whose
+    rests are 0, so the reference kernels leave no span."""
+    from chsh_selftest import NoiseSpec, ideal_strategy, noisy_strategy
 
-    s = noisy_strategy(2, NoiseSpec(model="bob-rotation", param=0.1))
-    spans, traced, plain = _traced(s)
-    names = [name for name, *_ in spans]
-    missing = [name for name in ("extraction_distance", "compute_junk")
-               if f"verifier.{name}" not in names]
-    assert not missing, f"certify bypasses the traced bindings of {missing}"
-    assert traced == plain
-
-
-def test_traced_exact_distances_nest_the_isometry_kernels():
-    """On the ideal strategy every pair has no rest, so each takes the exact
-    kernel, and the distance stage runs both traced kernels itself."""
-    from chsh_selftest import ideal_strategy
-
-    spans, traced, plain = _traced(ideal_strategy(2))
-    names = [name for name, *_ in spans]
-    nested = {(name, names[parent]) for name, _, _, parent, _ in spans if parent is not None}
-    for kernel in ("swap_isometry_apply", "pauli_target"):
-        assert (f"verifier.{kernel}", "verifier.extraction_distance") in nested
-    assert traced == plain
+    for s in (noisy_strategy(2, NoiseSpec(model="bob-rotation", param=0.1)), ideal_strategy(2)):
+        spans, traced, plain = _traced(s)
+        names = [name for name, *_ in spans]
+        missing = [name for name in ("extraction_distance", "compute_junk")
+                   if f"verifier.{name}" not in names]
+        assert not missing, f"certify bypasses the traced bindings of {missing}"
+        assert not {"verifier.swap_isometry_apply", "verifier.pauli_target"} & set(names)
+        assert traced == plain

@@ -21,20 +21,20 @@ from chsh_selftest import (
     validate,
 )
 from chsh_selftest import bits, jsonio
-from chsh_selftest.extraction import ExtractedOperators, build_xz, relabel
+from chsh_selftest.extraction import ExtractedOperators, build_xz, relabel, search_questions
 from chsh_selftest.game import subtest_table
 from chsh_selftest.strategy import ideal_state
 from chsh_selftest.linalg import PAULI_X, PAULI_Z, dagger, tensor
 from chsh_selftest import verifier
 from chsh_selftest.verifier import (
     BOUND_SLACK,
-    EXACT_REST_FLOOR,
     _anticommute_rows,
     _max_norm,
     _pauli_rows,
     _products,
     _swap_rows,
-    _walsh_overlaps,
+    _walsh_index,
+    _walsh_split,
     certified_bounds,
     compute_junk,
     extraction_distance,
@@ -482,7 +482,8 @@ def family_strategy(n, family, seed=0):
         # matrices stay at most 64 x 64
         return twisted_ideal_strategy(n, 0.1, 2 if n <= 4 else 1, seed)
     if family == "near-ideal-twisted":
-        # complex operators whose every distance pair takes the exact kernel
+        # complex operators whose every distance pair has |rest|^2 below
+        # 1e-4 |Phi(w)|^2, where |Phi(w)|^2 - |overlap|^2 keeps half its digits
         return twisted_ideal_strategy(n, 1e-4, 2 if n <= 2 else 1, seed)
     if family == "random":
         return random_strategy(n, np.random.default_rng(seed))
@@ -521,9 +522,9 @@ def test_extraction_distance_matches_dense_definitions(n, family):
         overlap = out @ want.conj()
         best = overlap / np.linalg.norm(overlap)
         assert abs(np.linalg.norm(out - np.outer(best, want)) - d_opt) < 1e-12
-        if family == "near-ideal-twisted":  # the pair took the exact kernel
+        if family == "near-ideal-twisted":  # the pair is as near-ideal as claimed
             norm2 = np.linalg.norm(out) ** 2
-            assert norm2 - np.linalg.norm(overlap) ** 2 < EXACT_REST_FLOOR * norm2
+            assert norm2 - np.linalg.norm(overlap) ** 2 < 1e-4 * norm2
 
 
 def test_extraction_distance_batch_matches_single_pairs():
@@ -562,8 +563,8 @@ def exact_distances(ops, pairs, junk):
                                     "partial-entanglement", "twisted-ideal", "non-unitary"])
 def test_walsh_overlap_matches_the_isometry_output(n, family):
     if family == "non-unitary":
-        # the Gram norm must not assume unitary operators: X'_k and Z'_k
-        # here are arbitrary matrices of norm about 1
+        # the kernel must not assume unitary operators: X'_k and Z'_k here
+        # are arbitrary matrices of norm about 1
         s = family_strategy(n, "random-3x5", seed=120 + n)
         rng = np.random.default_rng(n)
         alice, bob = ((rng.normal(size=(2, n // 2, d, d))
@@ -577,33 +578,63 @@ def test_walsh_overlap_matches_the_isometry_output(n, family):
     else:
         pairs = np.random.default_rng(n).integers(0, 1 << n, size=(12, 2))
     w = distance_inputs(ops, pairs)
-    overlap, norm2 = _walsh_overlaps(ops, w, pairs[:, 0], pairs[:, 1])
+    overlap, rest = _walsh_split(ops, w, *_walsh_index(n, pairs[:, 0], pairs[:, 1]))
     out = swap_isometry_apply(ops, w).reshape(len(pairs), w[0].size, -1)
-    want = np.einsum("pik,pk->pi", out, pauli_target(n, pairs[:, 0], pairs[:, 1]).conj())
+    target = pauli_target(n, pairs[:, 0], pairs[:, 1])
+    want = np.einsum("pik,pk->pi", out, target.conj())
     assert np.max(np.abs(overlap - want)) < 1e-13
-    assert np.max(np.abs(norm2 - np.linalg.norm(out, axis=(1, 2)) ** 2)) < 1e-13
+    want_rest = np.linalg.norm(out - want[:, :, None] * target[:, None, :], axis=(1, 2))
+    assert np.max(np.abs(rest - want_rest)) < 1e-13
+
+
+def forbid_the_isometry_output(monkeypatch):
+    """Make certify fail if it forms the isometry output or its target."""
+    def forbidden(*args):
+        raise AssertionError("certify formed the isometry output")
+
+    for name in ("swap_isometry_apply", "pauli_target"):
+        monkeypatch.setattr(verifier, name, forbidden)
 
 
 @pytest.mark.parametrize("n", [2, 4])
-def test_distances_near_the_exact_floor_match_the_exact_kernel(n, monkeypatch):
-    # every pair of a bob-rotation strategy has |rest|^2 / |Phi|^2 = 1 - cos^n(eta/2):
-    # the angles put it below, at (where roundoff picks the kernel per pair) and
-    # above the floor, whose neighbourhood holds the least accurate fast-path inputs
-    exact_rows = []
-    apply = verifier.swap_isometry_apply
-    monkeypatch.setattr(verifier, "swap_isometry_apply",
-                        lambda ops, v: exact_rows.append(len(v)) or apply(ops, v))
-    at_floor = 2 * math.acos((1 - EXACT_REST_FLOOR) ** (1 / n))
-    pairs = np.stack(np.divmod(np.arange(1 << 2 * n), 1 << n), axis=1)
-    for scale, exact in ((0.5, len(pairs)), (1 - 1e-6, len(pairs)), (1.0, None),
-                         (1 + 1e-6, 0), (2.0, 0)):
-        s = noisy_strategy(n, NoiseSpec(model="bob-rotation", param=scale * at_floor))
-        ops = build_xz(s)
+def test_certify_never_forms_the_isometry_output(n, monkeypatch):
+    # every family takes the one distance kernel, the ideal strategy (no
+    # rest) and near-ideal ones included.  Every pair of a bob-rotation
+    # strategy has |rest|^2 / |Phi|^2 = 1 - cos^n(eta/2), and the angles
+    # put that below, at and above 1e-4, where the difference of squares
+    # |Phi|^2 - |overlap|^2 is already off in its eighth digit
+    forbid_the_isometry_output(monkeypatch)
+    at_ratio = 2 * math.acos((1 - 1e-4) ** (1 / n))
+    strategies = [ideal_strategy(n), family_strategy(n, "near-ideal-twisted", seed=100 + n),
+                  family_strategy(n, "random", seed=100 + n)]
+    strategies += [noisy_strategy(n, NoiseSpec(model="bob-rotation", param=scale * at_ratio))
+                   for scale in (0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 2.0)]
+    for s in strategies:
+        rep = certify(s)
+        ops = build_xz(search_questions(s)[0])
         junk, _ = compute_junk(ops)
-        exact_rows.clear()
-        fixed, optimal = extraction_distance(ops, pairs, junk)
-        assert exact is None or sum(exact_rows) == exact
+        pairs = np.array(list(rep.distances_fixed))
         want_fixed, want_optimal = exact_distances(ops, pairs, junk)
+        assert np.max(np.abs(list(rep.distances_fixed.values()) - want_fixed)) < 1e-12
+        assert np.max(np.abs(list(rep.distances_optimal.values()) - want_optimal)) < 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([2, 4, 6]), st.floats(1e-7, 1e-3), st.sampled_from([1, 2]),
+       st.integers(0, 2**32 - 1))
+@example(8, 1e-4, 1, 0)
+def test_near_ideal_distances_match_the_dense_oracle(n, eps, junk, seed):
+    # |rest| near 0 is where a difference of squares loses half its digits
+    for s in (twisted_ideal_strategy(n, eps, junk, seed),
+              noisy_strategy(n, NoiseSpec(model="bob-rotation", param=eps))):
+        ops = build_xz(s)
+        junk_state, _ = compute_junk(ops)
+        if n <= 4:
+            pairs = np.stack(np.divmod(np.arange(1 << 2 * n), 1 << n), axis=1)
+        else:  # the oracle forms 2^n outputs per pair
+            pairs = np.random.default_rng(seed).integers(0, 1 << n, size=(16, 2))
+        fixed, optimal = extraction_distance(ops, pairs, junk_state)
+        want_fixed, want_optimal = exact_distances(ops, pairs, junk_state)
         assert np.max(np.abs(fixed - want_fixed)) < 1e-12
         assert np.max(np.abs(optimal - want_optimal)) < 1e-12
 
@@ -653,16 +684,20 @@ def test_certify_releases_the_gather_operands_when_a_stage_raises(monkeypatch):
 def test_small_chunks_give_what_one_chunk_gives(model, monkeypatch):
     # every chunk of a stage reuses one set of buffers; with a chunk of a
     # few rows (the last one shorter) the norms and distances must not
-    # change.  "none" takes the exact kernel on every pair, bob-rotation
-    # the Walsh overlap.
+    # change, whether the rests are 0 ("none") or not
     s = noisy_strategy(4, NoiseSpec(model=model, param=0.0 if model == "none" else 0.1))
     ops = build_xz(s)
     junk, _ = compute_junk(ops)
     pairs = np.stack(np.divmod(np.arange(1 << 8), 1 << 4), axis=1)
     whole = measure_general_conditions(ops), *extraction_distance(ops, pairs, junk)
-    # 5 rows per condition-norm chunk, 7 per Walsh chunk, 1 per exact chunk
-    monkeypatch.setattr(verifier, "CHUNK_BYTES", 5 * 2 * 3 * s.dim_a * s.dim_b * 16)
+    # 7 rows per distance chunk, which holds the inputs and three stacks of
+    # their size per Walsh index (4 at n = 4), and 15 per condition-norm chunk
+    monkeypatch.setattr(verifier, "CHUNK_BYTES", 7 * (3 * 4 + 1) * s.dim_a * s.dim_b * 16)
+    rows, split = [], verifier._walsh_split
+    monkeypatch.setattr(verifier, "_walsh_split",
+                        lambda ops, w, *index: rows.append(len(w)) or split(ops, w, *index))
     chunked = measure_general_conditions(ops), *extraction_distance(ops, pairs, junk)
+    assert len(rows) >= 3 and rows[0] == 7 and 0 < rows[-1] < 7 and sum(rows) == len(pairs)
     assert chunked[0] == whole[0]
     for got, want in zip(chunked[1:], whole[1:]):
         assert np.max(np.abs(got - want)) < 1e-15
@@ -670,10 +705,7 @@ def test_small_chunks_give_what_one_chunk_gives(model, monkeypatch):
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_noise_model_distances_take_the_walsh_overlap(n, monkeypatch):
-    def forbidden(ops, v):
-        raise AssertionError("the exact kernel ran on a noise-model input")
-
-    monkeypatch.setattr(verifier, "swap_isometry_apply", forbidden)
+    forbid_the_isometry_output(monkeypatch)
     for spec in (NoiseSpec(model="bob-rotation", param=0.05),
                  NoiseSpec(model="bob-rotation", param=0.25),
                  NoiseSpec(model="partial-entanglement", param=0.55),
