@@ -29,7 +29,10 @@ class ExtractedOperators:
 
     ``state`` is psi as a (dim_a, dim_b) matrix and ``alice`` and ``bob``
     are (2, n/2, d, d) stacks with X' at index 0 and Z' at index 1, all
-    marked read-only on construction.  Alice's act as ``op @ w`` and Bob's
+    marked read-only on construction.  Like a ``Strategy``'s, each is
+    float64 when its strategy's arrays are (every imaginary part bitwise
+    +0.0; a -0.0 keeps them complex128), and every stack built from them
+    takes the dtype its operands promote to.  Alice's act as ``op @ w`` and Bob's
     as ``w @ op.T`` on states shaped (..., dim_a, dim_b), so Bob's products
     on an identity come out transposed.  The gather stacks, both sides'
     swap-isometry branch stacks and the distance kernel's Walsh factors of
@@ -66,7 +69,7 @@ class ExtractedOperators:
         """
         m, ops = self.n // 2, (self.alice, self.bob)[side][kind]
         act = apply_on_b if side else apply_on_a
-        table = np.empty((1 << m,) + w.shape, dtype=complex)
+        table = np.empty((1 << m,) + w.shape, dtype=np.result_type(w, ops))
         table[0] = w
         for u in range(1, 1 << m):
             pos = u.bit_length() - 1
@@ -94,7 +97,7 @@ class ExtractedOperators:
         matrix would keep roundoff entries of his operators that acting on
         psi absorbs, and turn norms that are exactly 0 into ~1e-17.
         """
-        alice = self.string_table(0, np.eye(self.dim_a, dtype=complex))
+        alice = self.string_table(0, np.eye(self.dim_a))
         stacks = (np.concatenate([alice[0], -alice[1], alice[1]]),
                   self.string_table(1, self.state).reshape(-1, self.dim_a, self.dim_b))
         for stack in stacks:
@@ -111,7 +114,7 @@ class ExtractedOperators:
         and qubit 1 is the most significant bit of a.  Each stack is the
         ``branch_tree`` of the identity split by Z'_k with X'_k as flips.
         """
-        return tuple(branch_tree(np.eye(stack.shape[-1], dtype=complex), stack[1], stack[0])
+        return tuple(branch_tree(np.eye(stack.shape[-1]), stack[1], stack[0])
                      for stack in (self.alice, self.bob))
 
     @cached_property

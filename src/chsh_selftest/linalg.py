@@ -1,16 +1,19 @@
-"""Dense complex linear algebra shared by the rest of the package.
+"""Dense linear algebra shared by the rest of the package.
 
 Everything here is a pure function on numpy arrays; inputs are never
-mutated.  Matrices are complex128.  States on a bipartite system use
-A-major ordering: index = i_A * dim_B + i_B.
+mutated.  Matrices are float64 or complex128, and each result takes the
+dtype its operands promote to: a strategy is stored real when every
+imaginary part is bitwise +0.0 (a -0.0 stays complex, so its document
+writes back unchanged), and real operands then run in real arithmetic.
+States on a bipartite system use A-major ordering: index = i_A * dim_B + i_B.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 #: eigenvalues smaller than this in magnitude are treated as +ZERO_TOL
 #: when an operator is sign-normalized
@@ -30,9 +33,9 @@ def tensor(*factors: np.ndarray) -> np.ndarray:
     """Kronecker product; the first factor is the most significant."""
     if not factors:
         raise ValueError("tensor of no factors")
-    out = np.asarray(factors[0], dtype=complex)
+    out = np.asarray(factors[0])
     for f in factors[1:]:
-        out = np.kron(out, np.asarray(f, dtype=complex))
+        out = np.kron(out, f)
     return out
 
 
@@ -43,8 +46,8 @@ def embed_qubit_op(op: np.ndarray, k: int, num_qubits: int) -> np.ndarray:
     """
     if not 1 <= k <= num_qubits:
         raise ValueError(f"qubit {k} out of range for {num_qubits} qubits")
-    left = np.eye(1 << (k - 1), dtype=complex)
-    right = np.eye(1 << (num_qubits - k), dtype=complex)
+    left = np.eye(1 << (k - 1))
+    right = np.eye(1 << (num_qubits - k))
     return tensor(left, op, right)
 
 
@@ -73,7 +76,7 @@ def sign_normalize(m: np.ndarray) -> np.ndarray:
     ZERO_TOL are treated as +ZERO_TOL, so a (near-)null direction maps to
     +1 rather than producing a division blow-up or an arbitrary sign.
     """
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not hermiticity_residual(m) <= VALIDATION_TOL:  # a NaN residual fails too
@@ -104,10 +107,12 @@ def branch_tree(root: np.ndarray, family: np.ndarray,
     the branches P_x psi, on the identity the answer projectors.  With
     Z'_k as M_k and X'_k as the flips, the leaves on the identity are the
     branch stack of the swap isometry.  The tree grows in place in the leaf
-    array: the nodes of level k sit at every 2^(m-k)-th leaf.
+    array: the nodes of level k sit at every 2^(m-k)-th leaf, whose dtype
+    is that of root, family and flips together.
     """
     m = len(family)
-    leaves = np.empty((1 << m, *root.shape), dtype=complex)
+    dtype = np.result_type(root, family, *(() if flips is None else (flips,)))
+    leaves = np.empty((1 << m, *root.shape), dtype=dtype)
     leaves[0] = root
     for k, obs in enumerate(family):
         step = 1 << (m - k)

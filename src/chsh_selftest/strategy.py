@@ -61,9 +61,12 @@ class Strategy:
     with big-endian integer index q, so ``alice`` has shape
     (2^(n/2), n/2, dim_a, dim_a); ``bob`` likewise with dim_b.  The state
     is A-major: index = i_A * dim_b + i_B.  n, dim_a and dim_b are read off
-    the shapes.  The arrays are copied and marked read-only on construction
-    (the loader hands its own arrays over uncopied); strategies compare and
-    hash by identity.
+    the shapes.  Each array is stored as float64 when every imaginary part
+    is bitwise +0.0, and as complex128 otherwise: a -0.0 imaginary part
+    keeps it complex, so a loaded document writes back byte for byte.  The
+    arrays are copied and marked read-only on construction (the loader
+    hands its own arrays over uncopied); strategies compare and hash by
+    identity.
     """
 
     state: np.ndarray
@@ -75,8 +78,8 @@ class Strategy:
 
     @classmethod
     def _adopt(cls, state: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> Strategy:
-        """A strategy over complex arrays that their builder hands over and
-        no longer holds: they are checked and marked read-only, not copied."""
+        """A strategy over arrays that their builder hands over and no longer
+        holds: they are checked and marked read-only, not copied."""
         strategy = object.__new__(cls)
         for name, a in (("state", state), ("alice", alice), ("bob", bob)):
             object.__setattr__(strategy, name, a)
@@ -127,8 +130,23 @@ class Strategy:
 
 
 def _frozen(a, copy: bool) -> np.ndarray:
-    a = np.array(a, dtype=complex) if copy else np.asarray(a, dtype=complex)
+    a = np.asarray(a)
+    a = _narrowed(a if a.dtype.kind in "biuf" else a.astype(complex, copy=False))
+    dtype = complex if a.dtype.kind == "c" else float
+    a = np.array(a, dtype=dtype, order="C") if copy else np.ascontiguousarray(a, dtype=dtype)
     a.setflags(write=False)
+    return a
+
+
+def _narrowed(a: np.ndarray) -> np.ndarray:
+    """The real part of a complex128 array whose every imaginary part is
+    bitwise +0.0 (a view), else the array itself.
+
+    Comparing bit patterns, not values, keeps an array with a -0.0
+    imaginary part complex, and so the sign that its document writes.
+    """
+    if a.dtype == complex and not a.imag.view(np.int64).any():
+        return a.real
     return a
 
 
@@ -160,7 +178,7 @@ def ideal_state(n: int) -> np.ndarray:
     """
     idx = np.arange(1 << n // 2)
     signs = np.where(bits.parity(idx[:, None] & idx), -1.0, 1.0)
-    return (signs / math.sqrt(1 << n)).astype(complex).reshape(-1)
+    return (signs / math.sqrt(1 << n)).reshape(-1)
 
 
 def _local_stack(m: int, single) -> np.ndarray:
@@ -200,10 +218,11 @@ def noisy_strategy(n: int, noise: NoiseSpec) -> Strategy:
         state = np.einsum("ij,ab->iajb", state, pair)
         state = state.reshape(state.shape[0] * 2, -1)
     rot = np.array([[math.cos(eta / 2), -math.sin(eta / 2)],
-                    [math.sin(eta / 2), math.cos(eta / 2)]], dtype=complex)
-    bob_pair = tuple(rot @ b @ rot.conj().T for b in _BOB_PAIR)
-    return Strategy(state=state.astype(complex), alice=_local_stack(m, (PAULI_X, PAULI_Z)),
-                    bob=_local_stack(m, bob_pair))
+                    [math.sin(eta / 2), math.cos(eta / 2)]])
+    bob_pair = tuple(rot @ b @ rot.T for b in _BOB_PAIR)
+    # built in float64, so nothing needs narrowing, and fresh, so not copied
+    return Strategy._adopt(state.reshape(-1), _local_stack(m, (PAULI_X, PAULI_Z)),
+                           _local_stack(m, bob_pair))
 
 
 def random_strategy(n: int, rng: np.random.Generator,
@@ -255,7 +274,8 @@ def validate(strategy: Strategy) -> StrategyDiagnostics:
                                commutation=float(np.max(comm)), normalization=normres)
 
 
-#: complex entries of one round chunk's stack of reduced operators (16 bytes each)
+#: entries of one round chunk's stack of reduced operators: 8 bytes each
+#: for a real strategy and state, 16 for a complex one
 SAMPLE_CHUNK_ENTRIES = 1 << 22
 
 
@@ -282,11 +302,11 @@ def _answer_masses(reduced: np.ndarray, family: np.ndarray) -> np.ndarray:
     S_r = Phi_r^dag Phi_r are reduced operators on Bob's side and Q_y his
     answer projectors for ``family``; the A-major state puts Bob's operator
     on the right as Q^T, so the sum pairs S with Q itself, not its transpose.
-    One real GEMM: (re, im) . (re, -im) is the real part of the product.
+    One real GEMM: (re, im) . (re, -im) is the real part of the product,
+    so both factors take the dtype they promote to before the float view.
     """
-    dim = reduced.shape[-1]
-    proj = np.conjugate(branch_tree(np.eye(dim, dtype=complex), family))
-    return (reduced.reshape(len(reduced), -1).view(float)
+    proj = np.conjugate(branch_tree(np.eye(reduced.shape[-1], dtype=reduced.dtype), family))
+    return (reduced.astype(proj.dtype, copy=False).reshape(len(reduced), -1).view(float)
             @ proj.reshape(len(proj), -1).view(float).T)
 
 
@@ -314,7 +334,7 @@ def born_answers(strategy: Strategy, qa_idx: np.ndarray, qb_idx: np.ndarray,
         questions, repeats = np.unique(qa, return_counts=True)
         room = int(np.minimum(repeats, 1 << m).sum())
         keys = np.empty(room, dtype=np.int64)
-        reduced = np.empty((room, db, db), dtype=complex)
+        reduced = np.empty((room, db, db), dtype=np.result_type(psi, strategy.alice))
         count = 0
         for a in questions:
             rows = np.flatnonzero(qa == a)
@@ -361,15 +381,17 @@ def strategy_to_text(strategy: Strategy) -> str:
 
 
 def _to_pairs(a: np.ndarray) -> list:
-    """[[re, im], ...] over the entries of a complex array, row-major."""
-    return np.ascontiguousarray(a).view(float).reshape(-1, 2).tolist()
+    """[[re, im], ...] over the entries of an array, row-major; a real
+    array is written through a complex copy, with +0.0 imaginary parts."""
+    return np.ascontiguousarray(a, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
 def _from_pairs(obj, what: str) -> np.ndarray:
-    """Complex array from an array of [re, im] number pairs: a float array
-    from ``jsonio.loads``, or nested lists (possibly holding such arrays)
-    where a payload was not all numbers; ``jsonio.loads`` reads every number
-    in an array as a float."""
+    """Array from an array of [re, im] number pairs: a float array from
+    ``jsonio.loads``, or nested lists (possibly holding such arrays) where
+    a payload was not all numbers; ``jsonio.loads`` reads every number in
+    an array as a float.  A view of the real parts when every imaginary
+    part is +0.0 (``_narrowed``), else complex."""
     try:
         raw = np.asarray(obj)  # no dtype: a float dtype would parse "1.0" and map null to nan
         ok = raw.dtype.kind == "f" and raw.shape[-1:] == (2,) and not _holds_bool(obj)
@@ -377,7 +399,7 @@ def _from_pairs(obj, what: str) -> np.ndarray:
         ok = False
     if not ok:
         raise ValueError(f"{what} must hold nested lists of [re, im] number pairs")
-    return np.ascontiguousarray(raw, dtype=float).view(complex)[..., 0]
+    return _narrowed(np.ascontiguousarray(raw, dtype=float).view(complex)[..., 0])
 
 
 def _holds_bool(obj) -> bool:
@@ -392,16 +414,20 @@ def _stack_from_doc(families, what: str, m: int, dim: int) -> np.ndarray:
 
     Each question's payload is popped from the map into a stack that grows
     in place (``ndarray.resize`` reallocates), so the parsed and the stacked
-    copy of a side never both exist in full.
+    copy of a side never both exist in full.  Each payload is narrowed on
+    its own, so the stack is float64 until a complex payload promotes it,
+    and a real side never holds a complex copy.
     """
     if not isinstance(families, dict):
         raise ValueError(f"{what} must be an object keyed by question")
     questions = sorted(families)
-    stack = np.empty(0, dtype=complex)
+    stack = np.empty(0)
     for i, q in enumerate(questions):
         block = _from_pairs(families.pop(q), what)
         if block.shape != (m, dim * dim):
             break
+        if block.dtype != stack.dtype == float:  # the first complex payload
+            stack = stack.astype(complex)
         stack.resize((i + 1, m, dim * dim), refcheck=False)
         stack[i] = block
     else:

@@ -77,12 +77,13 @@ class ConditionNorms:
 
 
 def _workspace(left: np.ndarray, right: np.ndarray, rows: int) -> tuple[np.ndarray, ...]:
-    """Buffers for ``_products`` over up to ``rows`` rows: the sum, one
-    term, and one gathered row of each side."""
-    shape = (rows, left.shape[1], right.shape[2])
-    return (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex),
-            np.empty((rows,) + left.shape[1:], dtype=complex),
-            np.empty((rows,) + right.shape[1:], dtype=complex))
+    """Buffers for ``_products`` over up to ``rows`` rows: the sum and one
+    term, in the dtype the two sides promote to, and one gathered row of
+    each side in its own dtype."""
+    shape, dtype = (rows, left.shape[1], right.shape[2]), np.result_type(left, right)
+    return (np.empty(shape, dtype=dtype), np.empty(shape, dtype=dtype),
+            np.empty((rows,) + left.shape[1:], dtype=left.dtype),
+            np.empty((rows,) + right.shape[1:], dtype=right.dtype))
 
 
 def _products(left: np.ndarray, right: np.ndarray, ia: np.ndarray, ib: np.ndarray,
@@ -102,11 +103,19 @@ def _products(left: np.ndarray, right: np.ndarray, ia: np.ndarray, ib: np.ndarra
     return w
 
 
-def _max_norm(left: np.ndarray, right: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> float:
-    """Largest Frobenius norm of the rows of ``_products``; each chunk's
-    gathered terms and their products take about CHUNK_BYTES."""
-    rows = max(1, CHUNK_BYTES // (ia.shape[1] * (left[0].nbytes + 2 * right[0].nbytes)))
-    work = _workspace(left, right, min(rows, len(ia)))
+def _chunk_rows(left: np.ndarray, right: np.ndarray, terms: int) -> int:
+    """Rows per chunk of a condition norm whose rows sum ``terms`` products:
+    their gathered terms and products take about CHUNK_BYTES."""
+    return max(1, CHUNK_BYTES // (terms * (left[0].nbytes + 2 * right[0].nbytes)))
+
+
+def _max_norm(left: np.ndarray, right: np.ndarray, ia: np.ndarray, ib: np.ndarray,
+              work: tuple[np.ndarray, ...] | None = None) -> float:
+    """Largest Frobenius norm of the rows of ``_products``, one chunk of
+    ``_chunk_rows`` at a time, written into ``work`` when given (buffers
+    of at least one chunk, which a stage's calls share)."""
+    rows = _chunk_rows(left, right, ia.shape[1])
+    work = work or _workspace(left, right, min(rows, len(ia)))
     return max(float(np.max(np.linalg.norm(
         _products(left, right, ia[i:i + rows], ib[i:i + rows], work), axis=(1, 2))))
         for i in range(0, len(ia), rows))
@@ -143,18 +152,21 @@ def _pauli_rows(n: int, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nd
     return (2 * size + qa * stride + pa)[:, None], (size + qb * stride + pb)[:, None]
 
 
-def measure_epsilons(ops: ExtractedOperators) -> ConditionNorms:
+def measure_epsilons(ops: ExtractedOperators,
+                     work: tuple[np.ndarray, ...] | None = None) -> ConditionNorms:
     """Worst single-qubit condition norms (general fields left unset).
 
     eps1 and eps3 are the weight-1 rows of the anticommutation family
     with k != l and k = l, and eps2 the weight-1 rows of the swap family.
+    ``work`` is ``_max_norm``'s.
     """
     n, (left, right) = ops.n, ops.gather_stacks
     unit = 1 << np.arange(n)
     s, t = np.repeat(unit, n), np.tile(unit, n)
-    return ConditionNorms(eps1=_max_norm(left, right, *_anticommute_rows(n, s[s != t], t[s != t])),
-                          eps2=_max_norm(left, right, *_swap_rows(n, unit)),
-                          eps3=_max_norm(left, right, *_anticommute_rows(n, unit, unit)))
+    return ConditionNorms(
+        eps1=_max_norm(left, right, *_anticommute_rows(n, s[s != t], t[s != t]), work),
+        eps2=_max_norm(left, right, *_swap_rows(n, unit), work),
+        eps3=_max_norm(left, right, *_anticommute_rows(n, unit, unit), work))
 
 
 def measure_general_conditions(ops: ExtractedOperators, seed: int = 0) -> ConditionNorms:
@@ -163,7 +175,9 @@ def measure_general_conditions(ops: ExtractedOperators, seed: int = 0) -> Condit
     Every pair for n <= MAX_EXHAUSTIVE_N, otherwise DEFAULT_GENERAL_SAMPLES
     seeded uniform draws; both run through the same gather kernel.
     Returns a ConditionNorms with the general fields (and coverage)
-    filled in and eps1..eps3 measured alongside.
+    filled in and eps1..eps3 measured alongside.  All five norms share one
+    workspace, sized for the largest chunk: every row sums two products,
+    and the general anticommutation rows are the most numerous.
     """
     n = ops.n
     if n <= MAX_EXHAUSTIVE_N:
@@ -175,9 +189,11 @@ def measure_general_conditions(ops: ExtractedOperators, seed: int = 0) -> Condit
         t = rng.integers(0, 1 << n, size=DEFAULT_GENERAL_SAMPLES)
         cov = Coverage(mode="sampled", count=DEFAULT_GENERAL_SAMPLES, seed=seed)
     left, right = ops.gather_stacks
-    return replace(measure_epsilons(ops),
-                   general_anticommute_max=_max_norm(left, right, *_anticommute_rows(n, s, t)),
-                   general_swap_max=_max_norm(left, right, *_swap_rows(n, np.unique(s))),
+    work = _workspace(left, right, min(_chunk_rows(left, right, 2), len(s)))
+    return replace(measure_epsilons(ops, work),
+                   general_anticommute_max=_max_norm(left, right, *_anticommute_rows(n, s, t),
+                                                     work),
+                   general_swap_max=_max_norm(left, right, *_swap_rows(n, np.unique(s)), work),
                    coverage=cov)
 
 
@@ -204,7 +220,7 @@ def swap_isometry_apply(ops: ExtractedOperators, v: np.ndarray) -> np.ndarray:
     significant) last, and has the norm of its input.
     """
     (alice, bob), da, db = ops.branches, ops.dim_a, ops.dim_b
-    v = np.asarray(v, dtype=complex)
+    v = np.asarray(v)
     lead, v = v.shape[:-2], v.reshape(-1, da, db)
     out = (alice @ v[:, None]).reshape(len(v), -1, db) @ bob.transpose(2, 0, 1).reshape(db, -1)
     out = out.reshape(len(v), len(alice), da, len(bob), db).transpose(0, 2, 4, 1, 3)
@@ -248,9 +264,12 @@ def _walsh_split(ops: ExtractedOperators, w: np.ndarray, branch: np.ndarray,
     nothing is subtracted after squaring, so |rest| keeps its digits as it
     nears 0.  None of this assumes unitary operators.  Each product (one
     per branch of A, two per c) takes every row of w at once: in a chunk
-    of CHUNK_BYTES, about d CHUNK_BYTES / (16 (3 2^(n/2) + 1)) < 2^16
-    multiply-adds for sides of d <= 2^(n/2), too few for OpenBLAS to hand
+    of CHUNK_BYTES, about d CHUNK_BYTES / (b (3 2^(n/2) + 1)) multiply-adds
+    for entries of b bytes and sides of d <= 2^(n/2): below 2^16 in
+    complex128 and 2^17 in float64, too few for OpenBLAS (0.3.31) to hand
     to its worker threads, which stall while another process holds a core.
+    It threads a complex GEMM from 2^16 multiply-adds and a real one only
+    above about 7.9e5.
     """
     alice = ops.branches[0]
     k, (rows, da, db) = len(alice), w.shape
@@ -294,7 +313,7 @@ def extraction_distance(ops: ExtractedOperators, pairs: np.ndarray,
     p, q = pairs[:, 0], pairs[:, 1]
     left, right = ops.gather_stacks
     (ia, ib), (branch, sign) = _pauli_rows(n, p, q), _walsh_index(n, p, q)
-    overlap = np.empty((len(pairs), right[0].size), dtype=complex)
+    overlap = np.empty((len(pairs), right[0].size), dtype=np.result_type(*ops.branches, right))
     rest = np.empty(len(pairs))
     rows = max(1, CHUNK_BYTES // ((3 * len(branch) + 1) * right[0].nbytes))
     work = _workspace(left, right, min(rows, len(pairs)))

@@ -290,6 +290,28 @@ def test_born_answers_match_the_collapse_oracle(n, family, seed):
     assert np.array_equal(y, answer_ints(want_y))
 
 
+@pytest.mark.parametrize("mixed", ["complex state", "complex bob"])
+def test_born_answers_in_mixed_dtypes_match_the_real_strategy(mixed):
+    # a global phase, or a -0.0 imaginary part, makes one array complex and
+    # the others stay real: the kernels promote, and the draws do not move
+    s = noisy_strategy(4, NoiseSpec(model="bob-rotation", param=0.3))
+    if mixed == "complex state":
+        twin = Strategy(state=s.state * np.exp(0.7j), alice=s.alice, bob=s.bob)
+    else:
+        bob = s.bob.astype(complex)
+        bob.imag[0, 0, 0, 0] = -0.0
+        twin = Strategy(state=s.state, alice=s.alice, bob=bob)
+    assert s.bob.dtype == np.float64 and twin.state.dtype != twin.bob.dtype
+    rng = np.random.default_rng(11)
+    qa, qb = rng.integers(0, 4, size=(2, 300))
+    u = rng.random((300, 4))
+    want_x, want_y = collapse_sample(s, qa, qb, u)
+    for strat in (s, twin):
+        x, y = born_answers(strat, qa, qb, u)
+        assert np.array_equal(x, answer_ints(want_x))
+        assert np.array_equal(y, answer_ints(want_y))
+
+
 def test_born_answers_do_not_depend_on_the_round_chunks(monkeypatch):
     s = random_strategy(4, np.random.default_rng(4), dim_a=3, dim_b=5)
     rng = np.random.default_rng(6)
@@ -384,7 +406,10 @@ def test_loading_holds_one_copy_of_the_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * (s.state.nbytes + s.alice.nbytes + s.bob.nbytes)
+    # against the document's complex bytes, 16 per entry: the float64
+    # arrays take half that, and the parse still holds every [re, im] pair
+    assert s.alice.dtype == s.bob.dtype == s.state.dtype == np.float64
+    assert peak <= 1.25 * 16 * (s.state.size + s.alice.size + s.bob.size)
     assert not (s.state.flags.writeable or s.alice.flags.writeable or s.bob.flags.writeable)
 
 

@@ -18,6 +18,8 @@ from chsh_selftest import (
     ideal_strategy,
     noisy_strategy,
     random_strategy,
+    strategy_from_text,
+    strategy_to_text,
     validate,
 )
 from chsh_selftest import bits, jsonio
@@ -410,7 +412,7 @@ def twisted_ideal_strategy(n, eps, junk, seed=0):
     state = np.kron(ideal.state.reshape(dim, dim), j_state / np.linalg.norm(j_state))
 
     def twisted(stack):
-        families = np.kron(stack, np.eye(junk))
+        families = np.kron(stack, np.eye(junk, dtype=complex))  # the twist is complex
         d = families.shape[-1]
         for family in families:
             g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -680,19 +682,23 @@ def test_certify_releases_the_gather_operands_when_a_stage_raises(monkeypatch):
     assert len(refs) == 1 and refs[0]() is None
 
 
-@pytest.mark.parametrize("model", ["none", "bob-rotation"])
-def test_small_chunks_give_what_one_chunk_gives(model, monkeypatch):
+@pytest.mark.parametrize("family", ["none", "bob-rotation", "random"])
+def test_small_chunks_give_what_one_chunk_gives(family, monkeypatch):
     # every chunk of a stage reuses one set of buffers; with a chunk of a
     # few rows (the last one shorter) the norms and distances must not
-    # change, whether the rests are 0 ("none") or not
-    s = noisy_strategy(4, NoiseSpec(model=model, param=0.0 if model == "none" else 0.1))
+    # change, whether the rests are 0 (the ideal strategy, "none") or not,
+    # in float64 and in complex128 ("random")
+    s = (random_strategy(4, np.random.default_rng(4)) if family == "random" else
+         noisy_strategy(4, NoiseSpec(model=family, param=0.0 if family == "none" else 0.1)))
     ops = build_xz(s)
+    assert ops.gather_stacks[1].dtype == (complex if family == "random" else float)
     junk, _ = compute_junk(ops)
     pairs = np.stack(np.divmod(np.arange(1 << 8), 1 << 4), axis=1)
     whole = measure_general_conditions(ops), *extraction_distance(ops, pairs, junk)
     # 7 rows per distance chunk, which holds the inputs and three stacks of
     # their size per Walsh index (4 at n = 4), and 15 per condition-norm chunk
-    monkeypatch.setattr(verifier, "CHUNK_BYTES", 7 * (3 * 4 + 1) * s.dim_a * s.dim_b * 16)
+    itemsize = ops.gather_stacks[1].itemsize
+    monkeypatch.setattr(verifier, "CHUNK_BYTES", 7 * (3 * 4 + 1) * s.dim_a * s.dim_b * itemsize)
     rows, split = [], verifier._walsh_split
     monkeypatch.setattr(verifier, "_walsh_split",
                         lambda ops, w, *index: rows.append(len(w)) or split(ops, w, *index))
@@ -834,3 +840,66 @@ def test_certify_value_is_the_exact_value():
     for s in (ideal_strategy(4), random_strategy(4, np.random.default_rng(8)),
               noisy_strategy(6, NoiseSpec(model="partial-entanglement", param=0.6))):
         assert certify(s).value == exact_value(s)
+
+
+# ---------------------------------------------------------------------------
+# real and complex arithmetic give the same reports
+
+
+def assert_documents_agree(got, want, where="report"):
+    """Same keys, lengths and non-float values; floats within 1e-12."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), where
+        for key in want:
+            assert_documents_agree(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_documents_agree(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-12, (where, got, want)
+    else:
+        assert got == want, (where, got, want)
+
+
+def assert_reports_agree(got, want):
+    """Every report field within 1e-12, the certified ceilings through
+    delta_cert: a fourth or square root of it, they turn a 1e-16 move of a
+    near-ideal value into a move of 1e-4 or 1e-8, so each report's
+    ceilings are checked against its own delta_cert."""
+    for rep in (got, want):
+        assert rep.certified == certified_bounds(rep.delta_cert)
+    assert_documents_agree(*(dict(rep.to_document(), certified=None) for rep in (got, want)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([2, 4, 6, 8]),
+       st.sampled_from(["ideal", "bob-rotation", "partial-entanglement", "twisted-ideal",
+                        "random-3x5"]),
+       st.floats(0.01, 2 * math.pi - 0.01), st.integers(0, 2**32 - 1))
+@example(8, "bob-rotation", 1.0, 0)
+@example(8, "partial-entanglement", 2.0, 0)
+def test_a_global_phase_leaves_every_report_field(n, family, theta, seed):
+    # the phased state is complex, so its run takes complex arithmetic even
+    # where the strategy's own run is real (ideal and the noise models)
+    s = ideal_strategy(n) if family == "ideal" else family_strategy(n, family, seed)
+    phased = Strategy(state=s.state * np.exp(1j * theta), alice=s.alice, bob=s.bob)
+    assert phased.state.dtype == np.complex128
+    if family in ("ideal", "bob-rotation", "partial-entanglement"):
+        assert s.state.dtype == s.alice.dtype == s.bob.dtype == np.float64
+    assert_reports_agree(certify(phased), certify(s))
+
+
+def test_a_negative_zero_imaginary_part_keeps_a_file_complex():
+    text = strategy_to_text(noisy_strategy(4, NoiseSpec(model="bob-rotation", param=0.1)))
+    real = strategy_from_text(text)
+    assert real.state.dtype == real.alice.dtype == real.bob.dtype == np.float64
+    # the last imaginary part of the document, in Bob's last question, turned
+    # from +0.0 to -0.0: his stack holds real questions when it turns complex
+    at = text.rindex(", 0.0]")
+    signed = text[:at] + ", -0.0]" + text[at + len(", 0.0]"):]
+    mixed = strategy_from_text(signed)
+    assert mixed.bob.dtype == np.complex128
+    assert mixed.state.dtype == mixed.alice.dtype == np.float64
+    assert strategy_to_text(mixed) == signed
+    assert_reports_agree(certify(mixed), certify(real))
