@@ -66,25 +66,33 @@ def _seed_from(args) -> int | None:
     return seed
 
 
-def _resolve_strategy(args, max_n: int | None = None, stage: str = "") -> Strategy:
-    """Build or load the strategy named by the arguments.
+def _check_strategy_flags(args, max_n: int | None = None, stage: str = "") -> None:
+    """Refuse the flags of a strategy to build before anything is built.
 
-    A built strategy with n above ``max_n`` is refused before it is built,
-    as "<stage> limited to n <= max_n": at n = 14 building alone takes
-    seconds, and at n = 20 numpy cannot allocate the observables.
+    A built strategy with n above ``max_n`` is refused as "<stage> limited
+    to n <= max_n": at n = 14 building alone takes seconds, and at n = 20
+    numpy cannot allocate the observables.
     """
+    if args.strategy:
+        return
+    if args.n is None:
+        raise _Refusal("--n is required without --strategy")
+    if args.n < 2 or args.n % 2:
+        raise _Refusal("--n must be even and at least 2")
+    if max_n is not None and args.n > max_n:
+        raise _Refusal(f"{stage} limited to n <= {max_n}")
+
+
+def _resolve_strategy(args, max_n: int | None = None, stage: str = "") -> Strategy:
+    """Build or load the strategy named by the arguments, once
+    ``_check_strategy_flags`` accepts them, and validate it."""
+    _check_strategy_flags(args, max_n, stage)
     if args.strategy:
         try:
             strat = load_strategy(args.strategy)
         except OSError as exc:
             raise _Refusal(f"cannot read strategy file: {exc}") from None
     else:
-        if args.n is None:
-            raise _Refusal("--n is required without --strategy")
-        if args.n < 2 or args.n % 2:
-            raise _Refusal("--n must be even and at least 2")
-        if max_n is not None and args.n > max_n:
-            raise _Refusal(f"{stage} limited to n <= {max_n}")
         strat = noisy_strategy(args.n, NoiseSpec(model=args.noise, param=args.noise_param))
     diag = validate(strat)
     if not diag.ok:
@@ -133,12 +141,14 @@ def cmd_value(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    strat = _resolve_strategy(args, MAX_EXACT_N, "referee simulation")
+    # every refusal of a flag comes before a strategy is built or read
+    _check_strategy_flags(args, MAX_EXACT_N, "referee simulation")
     if args.rounds is None or args.rounds < 1:
         raise _Refusal("--rounds must be a positive integer")
     seed = _seed_from(args)
     if seed is None:
         raise _Refusal("sampling needs a seed (--seed or SEED)")
+    strat = _resolve_strategy(args, MAX_EXACT_N, "referee simulation")
     try:
         result = referee_simulate(strat, args.rounds, np.random.default_rng(seed))
     except (MemoryError, ValueError) as exc:  # numpy cannot allocate the per-round draws

@@ -106,13 +106,16 @@ def branch_tree(root: np.ndarray, family: np.ndarray,
     the steps of a sequential collapse: on a state matrix the leaves are
     the branches P_x psi, on the identity the answer projectors.  With
     Z'_k as M_k and X'_k as the flips, the leaves on the identity are the
-    branch stack of the swap isometry.  The tree grows in place in the leaf
+    branch stack of the swap isometry.  A family shaped (m, ..., d, d)
+    (and flips shaped like it) grows one tree per batch index from the one
+    root, so the leaves are shaped (2^m, ..., *root.shape); each tree's
+    products are those it takes alone.  The trees grow in place in the leaf
     array: the nodes of level k sit at every 2^(m-k)-th leaf, whose dtype
     is that of root, family and flips together.
     """
     m = len(family)
     dtype = np.result_type(root, family, *(() if flips is None else (flips,)))
-    leaves = np.empty((1 << m, *root.shape), dtype=dtype)
+    leaves = np.empty((1 << m, *family.shape[1:-2], *root.shape), dtype=dtype)
     leaves[0] = root
     for k, obs in enumerate(family):
         step = 1 << (m - k)

@@ -275,8 +275,18 @@ def validate(strategy: Strategy) -> StrategyDiagnostics:
 
 
 #: entries of one round chunk's stack of reduced operators: 8 bytes each
-#: for a real strategy and state, 16 for a complex one
+#: for a real strategy and state, 16 for a complex one.  A chunk holds as
+#: many rounds as one d_b x d_b operator per round allows, and its table of
+#: Bob's answer masses has one row per drawn (question, pair) combination,
+#: so at most one per round.
 SAMPLE_CHUNK_ENTRIES = 1 << 22
+
+#: entries of one batch of branch trees, 2 MB of float64.  With sides of
+#: 2^(n/2) dimensions every question's tree shares one batch at n <= 8
+#: (2^16 entries), where per-call overhead is most of the cost, and each
+#: tree has a batch of its own at n = 12 (2^18 entries), where batching
+#: more would only hold more memory
+TREE_BATCH_ENTRIES = 1 << 18
 
 
 def _walk(table: np.ndarray, which: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -296,18 +306,98 @@ def _walk(table: np.ndarray, which: np.ndarray, uniforms: np.ndarray) -> np.ndar
     return ans
 
 
-def _answer_masses(reduced: np.ndarray, family: np.ndarray) -> np.ndarray:
+def _compact(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of integer keys in [0, size), ascending, and
+    the index of each key among them: one pass over a dense table, no sort."""
+    index = np.zeros(size, dtype=np.int64)
+    index[keys] = 1
+    distinct = np.flatnonzero(index)
+    np.cumsum(index, out=index)
+    return distinct, index[keys] - 1
+
+
+def _answer_masses(reduced: np.ndarray, conj_projectors: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """masses[r, y] = ||Phi_r Q_y^T||^2 = Re sum_jk S_r[j, k] Q_y[j, k].
 
-    S_r = Phi_r^dag Phi_r are reduced operators on Bob's side and Q_y his
-    answer projectors for ``family``; the A-major state puts Bob's operator
-    on the right as Q^T, so the sum pairs S with Q itself, not its transpose.
-    One real GEMM: (re, im) . (re, -im) is the real part of the product,
-    so both factors take the dtype they promote to before the float view.
+    S_r = Phi_r^dag Phi_r are reduced operators on Bob's side and
+    ``conj_projectors`` the complex conjugates of his answer projectors
+    Q_y; the A-major state puts Bob's operator on the right as Q^T, so the
+    sum pairs S with Q itself, not its transpose.  One real GEMM: (re, im)
+    . (re, -im) is the real part of the product, so both factors take the
+    dtype they promote to before the float view.
     """
-    proj = np.conjugate(branch_tree(np.eye(reduced.shape[-1], dtype=reduced.dtype), family))
-    return (reduced.astype(proj.dtype, copy=False).reshape(len(reduced), -1).view(float)
-            @ proj.reshape(len(proj), -1).view(float).T)
+    return np.matmul(
+        reduced.astype(conj_projectors.dtype, copy=False).reshape(len(reduced), -1).view(float),
+        conj_projectors.reshape(len(conj_projectors), -1).view(float).T, out=out)
+
+
+def _alice_draws(strategy: Strategy, qa: np.ndarray,
+                 uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Alice's answers to the questions ``qa``, Bob's reduced operators
+    S = (P_{a,x} psi)^dag (P_{a,x} psi) of the drawn (a, x) pairs in
+    ascending order, and the index of each round's pair among them.
+
+    The drawn questions go in batches whose trees hold at most
+    ``TREE_BATCH_ENTRIES`` entries (or one tree), and each batch's trees
+    are dropped before the next is built: one tree per question gives
+    every P_{a,x} psi, one einsum her marginals, one walk the answers of
+    the batch's rounds, and one stacked product the reduced operators of
+    their pairs.
+    """
+    m = strategy.half
+    psi = strategy.state.reshape(strategy.dim_a, strategy.dim_b)
+    questions, which = _compact(qa, 1 << m)
+    batch = max(1, TREE_BATCH_ENTRIES // (psi.size << m))
+    x = np.empty(len(qa), dtype=np.int64)
+    pair = np.empty_like(x)
+    # room for the drawn (a, x) pairs: one per round, 2^m per question at most
+    reduced = np.empty((min(len(qa), len(questions) << m), strategy.dim_b, strategy.dim_b),
+                       dtype=np.result_type(psi, strategy.alice))
+    count = 0
+    for lo in range(0, len(questions), batch):
+        group = questions[lo:lo + batch]
+        rows = np.flatnonzero((which >= lo) & (which < lo + batch))
+        local = which[rows] - lo
+        phi = branch_tree(psi, strategy.alice[group].swapaxes(0, 1))  # [x, question]
+        flat = phi.reshape(len(phi), len(group), -1).view(float)
+        x[rows] = _walk(np.einsum("xqi,xqi->qx", flat, flat), local, uniforms[rows])
+        drawn, pair[rows] = _compact(local << m | x[rows], len(group) << m)
+        branches = phi[drawn & ((1 << m) - 1), drawn >> m]
+        np.matmul(branches.conj().transpose(0, 2, 1), branches,
+                  out=reduced[count:count + len(drawn)])
+        pair[rows] += count
+        count += len(drawn)
+    return x, reduced[:count], pair
+
+
+def _bob_draws(strategy: Strategy, reduced: np.ndarray, qb: np.ndarray, pair: np.ndarray,
+               uniforms: np.ndarray) -> np.ndarray:
+    """Bob's answers to the questions ``qb``, given the reduced operator
+    ``reduced[pair[r]]`` of round r's (a, x) pair.
+
+    The drawn (b, pair) combinations are compacted once, ordered by b.  His
+    projector trees go in batches like Alice's branch trees; per question,
+    one real GEMM writes the answer masses of its combinations into one
+    table, and one walk draws every round's answer from it.
+    """
+    m, db = strategy.half, strategy.dim_b
+    # a sort, not _compact: questions times pairs can far exceed the rounds
+    combos, which = np.unique(qb * len(reduced) + pair, return_inverse=True)
+    combo_b, combo_pair = np.divmod(combos, len(reduced))
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(combo_b, minlength=1 << m))))
+    questions = np.flatnonzero(np.diff(offsets))
+    batch = max(1, TREE_BATCH_ENTRIES // (db * db << m))
+    eye = np.eye(db, dtype=reduced.dtype)
+    table = np.empty((len(combos), 1 << m))
+    for lo in range(0, len(questions), batch):
+        group = questions[lo:lo + batch]
+        proj = branch_tree(eye, strategy.bob[group].swapaxes(0, 1))  # [y, question]
+        np.conjugate(proj, out=proj)
+        for j, b in enumerate(group):
+            rows = slice(offsets[b], offsets[b + 1])
+            _answer_masses(reduced[combo_pair[rows]], proj[:, j], out=table[rows])
+    return _walk(table, which, uniforms)
 
 
 def born_answers(strategy: Strategy, qa_idx: np.ndarray, qb_idx: np.ndarray,
@@ -315,43 +405,25 @@ def born_answers(strategy: Strategy, qa_idx: np.ndarray, qb_idx: np.ndarray,
     """Answers of many rounds drawn from the Born rule, one bit at a time.
 
     uniforms[r, j] decides the j-th bit of round r (Alice's m bits first,
-    most significant first), so results do not depend on how rounds are
-    grouped.  Per drawn Alice question a, one branch tree gives every
-    P_{a,x} psi, hence her marginal and, for each drawn answer x, Bob's
-    reduced operator S = (P_{a,x} psi)^dag (P_{a,x} psi).  Per drawn Bob
-    question b, one real GEMM gives his conditional answer masses for every
-    drawn (a, x) pair.  Returns the big-endian integer answers (x, y).
+    most significant first), against masses that do not depend on which
+    other rounds share its chunk or batch, so neither grouping changes the
+    draws.  Per chunk of rounds, one pass per player: Alice's batched
+    branch trees give her marginals, her answers and, for each drawn
+    (a, x), Bob's reduced operator (``_alice_draws``); his batched
+    projector trees and one real GEMM per question give his conditional
+    answer masses, and one walk his answers (``_bob_draws``).  With sides
+    of 2^(n/2) dimensions every drawn question shares one tree batch at
+    n <= 8, so Alice also takes one walk.  Returns the big-endian integer
+    answers (x, y).
     """
     m, db = strategy.half, strategy.dim_b
-    psi = strategy.state.reshape(strategy.dim_a, db)
     x = np.zeros(len(qa_idx), dtype=np.int64)
     y = np.zeros_like(x)
     chunk = max(1, SAMPLE_CHUNK_ENTRIES // (db * db))
     for lo in range(0, len(x), chunk):
-        qa, qb, u = qa_idx[lo:lo + chunk], qb_idx[lo:lo + chunk], uniforms[lo:lo + chunk]
-        xs, ys = x[lo:lo + chunk], y[lo:lo + chunk]
-        # room for the drawn (a, x) pairs: one per round, 2^m per question at most
-        questions, repeats = np.unique(qa, return_counts=True)
-        room = int(np.minimum(repeats, 1 << m).sum())
-        keys = np.empty(room, dtype=np.int64)
-        reduced = np.empty((room, db, db), dtype=np.result_type(psi, strategy.alice))
-        count = 0
-        for a in questions:
-            rows = np.flatnonzero(qa == a)
-            phi = branch_tree(psi, strategy.alice[a])
-            flat = phi.reshape(len(phi), -1).view(float)
-            marginal = np.einsum("xi,xi->x", flat, flat)
-            xs[rows] = _walk(marginal[None], np.zeros(len(rows), dtype=np.int64), u[rows, :m])
-            drawn = np.unique(xs[rows])
-            keys[count:count + len(drawn)] = a << m | drawn
-            np.matmul(phi[drawn].conj().transpose(0, 2, 1), phi[drawn],
-                      out=reduced[count:count + len(drawn)])
-            count += len(drawn)
-        pair = np.searchsorted(keys[:count], qa << m | xs)  # keys ascend
-        for b in np.unique(qb):
-            rows = np.flatnonzero(qb == b)
-            used, which = np.unique(pair[rows], return_inverse=True)
-            ys[rows] = _walk(_answer_masses(reduced[used], strategy.bob[b]), which, u[rows, m:])
+        span = slice(lo, lo + chunk)
+        x[span], reduced, pair = _alice_draws(strategy, qa_idx[span], uniforms[span, :m])
+        y[span] = _bob_draws(strategy, reduced, qb_idx[span], pair, uniforms[span, m:])
     return x, y
 
 

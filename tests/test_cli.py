@@ -104,6 +104,25 @@ def test_simulate_rejects_bad_rounds(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("source", [("--n", "12", "--noise", "bob-rotation"),
+                                    ("--strategy", "strategy.json")], ids=["built", "file"])
+@pytest.mark.parametrize("run_flags, message", [
+    (("--rounds", "0", "--seed", "1"), "--rounds must be a positive integer"),
+    (("--rounds", "10"), "sampling needs a seed (--seed or SEED)"),
+], ids=["rounds", "seed"])
+def test_simulate_refuses_rounds_and_seed_before_building(capsys, monkeypatch, source,
+                                                          run_flags, message):
+    def never(*args, **kwargs):
+        raise AssertionError("the strategy was built or read")
+
+    monkeypatch.setattr(cli, "noisy_strategy", never)
+    monkeypatch.setattr(cli, "load_strategy", never)
+    monkeypatch.delenv("SEED", raising=False)
+    code, out, err = run(capsys, "simulate", *source, *run_flags)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("flags,expect", [
     ("--n 8 --noise bob-rotation --noise-param 0.1 --rounds 10000 --seed 7",
      ("2.802400000000", "0.028543596439", "0.850300000000")),
@@ -111,9 +130,14 @@ def test_simulate_rejects_bad_rounds(capsys):
      ("2.704000000000", "0.020843246437", "0.838000000000")),
     ("--n 6 --noise none --rounds 5000 --seed 11",
      ("2.785600000000", "0.040600692251", "0.848200000000")),
+    # one tree per batch and two round chunks
+    ("--n 12 --noise partial-entanglement --noise-param 0.7 --rounds 2000 --seed 5",
+     ("2.824000000000", "0.063360234056", "0.853000000000")),
 ])
 def test_simulate_output_is_pinned(capsys, flags, expect):
-    # recorded with the state-collapse sampler; the table sampler draws the same answers
+    # the first three were recorded with the state-collapse sampler and the
+    # n = 12 run with the per-question table sampler; the batched sampler
+    # draws the same answers
     code, out, _ = run(capsys, "simulate", *flags.split())
     assert code == 0
     assert out.splitlines() == [f"{name} {value}" for name, value

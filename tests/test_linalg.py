@@ -91,6 +91,19 @@ def test_apply_on_sides():
     assert np.allclose(out[2, 4].reshape(-1), np.kron(np.eye(4), m) @ batch[2, 4].reshape(-1))
 
 
+def test_branch_tree_grows_one_tree_per_batch_index():
+    rng = np.random.default_rng(4)
+    family = rng.normal(size=(3, 4, 5, 5)) + 1j * rng.normal(size=(3, 4, 5, 5))
+    flips = rng.normal(size=(3, 4, 5, 5))
+    root = rng.normal(size=(5, 2))
+    for f in (None, flips):
+        batched = linalg.branch_tree(root, family, f)
+        assert batched.shape == (8, 4, 5, 2)
+        for j in range(4):  # the same products as the tree grown alone
+            alone = linalg.branch_tree(root, family[:, j], None if f is None else f[:, j])
+            assert np.array_equal(batched[:, j], alone)
+
+
 def test_pair_expectation_matches_dense():
     rng = np.random.default_rng(2)
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)

@@ -324,6 +324,30 @@ def test_born_answers_do_not_depend_on_the_round_chunks(monkeypatch):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("family", ["ideal", "bob-rotation", "partial-entanglement",
+                                    "twisted-ideal", "random-3x5", "complex state"])
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_born_answers_do_not_depend_on_the_tree_batches(monkeypatch, n, family):
+    if family == "ideal":
+        s = ideal_strategy(n)
+    elif family == "complex state":  # with real observables: the kernels promote
+        real = noisy_strategy(n, NoiseSpec(model="bob-rotation", param=0.3))
+        s = Strategy(state=real.state * np.exp(0.7j), alice=real.alice, bob=real.bob)
+    else:
+        s = family_strategy(n, family, 5)
+    rng = np.random.default_rng([n, 9])
+    qa, qb = rng.integers(0, 1 << s.half, size=(2, 300))
+    u = rng.random((300, n))
+    whole = born_answers(s, qa, qb, u)  # one batch per player up to n = 8
+    tree = max(s.dim_a, s.dim_b) ** 2 << s.half  # entries of the largest tree
+    # one question a batch, then at least three, which split 2^(n/2) questions unevenly
+    for entries in (1, 3 * tree):
+        monkeypatch.setattr(strategy_module, "TREE_BATCH_ENTRIES", entries)
+        batched = born_answers(s, qa, qb, u)
+        for got, want in zip(batched, whole):
+            assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_born_tables_match_born_distribution(n, family):
@@ -334,7 +358,8 @@ def test_born_tables_match_born_distribution(n, family):
         phi = branch_tree(psi, s.alice[a])  # P_{a,x} psi for every x
         reduced = phi.conj().transpose(0, 2, 1) @ phi
         for b in range(1 << m):
-            joint = _answer_masses(reduced, s.bob[b])  # [x, y]
+            conj_projectors = np.conjugate(branch_tree(np.eye(s.dim_b), s.bob[b]))
+            joint = _answer_masses(reduced, conj_projectors)  # [x, y]
             want = born_distribution(s, bits.from_int(a, m), bits.from_int(b, m))
             assert np.max(np.abs(joint - want)) < 1e-12
 
