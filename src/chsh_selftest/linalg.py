@@ -29,28 +29,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().swapaxes(-1, -2)
 
 
-def tensor(*factors: np.ndarray) -> np.ndarray:
-    """Kronecker product; the first factor is the most significant."""
-    if not factors:
-        raise ValueError("tensor of no factors")
-    out = np.asarray(factors[0])
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
-
-
-def embed_qubit_op(op: np.ndarray, k: int, num_qubits: int) -> np.ndarray:
-    """Embed a one-qubit operator at position k of a num_qubits register.
-
-    Position is 1-indexed; qubit 1 is the most significant index bit.
-    """
-    if not 1 <= k <= num_qubits:
-        raise ValueError(f"qubit {k} out of range for {num_qubits} qubits")
-    left = np.eye(1 << (k - 1))
-    right = np.eye(1 << (num_qubits - k))
-    return tensor(left, op, right)
-
-
 def hermiticity_residual(m: np.ndarray) -> float:
     """Largest entrywise deviation of m, or of a (..., d, d) stack, from its adjoint."""
     m = np.asarray(m)

@@ -26,7 +26,6 @@ from .linalg import (
     VALIDATION_TOL,
     branch_tree,
     commutation_residual,
-    embed_qubit_op,
     haar_unitary,
     hermiticity_residual,
     unitarity_residual,
@@ -183,9 +182,26 @@ def ideal_state(n: int) -> np.ndarray:
 
 def _local_stack(m: int, single) -> np.ndarray:
     """(2^m, m, 2^m, 2^m) stack whose entry [q, k] is single[bit k+1 of q]
-    acting on qubit k+1, gathered from the 2 m embedded one-qubit operators."""
-    embedded = np.array([[embed_qubit_op(op, k + 1, m) for k in range(m)] for op in single])
-    return embedded[bits.bit_table(m), np.arange(m)]
+    acting on qubit k+1, with qubit 1 the most significant index bit.
+
+    Per qubit, one broadcast product embeds both one-qubit operators:
+    each entry is an operator entry times 1.0 or 0.0 of the identity on
+    the other qubits, so a zero keeps the operator entry's sign, as in
+    np.kron with identity factors.  One broadcast copy then writes them
+    to every question.
+    """
+    single = np.asarray(single, dtype=float)
+    dim = 1 << m
+    stack = np.empty((dim, m, dim, dim))
+    for k in range(m):
+        hi, lo = 1 << k, 1 << (m - k - 1)  # the qubits before and after qubit k+1
+        # axes [s, i, a, c, j, b, d]: row (i, a, c) and column (j, b, d) split
+        # at qubit k+1, single[s] on (a, b) and the identity on (i c, j d)
+        embedded = single.reshape(2, 1, 2, 1, 1, 2, 1) * np.eye(hi * lo).reshape(
+            hi, 1, lo, hi, 1, lo)
+        # questions split the same way: bit k+1 picks s
+        stack[:, k].reshape(hi, 2, lo, dim, dim)[...] = embedded.reshape(2, 1, dim, dim)
+    return stack
 
 
 _BOB_PAIR = ((PAULI_Z + PAULI_X) / math.sqrt(2), (PAULI_Z - PAULI_X) / math.sqrt(2))
@@ -277,8 +293,8 @@ def validate(strategy: Strategy) -> StrategyDiagnostics:
 #: entries of one round chunk's stack of reduced operators: 8 bytes each
 #: for a real strategy and state, 16 for a complex one.  A chunk holds as
 #: many rounds as one d_b x d_b operator per round allows, and its table of
-#: Bob's answer masses has one row per drawn (question, pair) combination,
-#: so at most one per round.
+#: Bob's answer masses has at most two rows per drawn (question, pair)
+#: combination (``_one_gemm``), so at most two per round.
 SAMPLE_CHUNK_ENTRIES = 1 << 22
 
 #: entries of one batch of branch trees, 2 MB of float64.  With sides of
@@ -371,33 +387,66 @@ def _alice_draws(strategy: Strategy, qa: np.ndarray,
     return x, reduced[:count], pair
 
 
+def _one_gemm(pairs: int, questions: int, combos: int) -> bool:
+    """Whether a batch's answer masses take one GEMM over every (pair,
+    question) of the batch rather than one GEMM per question over the
+    drawn combinations.
+
+    Every product costs 2^(n/2) d_b^2 multiply-adds either way: the one
+    GEMM makes pairs * questions of them, the per-question GEMMs
+    ``combos``.  The one GEMM is taken while it does at most twice their
+    work, since each per-question GEMM is a call of its own and, once
+    large enough for OpenBLAS to thread, a thread hand-off of its own.
+    """
+    return pairs * questions <= 2 * combos
+
+
 def _bob_draws(strategy: Strategy, reduced: np.ndarray, qb: np.ndarray, pair: np.ndarray,
                uniforms: np.ndarray) -> np.ndarray:
     """Bob's answers to the questions ``qb``, given the reduced operator
     ``reduced[pair[r]]`` of round r's (a, x) pair.
 
-    The drawn (b, pair) combinations are compacted once, ordered by b.  His
-    projector trees go in batches like Alice's branch trees; per question,
-    one real GEMM writes the answer masses of its combinations into one
-    table, and one walk draws every round's answer from it.
+    His projector trees go in batches like Alice's branch trees.  Per
+    batch, with P the distinct pairs and C the distinct (question, pair)
+    combinations of its rounds, the answer masses take one real GEMM of
+    the P operators against every projector of the batch, its rows in
+    (pair, question) order, or one per question over that question's
+    combinations (``_one_gemm`` picks).  Each batch's masses fill rows of
+    one table, and one walk draws every round's answer from it.
     """
     m, db = strategy.half, strategy.dim_b
-    # a sort, not _compact: questions times pairs can far exceed the rounds
-    combos, which = np.unique(qb * len(reduced) + pair, return_inverse=True)
-    combo_b, combo_pair = np.divmod(combos, len(reduced))
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(combo_b, minlength=1 << m))))
-    questions = np.flatnonzero(np.diff(offsets))
+    questions, which = _compact(qb, 1 << m)
     batch = max(1, TREE_BATCH_ENTRIES // (db * db << m))
     eye = np.eye(db, dtype=reduced.dtype)
-    table = np.empty((len(combos), 1 << m))
+    row = np.empty_like(which)  # each round's row of the table
+    tables = []
+    count = 0
     for lo in range(0, len(questions), batch):
         group = questions[lo:lo + batch]
+        rounds = np.flatnonzero((which >= lo) & (which < lo + batch))
+        local = which[rounds] - lo
+        pairs, local_pair = _compact(pair[rounds], len(reduced))
+        # ordered by question, then pair
+        combos, combo = _compact(local * len(pairs) + local_pair, len(group) * len(pairs))
         proj = branch_tree(eye, strategy.bob[group].swapaxes(0, 1))  # [y, question]
         np.conjugate(proj, out=proj)
-        for j, b in enumerate(group):
-            rows = slice(offsets[b], offsets[b + 1])
-            _answer_masses(reduced[combo_pair[rows]], proj[:, j], out=table[rows])
-    return _walk(table, which, uniforms)
+        if _one_gemm(len(pairs), len(group), len(combos)):
+            # rows in the GEMM's (pair, question) order
+            ops = reduced if len(pairs) == len(reduced) else reduced[pairs]
+            table = _answer_masses(ops, proj.swapaxes(0, 1).reshape(-1, db, db))
+            table = table.reshape(-1, 1 << m)
+            row[rounds] = count + local_pair * len(group) + local
+        else:
+            combo_b, combo_pair = np.divmod(combos, len(pairs))
+            bounds = np.searchsorted(combo_b, np.arange(len(group) + 1))
+            table = np.empty((len(combos), 1 << m))
+            for j in range(len(group)):
+                span = slice(bounds[j], bounds[j + 1])
+                _answer_masses(reduced[pairs[combo_pair[span]]], proj[:, j], out=table[span])
+            row[rounds] = count + combo
+        tables.append(table)
+        count += len(table)
+    return _walk(tables[0] if len(tables) == 1 else np.concatenate(tables), row, uniforms)
 
 
 def born_answers(strategy: Strategy, qa_idx: np.ndarray, qb_idx: np.ndarray,
@@ -410,7 +459,8 @@ def born_answers(strategy: Strategy, qa_idx: np.ndarray, qb_idx: np.ndarray,
     draws.  Per chunk of rounds, one pass per player: Alice's batched
     branch trees give her marginals, her answers and, for each drawn
     (a, x), Bob's reduced operator (``_alice_draws``); his batched
-    projector trees and one real GEMM per question give his conditional
+    projector trees and one real GEMM per batch, or per question where
+    the drawn combinations fill too little of it, give his conditional
     answer masses, and one walk his answers (``_bob_draws``).  With sides
     of 2^(n/2) dimensions every drawn question shares one tree batch at
     n <= 8, so Alice also takes one walk.  Returns the big-endian integer

@@ -1,9 +1,32 @@
-"""Matrix utilities: tensors, embeddings, spectral maps, one-sided actions."""
+"""Matrix utilities: spectral maps, one-sided actions, trees; and the
+Kronecker oracles other tests build reference operators with."""
 
 import numpy as np
 import pytest
 
 from chsh_selftest import linalg
+
+
+def tensor(*factors: np.ndarray) -> np.ndarray:
+    """Kronecker product; the first factor is the most significant."""
+    if not factors:
+        raise ValueError("tensor of no factors")
+    out = np.asarray(factors[0])
+    for f in factors[1:]:
+        out = np.kron(out, f)
+    return out
+
+
+def embed_qubit_op(op: np.ndarray, k: int, num_qubits: int) -> np.ndarray:
+    """Embed a one-qubit operator at position k of a num_qubits register.
+
+    Position is 1-indexed; qubit 1 is the most significant index bit.
+    """
+    if not 1 <= k <= num_qubits:
+        raise ValueError(f"qubit {k} out of range for {num_qubits} qubits")
+    left = np.eye(1 << (k - 1))
+    right = np.eye(1 << (num_qubits - k))
+    return tensor(left, op, right)
 
 
 def test_pauli_algebra():
@@ -15,7 +38,7 @@ def test_pauli_algebra():
 
 def test_tensor_first_factor_most_significant():
     X, Z = linalg.PAULI_X, linalg.PAULI_Z
-    m = linalg.tensor(Z, X)
+    m = tensor(Z, X)
     # entry (0,1) of Z⊗X couples |00> and |01>: Z on qubit 1 gives +1, X flips qubit 2
     assert m[0, 1] == 1
     assert m[2, 3] == -1
@@ -24,12 +47,12 @@ def test_tensor_first_factor_most_significant():
 
 def test_embed_qubit_op():
     X = linalg.PAULI_X
-    m = linalg.embed_qubit_op(X, 1, 2)
+    m = embed_qubit_op(X, 1, 2)
     assert np.allclose(m, np.kron(X, np.eye(2)))
-    m = linalg.embed_qubit_op(X, 2, 2)
+    m = embed_qubit_op(X, 2, 2)
     assert np.allclose(m, np.kron(np.eye(2), X))
     with pytest.raises(ValueError):
-        linalg.embed_qubit_op(X, 3, 2)
+        embed_qubit_op(X, 3, 2)
 
 
 def test_residuals():

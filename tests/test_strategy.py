@@ -1,6 +1,7 @@
 """Strategies: construction, validation, Born sampling, serialization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from chsh_selftest import (
 )
 from chsh_selftest import bits, strategy as strategy_module
 from chsh_selftest.extraction import build_xz
-from chsh_selftest.linalg import PAULI_X, PAULI_Z, branch_tree, tensor
+from chsh_selftest.linalg import PAULI_X, PAULI_Z, branch_tree
 from chsh_selftest.strategy import _answer_masses, born_answers, ideal_state
+from test_linalg import embed_qubit_op, tensor
 from test_verifier import family_strategy
 
 SQ2 = np.sqrt(2)
@@ -324,17 +326,23 @@ def test_born_answers_do_not_depend_on_the_round_chunks(monkeypatch):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("family", ["ideal", "bob-rotation", "partial-entanglement",
-                                    "twisted-ideal", "random-3x5", "complex state"])
+SAMPLER_FAMILIES = ["ideal", "bob-rotation", "partial-entanglement", "twisted-ideal",
+                    "random-3x5", "complex state"]
+
+
+def sampler_strategy(n, family):
+    if family == "ideal":
+        return ideal_strategy(n)
+    if family == "complex state":  # with real observables: the kernels promote
+        real = noisy_strategy(n, NoiseSpec(model="bob-rotation", param=0.3))
+        return Strategy(state=real.state * np.exp(0.7j), alice=real.alice, bob=real.bob)
+    return family_strategy(n, family, 5)
+
+
+@pytest.mark.parametrize("family", SAMPLER_FAMILIES)
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_born_answers_do_not_depend_on_the_tree_batches(monkeypatch, n, family):
-    if family == "ideal":
-        s = ideal_strategy(n)
-    elif family == "complex state":  # with real observables: the kernels promote
-        real = noisy_strategy(n, NoiseSpec(model="bob-rotation", param=0.3))
-        s = Strategy(state=real.state * np.exp(0.7j), alice=real.alice, bob=real.bob)
-    else:
-        s = family_strategy(n, family, 5)
+    s = sampler_strategy(n, family)
     rng = np.random.default_rng([n, 9])
     qa, qb = rng.integers(0, 1 << s.half, size=(2, 300))
     u = rng.random((300, n))
@@ -345,6 +353,23 @@ def test_born_answers_do_not_depend_on_the_tree_batches(monkeypatch, n, family):
         monkeypatch.setattr(strategy_module, "TREE_BATCH_ENTRIES", entries)
         batched = born_answers(s, qa, qb, u)
         for got, want in zip(batched, whole):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("family", SAMPLER_FAMILIES)
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+def test_born_answers_do_not_depend_on_the_masses_gemm(monkeypatch, n, family):
+    # 300 rounds take one GEMM a batch at n <= 4 and mostly one a question
+    # above; each form, forced, draws the same answers
+    s = sampler_strategy(n, family)
+    rng = np.random.default_rng([n, 10])
+    qa, qb = rng.integers(0, 1 << s.half, size=(2, 300))
+    u = rng.random((300, n))
+    whole = born_answers(s, qa, qb, u)
+    for one_gemm in (True, False):
+        monkeypatch.setattr(strategy_module, "_one_gemm", lambda *counts: one_gemm)
+        forced = born_answers(s, qa, qb, u)
+        for got, want in zip(forced, whole):
             assert np.array_equal(got, want)
 
 
@@ -386,6 +411,32 @@ def test_noise_models_hit_analytic_values(model, param, expect):
                 for got, pair in ((plain.alice, (PAULI_X, PAULI_Z)), (plain.bob, bob_pair)):
                     want = tensor(*(pair[int(c)] if j == k else np.eye(2) for j in range(m)))
                     assert np.array_equal(got[q, k], want)
+
+
+def kron_stack(m, single):
+    """The oracle of an observable stack: entry [q, k] is single[bit k+1 of
+    q] embedded at qubit k+1 with np.kron."""
+    embedded = np.array([[embed_qubit_op(op, k + 1, m) for k in range(m)] for op in single])
+    return embedded[bits.bit_table(m), np.arange(m)]
+
+
+@pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec("bob-rotation", 0.3),
+                                   NoiseSpec("bob-rotation", -2.5),
+                                   NoiseSpec("partial-entanglement", 0.6)],
+                         ids=lambda noise: f"{noise.model}-{noise.param}")
+def test_noise_model_stacks_match_the_kron_oracle_bit_for_bit(noise):
+    # every entry, the sign of each zero included
+    eta = noise.param if noise.model == "bob-rotation" else 0.0
+    rot = np.array([[math.cos(eta / 2), -math.sin(eta / 2)],
+                    [math.sin(eta / 2), math.cos(eta / 2)]])
+    bob_pair = tuple(rot @ b @ rot.T for b in ((PAULI_Z + PAULI_X) / SQ2,
+                                               (PAULI_Z - PAULI_X) / SQ2))
+    for n in range(2, 13, 2):
+        s = noisy_strategy(n, noise)
+        for got, single in ((s.alice, (PAULI_X, PAULI_Z)), (s.bob, bob_pair)):
+            want = kron_stack(n // 2, single)
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_noise_spec_validation():

@@ -26,7 +26,7 @@ from chsh_selftest import bits, jsonio
 from chsh_selftest.extraction import ExtractedOperators, build_xz, relabel, search_questions
 from chsh_selftest.game import subtest_table
 from chsh_selftest.strategy import ideal_state
-from chsh_selftest.linalg import PAULI_X, PAULI_Z, dagger, tensor
+from chsh_selftest.linalg import PAULI_X, PAULI_Z, dagger
 from chsh_selftest import verifier
 from chsh_selftest.verifier import (
     BOUND_SLACK,
@@ -45,6 +45,7 @@ from chsh_selftest.verifier import (
     pauli_target,
     swap_isometry_apply,
 )
+from test_linalg import tensor
 
 
 def test_measure_epsilons_vanish_on_ideal():
