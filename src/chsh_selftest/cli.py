@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import os
 import sys
@@ -208,16 +207,8 @@ def cmd_logset(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """Each subcommand declares only the flags it reads.
-
-    Built once per process and shared, so no caller may change it: each
-    ``add_argument`` asks for the terminal size, which made building cost
-    more than parsing.  A parse leaves the parser as it was, and help text
-    takes the terminal width when it is printed, so every call parses and
-    prints as a fresh parser would.
-    """
+    """Each subcommand declares only the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="chsh-selftest",
         description="Simulate and certify parallel CHSH self-tests.")

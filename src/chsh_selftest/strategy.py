@@ -293,8 +293,8 @@ def validate(strategy: Strategy) -> StrategyDiagnostics:
 #: entries of one round chunk's stack of reduced operators: 8 bytes each
 #: for a real strategy and state, 16 for a complex one.  A chunk holds as
 #: many rounds as one d_b x d_b operator per round allows, and its table of
-#: Bob's answer masses has at most two rows per drawn (question, pair)
-#: combination (``_one_gemm``), so at most two per round.
+#: Bob's answer masses has at most one row per round
+#: (``_questions_per_gemm``).
 SAMPLE_CHUNK_ENTRIES = 1 << 22
 
 #: entries of one batch of branch trees, 2 MB of float64.  With sides of
@@ -387,18 +387,57 @@ def _alice_draws(strategy: Strategy, qa: np.ndarray,
     return x, reduced[:count], pair
 
 
-def _one_gemm(pairs: int, questions: int, combos: int) -> bool:
-    """Whether a batch's answer masses take one GEMM over every (pair,
-    question) of the batch rather than one GEMM per question over the
-    drawn combinations.
+def _questions_per_gemm(questions: int, pairs: int, rounds: int) -> int:
+    """How many of a batch's questions share one GEMM for Bob's answer
+    masses, given the pairs drawn in its chunk: all of them while that
+    GEMM makes no more (pair, question) products than the batch has
+    rounds, else one.
 
-    Every product costs 2^(n/2) d_b^2 multiply-adds either way: the one
-    GEMM makes pairs * questions of them, the per-question GEMMs
-    ``combos``.  The one GEMM is taken while it does at most twice their
-    work, since each per-question GEMM is a call of its own and, once
-    large enough for OpenBLAS to thread, a thread hand-off of its own.
+    Every product costs 2^(n/2) d_b^2 multiply-adds.  One GEMM a question
+    makes only the drawn (question, pair) combinations, at most one per
+    round, but each GEMM is a call of its own and, once large enough for
+    OpenBLAS to thread, a thread hand-off of its own.
     """
-    return pairs * questions <= 2 * combos
+    return questions if questions * pairs <= rounds else 1
+
+
+def _distinct(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_compact(keys, size)``, by a sort where its dense table would
+    hold more entries than there are keys."""
+    if size > len(keys):
+        return np.unique(keys, return_inverse=True)
+    return _compact(keys, size)
+
+
+def _bob_masses(strategy: Strategy, reduced: np.ndarray, batches: list,
+                rows: int) -> np.ndarray:
+    """The table of Bob's answer masses that ``_bob_draws`` laid out:
+    ``rows`` rows, filled batch by batch.
+
+    Each batch is (its questions, its run width, its drawn (run, pair)
+    combinations in that order).  Per run, one real GEMM of the operators
+    of the run's drawn pairs against all of its projectors gives the masses
+    of every such (pair, question), its rows in that order.
+    """
+    m, db = strategy.half, strategy.dim_b
+    eye = np.eye(db, dtype=reduced.dtype)
+    table = np.empty((rows, 1 << m))
+    count = 0
+    for group, width, combos in batches:
+        run, combo_pair = np.divmod(combos, len(reduced))
+        bounds = np.searchsorted(run, np.arange(len(group) // width + 1))
+        proj = branch_tree(eye, strategy.bob[group].swapaxes(0, 1))  # [y, question]
+        np.conjugate(proj, out=proj)
+        # [run, (question, y)]: a copy, and the tree dropped, only where a
+        # run holds more than one question
+        proj = proj.swapaxes(0, 1).reshape(len(group) // width, -1, db, db)
+        masses = table[count:count + len(combos) * width].reshape(len(combos), width << m)
+        for j, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+            # the run's drawn pairs: every drawn pair, or a copy of a subset
+            ops = reduced if stop - start == len(reduced) else reduced[combo_pair[start:stop]]
+            _answer_masses(ops, proj[j], out=masses[start:stop])
+        count += len(masses) * width
+    return table
 
 
 def _bob_draws(strategy: Strategy, reduced: np.ndarray, qb: np.ndarray, pair: np.ndarray,
@@ -406,47 +445,33 @@ def _bob_draws(strategy: Strategy, reduced: np.ndarray, qb: np.ndarray, pair: np
     """Bob's answers to the questions ``qb``, given the reduced operator
     ``reduced[pair[r]]`` of round r's (a, x) pair.
 
-    His projector trees go in batches like Alice's branch trees.  Per
-    batch, with P the distinct pairs and C the distinct (question, pair)
-    combinations of its rounds, the answer masses take one real GEMM of
-    the P operators against every projector of the batch, its rows in
-    (pair, question) order, or one per question over that question's
-    combinations (``_one_gemm`` picks).  Each batch's masses fill rows of
-    one table, and one walk draws every round's answer from it.
+    His projector trees go in batches like Alice's branch trees, and a
+    batch's questions go in runs of ``_questions_per_gemm``: all of them,
+    or one each.  A first pass lays out one table, with a row for each
+    question of a run and each pair drawn with any of them, and finds
+    each round's row; ``_bob_masses`` then fills the table, and one walk
+    draws every round's answer.  The layout comes first so the table is
+    allocated once, at its size: a table per batch, joined for the walk,
+    made n = 10 touch megabytes of fresh pages per chunk.
     """
     m, db = strategy.half, strategy.dim_b
     questions, which = _compact(qb, 1 << m)
     batch = max(1, TREE_BATCH_ENTRIES // (db * db << m))
-    eye = np.eye(db, dtype=reduced.dtype)
     row = np.empty_like(which)  # each round's row of the table
-    tables = []
+    batches = []
     count = 0
     for lo in range(0, len(questions), batch):
         group = questions[lo:lo + batch]
         rounds = np.flatnonzero((which >= lo) & (which < lo + batch))
         local = which[rounds] - lo
-        pairs, local_pair = _compact(pair[rounds], len(reduced))
-        # ordered by question, then pair
-        combos, combo = _compact(local * len(pairs) + local_pair, len(group) * len(pairs))
-        proj = branch_tree(eye, strategy.bob[group].swapaxes(0, 1))  # [y, question]
-        np.conjugate(proj, out=proj)
-        if _one_gemm(len(pairs), len(group), len(combos)):
-            # rows in the GEMM's (pair, question) order
-            ops = reduced if len(pairs) == len(reduced) else reduced[pairs]
-            table = _answer_masses(ops, proj.swapaxes(0, 1).reshape(-1, db, db))
-            table = table.reshape(-1, 1 << m)
-            row[rounds] = count + local_pair * len(group) + local
-        else:
-            combo_b, combo_pair = np.divmod(combos, len(pairs))
-            bounds = np.searchsorted(combo_b, np.arange(len(group) + 1))
-            table = np.empty((len(combos), 1 << m))
-            for j in range(len(group)):
-                span = slice(bounds[j], bounds[j + 1])
-                _answer_masses(reduced[pairs[combo_pair[span]]], proj[:, j], out=table[span])
-            row[rounds] = count + combo
-        tables.append(table)
-        count += len(table)
-    return _walk(tables[0] if len(tables) == 1 else np.concatenate(tables), row, uniforms)
+        width = _questions_per_gemm(len(group), len(reduced), len(rounds))
+        # the drawn (run, pair) combinations in that order
+        combos, combo = _distinct(local // width * len(reduced) + pair[rounds],
+                                  len(group) // width * len(reduced))
+        row[rounds] = count + combo * width + local % width
+        batches.append((group, width, combos))
+        count += len(combos) * width
+    return _walk(_bob_masses(strategy, reduced, batches, count), row, uniforms)
 
 
 def born_answers(strategy: Strategy, qa_idx: np.ndarray, qb_idx: np.ndarray,
@@ -460,11 +485,11 @@ def born_answers(strategy: Strategy, qa_idx: np.ndarray, qb_idx: np.ndarray,
     branch trees give her marginals, her answers and, for each drawn
     (a, x), Bob's reduced operator (``_alice_draws``); his batched
     projector trees and one real GEMM per batch, or per question where
-    the drawn combinations fill too little of it, give his conditional
-    answer masses, and one walk his answers (``_bob_draws``).  With sides
-    of 2^(n/2) dimensions every drawn question shares one tree batch at
-    n <= 8, so Alice also takes one walk.  Returns the big-endian integer
-    answers (x, y).
+    the batch has fewer rounds than (pair, question) products, give his
+    conditional answer masses, and one walk his answers
+    (``_bob_draws``).  With sides of 2^(n/2) dimensions every drawn
+    question shares one tree batch at n <= 8, so Alice also takes one
+    walk.  Returns the big-endian integer answers (x, y).
     """
     m, db = strategy.half, strategy.dim_b
     x = np.zeros(len(qa_idx), dtype=np.int64)

@@ -1,6 +1,5 @@
 """Command line behavior: output formats, seeds, exit codes."""
 
-import argparse
 import contextlib
 import csv
 import io
@@ -135,7 +134,8 @@ def test_simulate_refuses_rounds_and_seed_before_building(capsys, monkeypatch, s
     ("--n 12 --noise partial-entanglement --noise-param 0.7 --rounds 2000 --seed 5",
      ("2.824000000000", "0.063360234056", "0.853000000000")),
     # one GEMM a question for Bob's masses: in batches of 8 trees at n = 10,
-    # and at n = 8 where 300 rounds draw few of the (question, pair) combinations
+    # and at n = 8 where 300 rounds are fewer than 16 questions times the
+    # drawn pairs
     ("--n 10 --noise bob-rotation --noise-param 0.2 --rounds 10000 --seed 13",
      ("2.776000000000", "0.028800440041", "0.847000000000")),
     ("--n 8 --noise partial-entanglement --noise-param 0.5 --rounds 300 --seed 2",
@@ -366,37 +366,6 @@ def test_unknown_command_exits_nonzero(capsys):
     code = main(["frobnicate"])
     capsys.readouterr()
     assert code == 2
-
-
-def test_main_calls_share_one_parser(capsys, monkeypatch):
-    parsers = []
-    parse_args = argparse.ArgumentParser.parse_args
-
-    def recording(parser, *args, **kwargs):
-        parsers.append(parser)
-        return parse_args(parser, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
-    assert run(capsys, "value", "--n", "2")[0] == 0
-    assert run(capsys, "logset", "--n", "4")[0] == 0
-    assert len(parsers) == 2
-    assert parsers[0] is parsers[1] is cli.build_parser()
-
-
-@pytest.mark.parametrize("argv", [
-    ("--help",), ("simulate", "--help"), ("certify", "-h"), ("sweep", "--help"),
-    (), ("frobnicate",), ("value", "--noise", "banana"), ("simulate", "--rounds", "many"),
-    ("value", "--n", "2", "--seed", "1"), ("certify", "--n", "2", "--format", "pdf"),
-    ("logset", "--n"),
-])
-def test_the_shared_parser_prints_what_a_fresh_one_prints(capsys, argv):
-    with pytest.raises(SystemExit) as exit_info:
-        cli.build_parser.__wrapped__().parse_args(list(argv))
-    want = capsys.readouterr()
-    assert want.out or want.err
-    for _ in range(2):  # the second parse shows what the first left behind
-        code, out, err = run(capsys, *argv)
-        assert (code, out, err) == (exit_info.value.code, want.out, want.err)
 
 
 def test_sweep_reports_certify_errors_as_config_errors(capsys, monkeypatch):

@@ -359,18 +359,26 @@ def test_born_answers_do_not_depend_on_the_tree_batches(monkeypatch, n, family):
 @pytest.mark.parametrize("family", SAMPLER_FAMILIES)
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
 def test_born_answers_do_not_depend_on_the_masses_gemm(monkeypatch, n, family):
-    # 300 rounds take one GEMM a batch at n <= 4 and mostly one a question
-    # above; each form, forced, draws the same answers
+    # 300 rounds take one GEMM a batch at n <= 4 and one a question above;
+    # each width, forced, draws the same answers
     s = sampler_strategy(n, family)
     rng = np.random.default_rng([n, 10])
     qa, qb = rng.integers(0, 1 << s.half, size=(2, 300))
     u = rng.random((300, n))
     whole = born_answers(s, qa, qb, u)
-    for one_gemm in (True, False):
-        monkeypatch.setattr(strategy_module, "_one_gemm", lambda *counts: one_gemm)
+    for width in (lambda questions, pairs, rounds: questions, lambda *counts: 1):
+        monkeypatch.setattr(strategy_module, "_questions_per_gemm", width)
         forced = born_answers(s, qa, qb, u)
         for got, want in zip(forced, whole):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("size", [40, 10**9])  # a dense table, then a sort
+def test_distinct_keys_ascend_with_each_keys_index(size):
+    keys = np.random.default_rng(3).integers(0, size, 100)
+    distinct, index = strategy_module._distinct(keys, size)
+    assert np.array_equal(distinct, np.unique(keys))
+    assert np.array_equal(distinct[index], keys)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
