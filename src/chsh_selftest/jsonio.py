@@ -23,6 +23,20 @@ the digit 0 (a count the grammar check takes anyway) therefore finds
 where each numeral starts, reads the ones spelled ``0``, ``-0``, ``0.0``
 or ``-0.0`` as +0.0 or -0.0 from their sign, and hands only the others
 to numpy.  Both ways give the same bits.
+
+Many payloads repeat.  In the paper's test a player's observable for one
+pair depends only on that pair's question bit, so the file of an honest
+or locally noisy strategy writes each of a player's matrices once for
+every question that shares its bit: an n = 12 noise-model file holds 24
+distinct matrix texts among its 768.  So for the length of one ``loads``
+call the decoder keeps a table of the elements of the payloads it has
+parsed, in arrays nested at least three deep (each question's list of
+matrices): the hash and length of an element's text, its offset in the
+document and its row of the parsed array.  A payload whose elements'
+texts have all been read before, each confirmed against the document,
+and whose brackets and separators frame them as the parse would accept,
+is the stack of those rows.  Any other payload takes the parse, and its
+elements are recorded.
 """
 
 from __future__ import annotations
@@ -182,7 +196,7 @@ def _numeric(region: str) -> np.ndarray | None:
     pairs = pairs.tobytes()
     symbols = pairs.translate(_PAIRS)
     del pairs
-    if b"!" in symbols or b"ZD" in symbols or b"MND" in symbols:
+    if b"!" in symbols or _leading_zero(np.frombuffer(symbols, dtype=np.uint8)):
         return None
     ends_in_zero = np.count_nonzero(np.frombuffer(symbols, dtype=np.uint8) == ord("E"))
     del symbols
@@ -195,6 +209,22 @@ def _numeric(region: str) -> np.ndarray | None:
     if values is None or values.size != size:
         return None
     return values.reshape(shape)
+
+
+def _leading_zero(symbols: np.ndarray) -> bool:
+    """Whether the pair symbols hold "ZD" (a numeral starting "0" and a
+    digit) or "MND" ("-0" and a digit), by shifted compares into two
+    masks that are reused in place."""
+    digit = np.equal(symbols[1:], ord("D"))  # digit[i]: symbol i + 1 is D
+    found = np.equal(symbols[:-1], ord("Z"))
+    found &= digit
+    if found.any():
+        return True
+    np.equal(symbols[:-1], ord("N"), out=found)
+    found &= digit  # "ND" at i
+    minus = np.equal(symbols[:-2], ord("M"), out=digit[1:])  # symbol i - 1 is M
+    found[1:] &= minus
+    return bool(found[1:].any())
 
 
 def _parse(text: bytes) -> np.ndarray | None:
@@ -266,6 +296,37 @@ def _ascii(parse):
     return checked
 
 
+def _elements(text: str, start: int, stop: int) -> tuple[int, list] | None:
+    """The nesting depth of the array written in ``text[start:stop]`` as
+    its leading brackets give it, and the (offset, length) of the text of
+    each element, or None unless at least three brackets lead.
+
+    An element ends before a run of depth - 1 closing brackets and a
+    comma, and the next starts after the comma and its JSON whitespace;
+    the last ends before the closing bracket at ``stop - 1``.  In a
+    rectangular array of that depth such a run ends only an element of
+    the outermost list, and it misses one where whitespace stands
+    between its brackets and the comma.
+    """
+    head = text[start:min(stop, start + 33)]  # _shape takes at most 32 levels
+    depth = len(head) - len(head.lstrip("["))
+    if depth < 3:
+        return None
+    separator = "]" * (depth - 1) + ","
+    spans = []
+    begin = start + 1
+    comma = text.find(separator, begin, stop)
+    while comma >= 0:
+        end = comma + depth - 1
+        spans.append((begin, end - begin))
+        begin = end + 1
+        while begin < stop and text[begin] in " \t\n\r":
+            begin += 1
+        comma = text.find(separator, begin, stop)
+    spans.append((begin, stop - 1 - begin))
+    return depth, spans
+
+
 class _Decoder(json.JSONDecoder):
     """The stdlib decoder with its array parser replaced by ``_array``."""
 
@@ -276,10 +337,15 @@ class _Decoder(json.JSONDecoder):
         # numbers inside arrays are doubles on either path: an int would lose
         # the sign of -0, and numpy makes an object array of one beyond int64
         self._stdlib = json.JSONDecoder(parse_int=float)
+        # the elements of the payloads read so far: (hash, length) of an
+        # element's text -> its offset in the document and its parsed row
+        self.seen: dict = {}
 
     def _array(self, s_and_end, scan_once):
-        """Array starting just before ``end``: numeric payloads through
-        ``_numeric``, anything else through the stdlib C scanner."""
+        """Array starting just before ``end``: a payload whose elements have
+        all been read before as the stack of their rows, other numeric
+        payloads through ``_numeric``, anything else through the stdlib C
+        scanner."""
         text, end = s_and_end
         start = end - 1
         # A payload is followed by a key or the end of its object; the
@@ -291,10 +357,38 @@ class _Decoder(json.JSONDecoder):
         stop = stop if brace < 0 else brace
         while text[stop - 1] in " \t\n\r,":  # text[start] is '['
             stop -= 1
+        split = _elements(text, start, stop)
+        if split is not None:
+            depth, spans = split
+            keys, rows = self._lookup(text, spans)
+            # every element known, in the frame _numeric accepts: '[', the
+            # separators, and the closing ']' at the payload's end
+            if rows and text[stop - 1] == "]" and len({row.shape for row in rows}) == 1:
+                return np.stack(rows), stop
         values = _numeric(text[start:stop])  # _numeric holds the only reference
         if values is None:
             return self._stdlib.scan_once(text, start)
+        # recorded only where the split found the rows themselves: the
+        # leading brackets gave the true depth, and no separator was missed
+        if split is not None and values.ndim == depth and len(values) == len(spans):
+            for (offset, _), key, row in zip(spans, keys, values):
+                self.seen[key] = offset, row
         return values, stop
+
+    def _lookup(self, text: str, spans: list) -> tuple[list, list | None]:
+        """The table key of each element, and the rows stored for them, or
+        None for the rows unless every element's text was read before."""
+        keys, rows = [], []
+        for offset, length in spans:
+            piece = text[offset:offset + length]
+            keys.append((hash(piece), length))
+            if rows is not None:
+                known = self.seen.get(keys[-1])
+                if known is None or not text.startswith(piece, known[0]):
+                    rows = None
+                else:
+                    rows.append(known[1])
+        return keys, rows
 
 
 def loads(text: str):
@@ -303,7 +397,12 @@ def loads(text: str):
     number is a float, and everything else as ``json.loads`` returns it.
     Raises ValueError (``json.JSONDecodeError`` for syntax errors) on text
     that is not JSON."""
+    decoder = _Decoder()
     try:
-        return _Decoder().decode(text)
+        return decoder.decode(text)
     except RecursionError:
         raise ValueError("document nested too deeply") from None
+    finally:
+        # the decoder and its scanner form a cycle that outlives this call,
+        # and the table's rows would keep every payload alive
+        decoder.seen.clear()

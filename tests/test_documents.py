@@ -97,9 +97,12 @@ def _compact_text(strategy, path) -> str:
 
 
 def _documents(tmp_dir):
+    # at n <= 4 a player has at most one question whose matrices were all
+    # read before; at n = 6, four
     strategies = [noisy_strategy(2, NoiseSpec("bob-rotation", 0.2)),
                   noisy_strategy(4, NoiseSpec("bob-rotation", 0.1)),
                   noisy_strategy(4, NoiseSpec("partial-entanglement", 0.6)),
+                  noisy_strategy(6, NoiseSpec("bob-rotation", 0.15)),
                   random_strategy(2, np.random.default_rng(1), dim_a=3, dim_b=2),
                   random_strategy(4, np.random.default_rng(2))]
     docs = [strategy_to_text(s) for s in strategies]
@@ -400,6 +403,165 @@ def test_the_zero_gate_changes_no_value(monkeypatch, text, sparse):
     want = np.array(json.loads(text, parse_int=_oracle_int), dtype=float)
     assert bool(calls) == sparse
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _spy_numeric(monkeypatch) -> list:
+    """The shapes of the payloads ``jsonio`` parses from now on (None where
+    the parse refuses one)."""
+    calls = []
+    numeric = jsonio._numeric
+
+    def spy(region):
+        values = numeric(region)
+        calls.append(None if values is None else values.shape)
+        return values
+
+    monkeypatch.setattr(jsonio, "_numeric", spy)
+    return calls
+
+
+@pytest.mark.parametrize("make, parses", [
+    # the state, then per player the first question and each question that
+    # flips one more bit of it: 1 + 2 (m + 1) with m = 5
+    (lambda: noisy_strategy(10, NoiseSpec("bob-rotation", 0.1)), 13),
+    (lambda: noisy_strategy(10, NoiseSpec("partial-entanglement", 0.6)), 13),
+    # no matrix repeats: every payload is parsed
+    (lambda: random_strategy(6, np.random.default_rng(4)), 1 + 8 + 8),
+], ids=["bob-rotation", "partial-entanglement", "random"])
+def test_each_repeated_matrix_text_is_parsed_once(monkeypatch, tmp_path, make, parses):
+    s = make()
+    for text in (strategy_to_text(s), _compact_text(s, tmp_path / "doc.json")):
+        calls = _spy_numeric(monkeypatch)
+        assert _same_bits(strategy_from_text(text), s)
+        assert len(calls) == parses and None not in calls
+
+
+def _payload(text: str, side: str, question: str) -> tuple[int, int]:
+    """Start and end of one question's payload in a one-line document."""
+    start = text.index("[", text.index(f'"{question}"', text.index(f'"{side}"')))
+    return start, text.index("]]]", start) + 3
+
+
+def _edit_first_matrix(text: str, edit) -> str:
+    """``text`` with ``edit`` applied to the first matrix of Alice's last
+    question, every one of whose matrices was read before."""
+    start, end = _payload(text, "alice_obs", "111")
+    matrix_end = text.index("]]", start) + 2
+    edited = edit(text[start + 1:matrix_end])
+    assert edited != text[start + 1:matrix_end]
+    return text[:start + 1] + edited + text[matrix_end:]
+
+
+def _first_numeral(matrix: str, want) -> tuple[int, int]:
+    return next(m.span() for m in NUMERAL.finditer(matrix) if want(m.group()))
+
+
+def _negate_a_zero(matrix: str) -> str:
+    a, b = _first_numeral(matrix, lambda numeral: numeral == "0.0")
+    return matrix[:a] + "-0.0" + matrix[b:]
+
+
+def _change_a_digit(matrix: str) -> str:
+    a, b = _first_numeral(matrix, lambda numeral: numeral not in ("0.0", "-0.0"))
+    digit = matrix[b - 1]
+    return matrix[:b - 1] + ("1" if digit == "0" else "0") + matrix[b:]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda matrix: matrix.replace("], [", "],  [", 1),
+    lambda matrix: matrix.replace("[[", "[ [", 1),
+    _negate_a_zero,
+    _change_a_digit,
+], ids=["whitespace-inside", "whitespace-leading", "negative-zero", "one-digit"])
+def test_a_repeated_matrix_changed_in_its_text_loads_like_the_oracle(
+        monkeypatch, tmp_path, edit):
+    strategy = noisy_strategy(6, NoiseSpec("bob-rotation", 0.2))
+    for text in (strategy_to_text(strategy), _compact_text(strategy, tmp_path / "doc.json")):
+        edited = _edit_first_matrix(text, edit)
+        calls = _spy_numeric(monkeypatch)
+        strategy_from_text(edited)
+        # the state, four first questions per player, and the edited one
+        assert len(calls) == 10
+        _check_like_the_oracle(edited, tmp_path / "edited.json")
+
+
+def test_whitespace_between_closing_brackets_loads_like_the_oracle(tmp_path):
+    strategy = noisy_strategy(6, NoiseSpec("partial-entanglement", 0.6))
+    for text in (strategy_to_text(strategy), _compact_text(strategy, tmp_path / "doc.json")):
+        # a first question whose separators no longer end in "]],", and a
+        # repeat whose separators do not either
+        for side, question in (("alice_obs", "000"), ("bob_obs", "111")):
+            start, end = _payload(text, side, question)
+            spaced = text[start:end].replace("]], ", "] ], ").replace("]]]", "]] ]")
+            text = text[:start] + spaced + text[end:]
+        _check_like_the_oracle(text, tmp_path / "spaced.json")
+
+
+@pytest.mark.parametrize("text", [
+    # known elements, but no closing bracket at the payload's end
+    '{"a": [[[1,2]],[[3,4]]], "b": [[[1,2]],[[3,4]]5}',
+    '{"a": [[[1,2]],[[3,4]]], "b": [[[1,2]],[[3,4]]}',
+    # known elements in a broken frame
+    '{"a": [[[1,2]],[[3,4]]], "b": [[[1,2]],[[3,4]]]]}',
+    '{"a": [[[1,2]],[[3,4]]], "b": [[[1,2]],,[[3,4]]]}',
+    '{"a": [[[1,2]],[[3,4]]], "b": [[[1,2]]],[[3,4]]]}',
+    '{"a": [[[1,2]],[[3,4]]], "b": [[[1,2]],x[[3,4]]]}',
+])
+def test_a_payload_of_known_elements_keeps_json_framing(text):
+    with pytest.raises(ValueError):
+        json.loads(text)
+    with pytest.raises(ValueError):
+        jsonio.loads(text)
+
+
+@pytest.mark.parametrize("text, parses", [
+    # "b" is a stack of rows read in "a"
+    ('{"a": [[[1,2]],[[3,4]]], "b": [[[3,4]],\n\t [[1,2]],[[3,4]]]}', 1),
+    # a last element with whitespace after it is another text
+    ('{"a": [[[1,2]],[[3,4]]], "b": [[[1,2]],[[3,4]] ]}', 2),
+    # known elements of two shapes: a ragged array, which numpy cannot hold
+    ('{"a": [[[1,2]],[[3,4]]], "c": [[[5]],[[6]]], "b": [[[1,2]],[[5]]]}', 3),
+    # the same text one level deeper is another element
+    ('{"a": [[[1,2]],[[3,4]]], "b": [[[[1,2]],[[3,4]]]]}', 2),
+    # separators the split misses, so "a" holds more elements than it finds
+    ('{"a": [[[1,2]] ,[[3,4]],[[5,6]]], "b": [[[5,6]],[[1,2]] ,[[3,4]]]}', 2),
+    ('{"a": [[[1,2] ],[[3,4]],[[5,6]]], "b": [[[5,6]],[[1,2] ],[[3,4]]]}', 2),
+    # a depth the leading brackets understate: the split of "a" finds as
+    # many pieces as it has elements, but not its elements
+    ('{"a": [[[ [1]],[[2]]] ,[[[3]] ,[[4]]],[[[5]] ,[[6]]]],'
+     ' "b": [[[ [1]],[[[5]] ,[[6]]],[[2]]] ,[[[3]] ,[[4]]]]}', 2),
+])
+def test_a_payload_of_known_elements_loads_like_json(monkeypatch, text, parses):
+    calls = _spy_numeric(monkeypatch)
+    got, want = jsonio.loads(text), json.loads(text)
+    assert len(calls) == parses
+    for key, value in want.items():
+        if isinstance(got[key], np.ndarray):
+            assert got[key].tolist() == value
+        else:
+            assert got[key] == value
+
+
+def test_a_hash_collision_is_no_hit(monkeypatch):
+    # every element text collides with every other of its length
+    monkeypatch.setattr(jsonio, "hash", lambda piece: 0, raising=False)
+    text = strategy_to_text(noisy_strategy(6, NoiseSpec("bob-rotation", 0.2)))
+    assert _same_bits(strategy_from_text(text), oracle_from_text(text))
+
+
+def test_the_table_is_dropped_when_loads_returns(monkeypatch):
+    decoders = []
+
+    class Spy(jsonio._Decoder):
+        def __init__(self):
+            super().__init__()
+            decoders.append(self)
+
+    monkeypatch.setattr(jsonio, "_Decoder", Spy)
+    jsonio.loads('{"a": [[[1,2]],[[3,4]]], "b": [[[1,2]],[[3,4]]]}')
+    with pytest.raises(ValueError):
+        jsonio.loads('{"a": [[[1,2]],[[3,4]]], "b": [[[1,2]],[[3,4]]5}')
+    assert [d.seen for d in decoders] == [{}, {}]
 
 
 def _complex_bytes(s: Strategy) -> int:
