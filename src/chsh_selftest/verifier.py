@@ -333,8 +333,9 @@ def extraction_distance(ops: ExtractedOperators, pairs: np.ndarray,
 class SelfTestReport:
     """Everything the certification pipeline measured and concluded.
 
-    Questions are big-endian integers, and the distance maps are keyed by
-    integer (p, q); ``to_document`` writes them all as bit strings.
+    Questions are big-endian integers, and both distance maps are keyed
+    by the same integer pairs (p, q); ``to_document`` writes them all as
+    bit strings.
     """
 
     n: int
@@ -365,9 +366,11 @@ class SelfTestReport:
         coverage = self.measured.coverage
         meas = dict(vars(self.measured), coverage=coverage.describe() if coverage else None)
 
+        pairs = sorted(self.distances_fixed)  # the keys of both maps
+        names = [f"{bits.from_int(p, n)}:{bits.from_int(q, n)}" for p, q in pairs]
+
         def by_pair(distances):
-            return {f"{bits.from_int(p, n)}:{bits.from_int(q, n)}": d
-                    for (p, q), d in sorted(distances.items())}
+            return dict(zip(names, map(distances.__getitem__, pairs)))
 
         return {
             "n": n,

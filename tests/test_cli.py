@@ -17,6 +17,7 @@ from chsh_selftest import (
     NoiseSpec,
     Strategy,
     ideal_strategy,
+    noisy_strategy,
     save_strategy,
     strategy_to_text,
     validate,
@@ -309,6 +310,36 @@ def test_invalid_strategy_file_fails_validation(capsys, tmp_path):
     code, _, err = run(capsys, "value", "--strategy", str(path))
     assert code == 3
     assert "validation" in err
+
+
+def test_one_scaled_copy_of_a_repeated_observable_fails_validation(capsys, tmp_path):
+    # a noise model holds each observable in many questions; validation
+    # checks each distinct matrix once, so the one changed copy is caught
+    s = noisy_strategy(8, NoiseSpec("bob-rotation", 0.1))
+    alice = s.alice.copy()
+    alice[5, 0] *= 1 + 1e-6
+    path = tmp_path / "scaled.json"
+    save_strategy(Strategy(state=s.state, alice=alice, bob=s.bob), str(path))
+    code, _, err = run(capsys, "value", "--strategy", str(path))
+    assert code == 3
+    assert "unitarity=2.000e-06" in err
+
+
+def test_each_call_answers_like_the_first_of_its_process(capsys):
+    argvs = [("value", "--n", "4"), ("value", "--rounds", "3"),
+             ("simulate", "--n", "4", "--rounds", "300", "--seed", "3"),
+             ("certify", "--n", "2", "--format", "text")]
+    firsts = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()  # a fresh parser, as in a new process
+        firsts.append(run(capsys, *argv))
+    assert [code for code, _, _ in firsts] == [0, 2, 0, 0]
+    assert firsts[1][2].startswith("usage: chsh-selftest ")
+    assert "unrecognized arguments: --rounds 3" in firsts[1][2]
+    # the same calls again, in order, all through the parser of the last one
+    parser = cli.build_parser()
+    assert [run(capsys, *argv) for argv in argvs] == firsts
+    assert cli.build_parser() is parser
 
 
 def test_missing_strategy_file(capsys):

@@ -19,8 +19,15 @@ from chsh_selftest import (
 )
 from chsh_selftest import bits, strategy as strategy_module
 from chsh_selftest.extraction import build_xz
-from chsh_selftest.linalg import PAULI_X, PAULI_Z, branch_tree
-from chsh_selftest.strategy import _answer_masses, born_answers, ideal_state
+from chsh_selftest.linalg import (
+    PAULI_X,
+    PAULI_Z,
+    branch_tree,
+    commutation_residual,
+    hermiticity_residual,
+    unitarity_residual,
+)
+from chsh_selftest.strategy import StrategyDiagnostics, _answer_masses, born_answers, ideal_state
 from test_linalg import embed_qubit_op, tensor
 from test_verifier import family_strategy
 
@@ -78,8 +85,6 @@ def test_validate_flags_family_commutation():
 
 
 def test_validate_matches_a_per_observable_loop():
-    from chsh_selftest.linalg import (commutation_residual, hermiticity_residual,
-                                      unitarity_residual)
     rng = np.random.default_rng(3)
     s = random_strategy(6, rng, dim_a=3, dim_b=5)
     bad = Strategy(state=1.1 * s.state, alice=s.alice + 1e-3 * rng.normal(size=s.alice.shape),
@@ -92,11 +97,125 @@ def test_validate_matches_a_per_observable_loop():
                 unit = max(unit, unitarity_residual(obs))
                 comm = max([comm] + [commutation_residual(obs, o) for o in family[i + 1:]])
     diag = validate(bad)
-    assert diag.hermiticity == pytest.approx(herm, rel=1e-12)
-    assert diag.unitarity == pytest.approx(unit, rel=1e-12)
-    assert diag.commutation == pytest.approx(comm, rel=1e-12)
+    assert (diag.hermiticity, diag.unitarity, diag.commutation) == (herm, unit, comm)
     assert diag.normalization == pytest.approx(0.1, rel=1e-12)
     assert min(herm, unit, comm) > 1e-5
+
+
+def validate_per_question(strategy):
+    """The residuals of every observable of every question: the loop that
+    ``validate`` runs once per class, batched over questions one subtest
+    (pair) at a time."""
+    m = strategy.half
+    herm, unit, comm = [0.0], [0.0], [0.0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for stack in (strategy.alice, strategy.bob):
+            for k in range(m):
+                herm.append(hermiticity_residual(stack[:, k]))
+                unit.append(unitarity_residual(stack[:, k]))
+                comm.extend(commutation_residual(stack[:, k], stack[:, j])
+                            for j in range(k + 1, m))
+    normres = abs(float(np.linalg.norm(strategy.state)) - 1.0)
+    return StrategyDiagnostics(hermiticity=float(np.max(herm)), unitarity=float(np.max(unit)),
+                               commutation=float(np.max(comm)), normalization=normres)
+
+
+def assert_same_bits(got, want):
+    """Every field equal bit for bit; a NaN field matches only a NaN."""
+    fields = ("hermiticity", "unitarity", "commutation", "normalization")
+    got, want = ([getattr(d, f) for f in fields] for d in (got, want))
+    assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64)), \
+        (got, want)
+
+
+def partly_repeating_strategy(n, seed):
+    """A bob-rotation strategy whose last question's families are the real
+    parts of random ones: some observables repeat and some do not, and so
+    do some pairs (k, j)."""
+    rng = np.random.default_rng(seed)
+    noisy = noisy_strategy(n, NoiseSpec("bob-rotation", 0.2))
+    rand = random_strategy(n, rng)
+    alice, bob = noisy.alice.copy(), noisy.bob.copy()
+    alice[-1], bob[-1] = rand.alice[-1].real, rand.bob[-1].real
+    return Strategy(state=noisy.state, alice=alice, bob=bob)
+
+
+VALIDATE_FAMILIES = ["ideal", "bob-rotation", "partial-entanglement", "random", "random-3x5",
+                     "random-1x2", "twisted-ideal", "complex state", "partly repeating"]
+
+
+def validate_strategy(n, family):
+    if family == "random-1x2":  # 1 x 1 observables: +-1 up to rounding, so many repeat
+        return random_strategy(n, np.random.default_rng(n), 1, 2)
+    if family == "partly repeating":
+        return partly_repeating_strategy(n, n)
+    return sampler_strategy(n, family)
+
+
+@pytest.mark.parametrize("family", VALIDATE_FAMILIES)
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+def test_validate_matches_the_per_question_loop_bit_for_bit(n, family):
+    s = validate_strategy(n, family)
+    assert_same_bits(validate(s), validate_per_question(s))
+
+
+@pytest.mark.parametrize("size", [1, 3000, 70_000])  # bytes: 1, 2 or all of 8 x 8 complex
+@pytest.mark.parametrize("family", ["bob-rotation", "random", "partly repeating"])
+def test_validate_does_not_depend_on_its_blocks(monkeypatch, size, family):
+    s = validate_strategy(6, family)
+    want = validate_per_question(s)
+    monkeypatch.setattr(strategy_module, "VALIDATE_BLOCK_BYTES", size)
+    assert_same_bits(validate(s), want)
+
+
+def _ulp_up(m):
+    m[0, 0] = np.nextafter(m[0, 0], np.inf)
+
+
+def _negative_zero(m):
+    zero = np.flatnonzero(m == 0)[0]
+    assert not np.signbit(m.flat[zero])
+    m.flat[zero] = -0.0
+
+
+def _nan(m):
+    m[1, 1] = np.nan
+
+
+def _skew(m):
+    m[0, 1] += 1e-6
+
+
+@pytest.mark.parametrize("corrupt,rejected", [(_ulp_up, False), (_negative_zero, False),
+                                              (_nan, True), (_skew, True)])
+@pytest.mark.parametrize("player", ["alice", "bob"])
+def test_one_corrupted_copy_of_a_repeated_observable_is_checked(corrupt, rejected, player):
+    s = noisy_strategy(8, NoiseSpec("bob-rotation", 0.1))
+    stacks = {"alice": s.alice.copy(), "bob": s.bob.copy()}
+    corrupt(stacks[player][5, 2])  # one of the 8 questions holding this matrix
+    bad = Strategy(state=s.state, **stacks)
+    diag = validate(bad)
+    assert_same_bits(diag, validate_per_question(bad))
+    assert diag.ok is not rejected
+
+
+def test_commutation_is_taken_once_per_distinct_pair_of_classes(monkeypatch):
+    calls = []
+
+    def spy(a, b):
+        assert a.shape == b.shape
+        calls.append(len(a))
+        return commutation_residual(a, b)
+
+    monkeypatch.setattr(strategy_module, "commutation_residual", spy)
+    s = noisy_strategy(12, NoiseSpec("bob-rotation", 0.1))
+    assert_same_bits(validate(s), validate_per_question(s))
+    # per player, 15 pairs (k, j), each with 4 combinations of its two bits
+    assert sum(calls) == 2 * 15 * 4
+    calls.clear()
+    validate(random_strategy(12, np.random.default_rng(0)))
+    # nothing repeats: each pair takes every question, as a slice of the stack
+    assert calls == [64] * (2 * 15)
 
 
 def test_strategy_rejects_missing_question():
