@@ -35,8 +35,10 @@ DEFAULT_GENERAL_SAMPLES = 10_000
 DISTANCE_PAIRS = 256
 
 #: bytes one chunk holds: gathered terms and products in the condition
-#: norms; in extraction_distance, the inputs and, per Walsh index, the
-#: three stacks of their size that the distance kernel forms
+#: norms on the gather kernel; one block of Alice's rows of the product
+#: that gives every anticommutation norm at n <= MAX_EXHAUSTIVE_N; in
+#: extraction_distance, the inputs and, per Walsh index, the three stacks
+#: of their size that the distance kernel forms
 CHUNK_BYTES = 2 << 20
 
 #: junk overlaps with a smaller norm are returned unnormalized (compute_junk)
@@ -113,12 +115,16 @@ def _max_norm(left: np.ndarray, right: np.ndarray, ia: np.ndarray, ib: np.ndarra
               work: tuple[np.ndarray, ...] | None = None) -> float:
     """Largest Frobenius norm of the rows of ``_products``, one chunk of
     ``_chunk_rows`` at a time, written into ``work`` when given (buffers
-    of at least one chunk, which a stage's calls share)."""
+    of at least one chunk, which a stage's calls share).  Each chunk's
+    squared norms are one reduction over its rows as flat float rows."""
     rows = _chunk_rows(left, right, ia.shape[1])
     work = work or _workspace(left, right, min(rows, len(ia)))
-    return max(float(np.max(np.linalg.norm(
-        _products(left, right, ia[i:i + rows], ib[i:i + rows], work), axis=(1, 2))))
-        for i in range(0, len(ia), rows))
+    squares = []
+    for i in range(0, len(ia), rows):
+        flat = _products(left, right, ia[i:i + rows], ib[i:i + rows], work)
+        flat = flat.reshape(len(flat), -1).view(float)
+        squares.append(float(np.max(np.einsum("ri,ri->r", flat, flat))))
+    return math.sqrt(max(squares))
 
 
 def _split(n: int, *strings: np.ndarray) -> list[np.ndarray]:
@@ -152,6 +158,44 @@ def _pauli_rows(n: int, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nd
     return (2 * size + qa * stride + pa)[:, None], (size + qb * stride + pb)[:, None]
 
 
+def _anticommute_max(ops: ExtractedOperators) -> float:
+    """Largest |Z'^t X'^s psi - (-1)^{s.t} X'^s Z'^t psi| over every (s, t).
+
+    In the gather stacks, a side's Z'^t X'^s sits at a = t 2^(n/2) + s of
+    its stack 0 (SA[0] for Alice, RB[0] for Bob on psi) and X'^s Z'^t at
+    a' = s 2^(n/2) + t of its stack 1.  The sign (-1)^{s.t} =
+    (-1)^{s_A.t_A} (-1)^{s_B.t_B} factors per side, so with Alice's factor
+    L[a] = [SA[0, a] | -(-1)^{s_A.t_A} SA[1, a']], (d_A, 2 d_A), and Bob's
+    R[b] = [RB[0, b] ; (-1)^{s_B.t_B} RB[1, b']], (2 d_A, d_B), the row
+    (s, t) of ``_anticommute_rows`` is the (a, b) block of one
+    (2^n d_A, 2 d_A) @ (2 d_A, 2^n d_B) product over every pair of them.
+    It is formed in blocks of Alice's rows of about CHUNK_BYTES into one
+    buffer, and each block's squared block norms are one reduction over
+    its float view.  With native sides at n = 6 the whole product is 4.2 M
+    real multiply-adds, above the ~7.9e5 from which OpenBLAS (0.3.31)
+    threads a real GEMM; unlike ``_walsh_split``, which keeps below it,
+    this is one or two calls a report, not one a chunk.
+    """
+    n, (left, right) = ops.n, ops.gather_stacks
+    size, da, db = 1 << n, ops.dim_a, ops.dim_b
+    t, s = np.divmod(np.arange(size), 1 << n // 2)
+    swapped, odd = s << n // 2 | t, bits.parity(s & t)
+    lhs = np.concatenate([left[:size], left[size * (1 + odd) + swapped]], axis=2)
+    rhs = right[size + swapped]
+    rhs[odd == 1] *= -1
+    rhs = np.concatenate([right[:size], rhs], axis=1).transpose(1, 0, 2).reshape(2 * da, -1)
+    dtype = np.result_type(lhs, rhs)
+    rows = min(size, max(1, CHUNK_BYTES // (da * rhs.shape[1] * dtype.itemsize)))
+    out = np.empty((rows * da, rhs.shape[1]), dtype=dtype)
+    squares = []
+    for i in range(0, size, rows):
+        block = np.matmul(lhs[i:i + rows].reshape(-1, 2 * da), rhs,
+                          out=out[:da * (min(i + rows, size) - i)])
+        block = block.reshape(-1, da, size, db).view(float)
+        squares.append(float(np.max(np.einsum("aibj,aibj->ab", block, block))))
+    return math.sqrt(max(squares))
+
+
 def measure_epsilons(ops: ExtractedOperators,
                      work: tuple[np.ndarray, ...] | None = None) -> ConditionNorms:
     """Worst single-qubit condition norms (general fields left unset).
@@ -172,27 +216,27 @@ def measure_epsilons(ops: ExtractedOperators,
 def measure_general_conditions(ops: ExtractedOperators, seed: int = 0) -> ConditionNorms:
     """Worst string-product condition norms over (s, t) pairs.
 
-    Every pair for n <= MAX_EXHAUSTIVE_N, otherwise DEFAULT_GENERAL_SAMPLES
-    seeded uniform draws; both run through the same gather kernel.
+    Every pair for n <= MAX_EXHAUSTIVE_N, the anticommutation family from
+    one product of sign-folded factors (``_anticommute_max``); otherwise
+    DEFAULT_GENERAL_SAMPLES seeded uniform draws through the gather kernel.
     Returns a ConditionNorms with the general fields (and coverage)
-    filled in and eps1..eps3 measured alongside.  All five norms share one
-    workspace, sized for the largest chunk: every row sums two products,
-    and the general anticommutation rows are the most numerous.
+    filled in and eps1..eps3 measured alongside.  The norms on the gather
+    kernel share one workspace, sized for the largest chunk: every row
+    sums two products, and the most numerous rows are the sampled ones,
+    or else the swap family's 2^n.
     """
-    n = ops.n
+    n, (left, right) = ops.n, ops.gather_stacks
     if n <= MAX_EXHAUSTIVE_N:
-        s, t = np.divmod(np.arange(1 << 2 * n), 1 << n)
-        cov = Coverage(mode="exhaustive")
+        s, t, cov = np.arange(1 << n), None, Coverage(mode="exhaustive")
     else:
         rng = np.random.default_rng(seed)
         s = rng.integers(0, 1 << n, size=DEFAULT_GENERAL_SAMPLES)
         t = rng.integers(0, 1 << n, size=DEFAULT_GENERAL_SAMPLES)
         cov = Coverage(mode="sampled", count=DEFAULT_GENERAL_SAMPLES, seed=seed)
-    left, right = ops.gather_stacks
     work = _workspace(left, right, min(_chunk_rows(left, right, 2), len(s)))
-    return replace(measure_epsilons(ops, work),
-                   general_anticommute_max=_max_norm(left, right, *_anticommute_rows(n, s, t),
-                                                     work),
+    anticommute = (_anticommute_max(ops) if t is None else
+                   _max_norm(left, right, *_anticommute_rows(n, s, t), work))
+    return replace(measure_epsilons(ops, work), general_anticommute_max=anticommute,
                    general_swap_max=_max_norm(left, right, *_swap_rows(n, np.unique(s)), work),
                    coverage=cov)
 

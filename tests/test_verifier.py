@@ -270,6 +270,34 @@ def test_condition_rows_match_dense_definitions_n6(family, seed, rows):
     assert np.max(np.abs(swap - want_swap)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("family", ["random", "random-3x5", "bob-rotation",
+                                    "partial-entanglement", "twisted-ideal",
+                                    "phased-partial-entanglement"])
+def test_exhaustive_anticommute_max_matches_the_gather_kernel(n, family):
+    # the one product of sign-folded factors against the gather kernel over
+    # every (s, t) row; Alice's operators in a noise model are signed
+    # permutations, so each entry is the same sum of two products on both
+    # paths, and the rows' entries are roundoff whose squares sum alike in
+    # either reduction order: the maxima are bit-identical, also for a
+    # global-phase copy whose Bob factor is complex; elsewhere both sums run
+    # in another order
+    if family.startswith("phased-"):
+        s = family_strategy(n, family.removeprefix("phased-"))
+        s = Strategy(state=s.state * np.exp(0.7j), alice=s.alice, bob=s.bob)
+    else:
+        s = family_strategy(n, family, seed=120 + n)
+    ops = build_xz(s)
+    general = measure_general_conditions(ops)
+    assert general.coverage.mode == "exhaustive"
+    every_s, every_t = np.divmod(np.arange(1 << 2 * n), 1 << n)
+    want = _max_norm(*ops.gather_stacks, *_anticommute_rows(n, every_s, every_t))
+    if family in ("bob-rotation", "partial-entanglement", "phased-partial-entanglement"):
+        assert general.general_anticommute_max == want
+    else:
+        assert abs(general.general_anticommute_max - want) <= 1e-15
+
+
 @pytest.mark.parametrize("n", [2, 4])
 def test_swap_isometry_matches_dense_circuit(n):
     for family in ("random", "near-ideal-twisted"):
@@ -695,16 +723,28 @@ def test_small_chunks_give_what_one_chunk_gives(family, monkeypatch):
     assert ops.gather_stacks[1].dtype == (complex if family == "random" else float)
     junk, _ = compute_junk(ops)
     pairs = np.stack(np.divmod(np.arange(1 << 8), 1 << 4), axis=1)
+    blocks, einsum = [], np.einsum
+
+    def einsum_by_block(spec, *operands):
+        if spec == "aibj,aibj->ab":  # one block of the anticommutation product
+            blocks.append(len(operands[0]))
+        return einsum(spec, *operands)
+
+    monkeypatch.setattr(np, "einsum", einsum_by_block)
     whole = measure_general_conditions(ops), *extraction_distance(ops, pairs, junk)
+    assert blocks == [1 << 4]  # every Alice row of the anticommutation product in one block
     # 7 rows per distance chunk, which holds the inputs and three stacks of
-    # their size per Walsh index (4 at n = 4), and 15 per condition-norm chunk
+    # their size per Walsh index (4 at n = 4), 15 per condition-norm chunk,
+    # and 5 of Alice's 16 rows per block of the anticommutation product
     itemsize = ops.gather_stacks[1].itemsize
     monkeypatch.setattr(verifier, "CHUNK_BYTES", 7 * (3 * 4 + 1) * s.dim_a * s.dim_b * itemsize)
     rows, split = [], verifier._walsh_split
     monkeypatch.setattr(verifier, "_walsh_split",
                         lambda ops, w, *index: rows.append(len(w)) or split(ops, w, *index))
+    blocks.clear()
     chunked = measure_general_conditions(ops), *extraction_distance(ops, pairs, junk)
     assert len(rows) >= 3 and rows[0] == 7 and 0 < rows[-1] < 7 and sum(rows) == len(pairs)
+    assert blocks == [5, 5, 5, 1]
     assert chunked[0] == whole[0]
     for got, want in zip(chunked[1:], whole[1:]):
         assert np.max(np.abs(got - want)) < 1e-15
