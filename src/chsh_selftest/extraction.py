@@ -64,16 +64,19 @@ class ExtractedOperators:
         """table[u] = X'^u (kind 0) or Z'^u (kind 1) of side 0 (Alice) or 1 (Bob) on w.
 
         u is an n/2-bit integer whose most significant bit is the side's
-        first qubit.  Built by recursion on that bit, which is the leftmost
-        (last applied) factor of the ordered product.
+        first qubit.  Built by doubling: the entries u < 2^p hold the
+        products over the last p qubits, and one batched product of qubit
+        m - p's operator with all of them gives the entries 2^p <= u <
+        2^(p+1), since that operator is the leftmost (last applied)
+        factor of each.  Each entry takes the products a loop over u
+        would take, one factor at a time.
         """
         m, ops = self.n // 2, (self.alice, self.bob)[side][kind]
         act = apply_on_b if side else apply_on_a
         table = np.empty((1 << m,) + w.shape, dtype=np.result_type(w, ops))
         table[0] = w
-        for u in range(1, 1 << m):
-            pos = u.bit_length() - 1
-            table[u] = act(ops[m - 1 - pos], table[u - (1 << pos)])
+        for p in range(m):
+            table[1 << p:2 << p] = act(ops[m - 1 - p], table[:1 << p])
         return table
 
     def string_table(self, side: int, w: np.ndarray) -> np.ndarray:

@@ -66,14 +66,51 @@ def expectation_table(strategy: Strategy) -> np.ndarray:
     """E[a, b, k] = <psi| M^{q_a}_k tensor N^{q_b}_k |psi> for all questions.
 
     Indices a, b are the big-endian integer encodings of the questions.
+    Each entry is sum_ij L[i, j] N[i, j] with Alice's left factor
+    L = psi^dag M psi, so the table is taken over distinct observables,
+    the classes of each player's bit-identical ones
+    (``Strategy._player_classes``): per subtest k, L once for each of
+    Alice's classes at k, one GEMM of those left factors against Bob's
+    distinct matrices at k, and a gather of the table's entries at k.  An
+    honest or locally noisy player has two distinct observables at each
+    k, each at that k alone, so a noise model's table forms each left
+    factor once and takes 2 x 2 products per subtest.  Where nothing
+    repeats (a random strategy) every question is its own class, and
+    each GEMM is the one of all questions' factors at k; the factors are
+    formed one subtest at a time, so only 2^(n/2) of them are held at
+    once.
     """
-    psi = strategy.state.reshape(strategy.dim_a, strategy.dim_b)
-    left = psi.conj().T @ (strategy.alice @ psi)  # [a, k] = psi^dag M^a_k psi
-    q = len(left)
-    table = np.empty((q, q, strategy.half))
-    for k in range(strategy.half):  # one GEMM per subtest: sum_ij left[a, k, i, j] bob[b, k, i, j]
-        table[:, :, k] = (left[:, k].reshape(q, -1) @ strategy.bob[:, k].reshape(q, -1).T).real
+    da, db = strategy.dim_a, strategy.dim_b
+    psi = strategy.state.reshape(da, db)
+    (alice_classes, alice_members), (bob_classes, bob_members) = strategy._player_classes
+    # one member of each class, in class order: where every matrix is its
+    # own class that is the whole stack, uncopied
+    alice = strategy.alice.reshape(-1, da, da)  # [q * m + k]
+    if len(alice_members) < len(alice):
+        alice = alice[alice_members]
+    bob = strategy.bob.reshape(-1, db * db)
+    if len(bob_members) < len(bob):
+        bob = bob[bob_members]
+    q, m = strategy.alice.shape[:2]
+    table = np.empty((q, q, m))
+    for k in range(m):
+        a_rows, a_idx = _distinct_at(alice_classes, len(alice), k, m)
+        b_rows, b_idx = _distinct_at(bob_classes, len(bob), k, m)
+        left = (psi.conj().T @ (alice[a_rows] @ psi)).reshape(-1, db * db)
+        product = (left @ bob[b_rows].T).real  # sum_ij L[a, i, j] N[b, i, j]
+        table[:, :, k] = product[a_idx[:, None], b_idx]
     return table
+
+
+def _distinct_at(classes: np.ndarray, distinct: int, k: int, m: int) -> tuple:
+    """The classes among a player's observables [q, k] at subtest k, in
+    class order, and the index of each question's class among them.
+    Where each of the [q * m + k] observables is its own class
+    (``distinct`` of them), a basic slice, which no gather copies."""
+    at = classes[k::m]
+    if distinct == len(classes):
+        return slice(k, None, m), np.arange(len(at))
+    return np.unique(at, return_inverse=True)
 
 
 def subtest_table(strategy: Strategy) -> np.ndarray:

@@ -32,11 +32,17 @@ distinct matrix texts among its 768.  So for the length of one ``loads``
 call the decoder keeps a table of the elements of the payloads it has
 parsed, in arrays nested at least three deep (each question's list of
 matrices): the hash and length of an element's text, its offset in the
-document and its row of the parsed array.  A payload whose elements'
-texts have all been read before, each confirmed against the document,
-and whose brackets and separators frame them as the parse would accept,
-is the stack of those rows.  Any other payload takes the parse, and its
-elements are recorded.
+document and its row of the parsed array, and for each depth the
+lengths of the texts recorded at it (few: an n = 12 noise-model file
+writes its 24 distinct matrix texts in 4 lengths).  Each element of a payload is sought by those lengths alone:
+a length is tried only where a text that long would end in depth - 1
+closing brackets with a comma after them, or just before the payload's
+closing bracket, and only then is that text sliced, hashed and
+confirmed against the document at the stored offset.  A payload whose
+elements are all found so, framed as the parse would accept, is the
+stack of their rows.  Any other payload takes the parse, and only then
+is it split at its separators, so that its elements can be recorded.
+The table holds offsets, never copies of the texts.
 """
 
 from __future__ import annotations
@@ -296,10 +302,18 @@ def _ascii(parse):
     return checked
 
 
-def _elements(text: str, start: int, stop: int) -> tuple[int, list] | None:
-    """The nesting depth of the array written in ``text[start:stop]`` as
-    its leading brackets give it, and the (offset, length) of the text of
-    each element, or None unless at least three brackets lead.
+def _depth(text: str, start: int, stop: int) -> int:
+    """The number of brackets that lead the array written in
+    ``text[start:stop]``, counted up to 33 (``_shape`` takes at most 32
+    levels)."""
+    head = text[start:min(stop, start + 33)]
+    return len(head) - len(head.lstrip("["))
+
+
+def _elements(text: str, start: int, stop: int, depth: int) -> list:
+    """The (offset, length) of the text of each element of the array
+    written in ``text[start:stop]``, whose leading brackets number
+    ``depth``.
 
     An element ends before a run of depth - 1 closing brackets and a
     comma, and the next starts after the comma and its JSON whitespace;
@@ -308,10 +322,6 @@ def _elements(text: str, start: int, stop: int) -> tuple[int, list] | None:
     the outermost list, and it misses one where whitespace stands
     between its brackets and the comma.
     """
-    head = text[start:min(stop, start + 33)]  # _shape takes at most 32 levels
-    depth = len(head) - len(head.lstrip("["))
-    if depth < 3:
-        return None
     separator = "]" * (depth - 1) + ","
     spans = []
     begin = start + 1
@@ -324,7 +334,7 @@ def _elements(text: str, start: int, stop: int) -> tuple[int, list] | None:
             begin += 1
         comma = text.find(separator, begin, stop)
     spans.append((begin, stop - 1 - begin))
-    return depth, spans
+    return spans
 
 
 class _Decoder(json.JSONDecoder):
@@ -337,9 +347,12 @@ class _Decoder(json.JSONDecoder):
         # numbers inside arrays are doubles on either path: an int would lose
         # the sign of -0, and numpy makes an object array of one beyond int64
         self._stdlib = json.JSONDecoder(parse_int=float)
-        # the elements of the payloads read so far: (hash, length) of an
+        # the elements of the payloads recorded so far: (hash, length) of an
         # element's text -> its offset in the document and its parsed row
         self.seen: dict = {}
+        # depth -> the lengths of the element texts recorded in payloads of
+        # that depth, in the order first recorded (a dict as an ordered set)
+        self.lengths: dict = {}
 
     def _array(self, s_and_end, scan_once):
         """Array starting just before ``end``: a payload whose elements have
@@ -357,38 +370,69 @@ class _Decoder(json.JSONDecoder):
         stop = stop if brace < 0 else brace
         while text[stop - 1] in " \t\n\r,":  # text[start] is '['
             stop -= 1
-        split = _elements(text, start, stop)
-        if split is not None:
-            depth, spans = split
-            keys, rows = self._lookup(text, spans)
-            # every element known, in the frame _numeric accepts: '[', the
-            # separators, and the closing ']' at the payload's end
-            if rows and text[stop - 1] == "]" and len({row.shape for row in rows}) == 1:
-                return np.stack(rows), stop
+        depth = _depth(text, start, stop)
+        rows = self._known_rows(text, start, stop, depth)
+        if rows is not None and len({row.shape for row in rows}) == 1:
+            return np.stack(rows), stop
         values = _numeric(text[start:stop])  # _numeric holds the only reference
         if values is None:
             return self._stdlib.scan_once(text, start)
-        # recorded only where the split found the rows themselves: the
-        # leading brackets gave the true depth, and no separator was missed
-        if split is not None and values.ndim == depth and len(values) == len(spans):
-            for (offset, _), key, row in zip(spans, keys, values):
-                self.seen[key] = offset, row
+        if depth >= 3 and values.ndim == depth:  # the leading brackets gave the true depth
+            self._record(text, start, stop, depth, values)
         return values, stop
 
-    def _lookup(self, text: str, spans: list) -> tuple[list, list | None]:
-        """The table key of each element, and the rows stored for them, or
-        None for the rows unless every element's text was read before."""
-        keys, rows = [], []
-        for offset, length in spans:
-            piece = text[offset:offset + length]
-            keys.append((hash(piece), length))
-            if rows is not None:
-                known = self.seen.get(keys[-1])
-                if known is None or not text.startswith(piece, known[0]):
-                    rows = None
-                else:
-                    rows.append(known[1])
-        return keys, rows
+    def _known_rows(self, text: str, start: int, stop: int, depth: int) -> list | None:
+        """The rows stored for the elements of the payload
+        ``text[start:stop]``, or None unless every element's text was
+        recorded before in a payload of the same depth, and the payload
+        frames them as the parse would accept: '[', the elements, each
+        followed by a comma and JSON whitespace, and the closing ']' at
+        ``stop - 1``.
+
+        An element is sought by the lengths recorded at ``depth``: a length
+        is a candidate only where a text that long would end in the
+        separator's depth - 1 closing brackets with its comma right after,
+        or just before the closing bracket at ``stop - 1``.  Only a
+        candidate's text is sliced, hashed and confirmed against the
+        document at the stored offset, so the payload is never searched
+        for its separators.
+        """
+        lengths = self.lengths.get(depth)
+        if lengths is None or text[stop - 1] != "]":
+            return None
+        separator = "]" * (depth - 1) + ","
+        rows = []
+        begin = start + 1
+        while True:
+            for length in lengths:
+                end = begin + length
+                if end == stop - 1 or text.startswith(separator, end - depth + 1, stop):
+                    piece = text[begin:end]
+                    known = self.seen.get((hash(piece), length))
+                    if known is not None and text.startswith(piece, known[0]):
+                        break
+            else:
+                return None
+            rows.append(known[1])
+            if end == stop - 1:
+                return rows
+            begin = end + 1
+            while text[begin] in " \t\n\r":  # text[stop - 1] is ']'
+                begin += 1
+
+    def _record(self, text: str, start: int, stop: int, depth: int,
+                values: np.ndarray) -> None:
+        """Record the elements of the parsed payload ``text[start:stop]``,
+        each with its row of ``values``, where the split at its separators
+        found as many elements as the parse did: then no separator was
+        missed, and each piece is one element."""
+        spans = _elements(text, start, stop, depth)
+        if len(spans) != len(values):
+            return
+        lengths = self.lengths.setdefault(depth, {})
+        for (offset, length), row in zip(spans, values):
+            self.seen[hash(text[offset:offset + length]), length] = offset, row
+            lengths[length] = None
 
 
 def loads(text: str):
@@ -406,3 +450,4 @@ def loads(text: str):
         # the decoder and its scanner form a cycle that outlives this call,
         # and the table's rows would keep every payload alive
         decoder.seen.clear()
+        decoder.lengths.clear()

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,7 +66,8 @@ class Strategy:
     keeps it complex, so a loaded document writes back byte for byte.  The
     arrays are copied and marked read-only on construction (the loader
     hands its own arrays over uncopied); strategies compare and hash by
-    identity.
+    identity.  Each player's classes of bit-identical observables
+    (``_player_classes``) are found on first use and kept.
     """
 
     state: np.ndarray
@@ -115,6 +117,14 @@ class Strategy:
     @property
     def dim_b(self) -> int:
         return self.bob.shape[2]
+
+    @cached_property
+    def _player_classes(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``_classes`` of Alice's and of Bob's observables, each stack
+        flattened to [q * m + k]; ``validate`` and ``expectation_table``
+        both read them, so the grouping runs once per strategy."""
+        return tuple(_classes(stack.reshape(-1, *stack.shape[2:]))
+                     for stack in (self.alice, self.bob))
 
     # Read-only {question string: tuple of observables} views of the stacks,
     # kept only for perfbench/workloads.write_strategy; nothing in the
@@ -281,7 +291,9 @@ def _classes(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Matrices whose first entries differ in their bits differ, so where
     every first entry is distinct (as in a random strategy) each matrix
-    is its own class, and no matrix is hashed.
+    is its own class, and no matrix is hashed.  A strategy keeps each
+    player's classes (``Strategy._player_classes``), which ``validate``
+    and ``expectation_table`` both read.
     """
     firsts = flat.reshape(len(flat), -1).view(np.int64)[:, 0]  # a complex entry's real part
     if len(set(firsts.tolist())) == len(flat):
@@ -299,27 +311,28 @@ def validate(strategy: Strategy) -> StrategyDiagnostics:
     commutation, and state normalization.
 
     Each residual is taken once per bitwise-distinct input.  A player's
-    observables fall into classes of bit-identical matrices
-    (``_classes``).  Hermiticity and unitarity are taken on one member of
-    each class, and the commutator of each pair (k, j) once per distinct
-    (class of k, class of j) combination among the questions, both in
-    blocks of ``VALIDATE_BLOCK_BYTES``.  Bit-identical inputs give
-    bit-identical residuals, so every maximum, and every field, is the one
-    a loop over every question gives.  Repeats are the rule for a local
-    strategy: an honest or locally noisy player's observable for pair k
-    depends on question bit k alone, so a noise model holds 2m distinct
-    matrices per player among m 2^m.  Where nothing repeats, as in a
-    random strategy, the residuals run on basic slices of the stacks, not
-    on gathered copies.
+    observables fall into classes of bit-identical matrices, which the
+    strategy finds once and keeps (``Strategy._player_classes``, read by
+    ``expectation_table`` too).  Hermiticity and unitarity are taken on
+    one member of each class, and the commutator of each pair (k, j) once
+    per distinct (class of k, class of j) combination among the
+    questions, both in blocks of ``VALIDATE_BLOCK_BYTES``.  Bit-identical
+    inputs give bit-identical residuals, so every maximum, and every
+    field, is the one a loop over every question gives.  Repeats are the
+    rule for a local strategy: an honest or locally noisy player's
+    observable for pair k depends on question bit k alone, so a noise
+    model holds 2m distinct matrices per player among m 2^m.  Where
+    nothing repeats, as in a random strategy, the residuals run on basic
+    slices of the stacks, not on gathered copies.
     """
     m = strategy.half
     herm, unit, comm = [0.0], [0.0], [0.0]
     # non-finite entries give NaN or inf residuals, which fail below; the
     # arithmetic that produces them is expected, not worth a warning
     with np.errstate(invalid="ignore", over="ignore"):
-        for stack in (strategy.alice, strategy.bob):
+        for stack, (cls, members) in zip((strategy.alice, strategy.bob),
+                                         strategy._player_classes):
             flat = stack.reshape(-1, *stack.shape[2:])  # [q * m + k]
-            cls, members = _classes(flat)
             repeats = len(members) < len(flat)
             block = max(1, VALIDATE_BLOCK_BYTES // flat[0].nbytes)
             for lo in range(0, len(members), block):

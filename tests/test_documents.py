@@ -561,7 +561,108 @@ def test_the_table_is_dropped_when_loads_returns(monkeypatch):
     jsonio.loads('{"a": [[[1,2]],[[3,4]]], "b": [[[1,2]],[[3,4]]]}')
     with pytest.raises(ValueError):
         jsonio.loads('{"a": [[[1,2]],[[3,4]]], "b": [[[1,2]],[[3,4]]5}')
-    assert [d.seen for d in decoders] == [{}, {}]
+    assert [(d.seen, d.lengths) for d in decoders] == [({}, {}), ({}, {})]
+
+
+def _spy_elements(monkeypatch) -> list:
+    """The payloads ``jsonio`` splits into element texts from now on, as
+    their (offset, length) spans."""
+    calls = []
+    elements = jsonio._elements
+
+    def spy(text, start, stop, depth):
+        spans = elements(text, start, stop, depth)
+        calls.append(spans)
+        return spans
+
+    monkeypatch.setattr(jsonio, "_elements", spy)
+    return calls
+
+
+def _as_lists(obj):
+    """``obj`` with every array turned into nested lists."""
+    if isinstance(obj, dict):
+        return {key: _as_lists(value) for key, value in obj.items()}
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
+
+
+def _loads_like_json(text: str) -> None:
+    assert _as_lists(jsonio.loads(text)) == json.loads(text)
+
+
+@pytest.mark.parametrize("text, parsed", [
+    # the separator after "b"'s second element
+    ('{"a": [[[1,2,3,4]],[[5,6,7,8]]], "b": [[[1]],[[2]],[[7,7,7,7]]]}', None),
+    # the closing bracket after it
+    ('{"a": [[[1,2,3,4]],[[5,6,7,8]]], "b": [[[1]],[[2]]]}', (2, 1, 1)),
+], ids=["separator", "closing"])
+@pytest.mark.parametrize("collide", [False, True], ids=["hash", "colliding-hash"])
+def test_a_known_length_over_other_texts_is_no_hit(monkeypatch, text, parsed, collide):
+    # "a" records elements 11 characters long; the first 11 characters of
+    # "b" are two elements and the separator between them, and a separator
+    # or the closing bracket follows
+    if collide:  # then only the check against the document tells them apart
+        monkeypatch.setattr(jsonio, "hash", lambda piece: 0, raising=False)
+    calls = _spy_numeric(monkeypatch)
+    _loads_like_json(text)
+    assert calls == [(2, 1, 4), parsed]  # "b" is parsed (and, ragged, refused)
+
+
+@pytest.mark.parametrize("text", [
+    # an element read at another position of another payload
+    '{"a": [[[1,2]],[[3,4]],[[5,6]]], "b": [[[5,6]],[[1,2]]]}',
+    # one player's matrix text in the other player's payload
+    '{"alice": {"0": [[[1,0]],[[0,1]]]}, "bob": {"0": [[[0,1]],[[0,1]],[[1,0]]]}}',
+])
+def test_a_known_text_at_another_position_is_a_hit(monkeypatch, text):
+    calls = _spy_numeric(monkeypatch)
+    _loads_like_json(text)
+    assert len(calls) == 1  # the first payload alone is parsed
+
+
+@pytest.mark.parametrize("text, parses", [
+    # the last element has a known length, and whitespace, not the closing
+    # bracket, follows it
+    ('{"a": [[[1,2]],[[3,4]]], "b": [[[3,4]],[[1,2]]\n ]}', 2),
+    # a last element recorded with the whitespace after it is that text
+    ('{"a": [[[1,2]],[[3,4]] ], "b": [[[1,2]],[[3,4]] ]}', 1),
+    # where a separator follows, it is no known text
+    ('{"a": [[[1,2]],[[3,4]] ], "b": [[[3,4]] ,[[1,2]]]}', 2),
+])
+def test_a_last_element_followed_by_whitespace(monkeypatch, text, parses):
+    calls = _spy_numeric(monkeypatch)
+    _loads_like_json(text)
+    assert len(calls) == parses
+
+
+def test_known_rows_of_two_shapes_are_parsed(monkeypatch):
+    # every element of "b" is known, but as rows of two shapes: the parse
+    # refuses the ragged payload, and the stdlib reads it into lists
+    text = '{"a": [[[1,2]],[[3,4]]], "c": [[[5],[6]]], "b": [[[1,2]],[[5],[6]]]}'
+    calls = _spy_numeric(monkeypatch)
+    _loads_like_json(text)
+    assert calls == [(2, 1, 2), (1, 2, 1), None]
+
+
+def test_a_random_document_takes_one_parse_and_one_split_per_payload(monkeypatch, tmp_path):
+    # nothing repeats, so every payload is parsed, and every question payload
+    # split once, to be recorded; the state, nested two deep, is not split
+    s = random_strategy(6, np.random.default_rng(5))
+    for text in (strategy_to_text(s), _compact_text(s, tmp_path / "doc.json")):
+        parses, splits = _spy_numeric(monkeypatch), _spy_elements(monkeypatch)
+        assert _same_bits(strategy_from_text(text), s)
+        assert len(parses) == 1 + 2 * 8 and None not in parses
+        assert [len(spans) for spans in splits] == [3] * (2 * 8)
+
+
+def test_only_a_parsed_payload_is_split(monkeypatch, tmp_path):
+    s = noisy_strategy(8, NoiseSpec("partial-entanglement", 0.6))
+    for text in (strategy_to_text(s), _compact_text(s, tmp_path / "doc.json")):
+        parses, splits = _spy_numeric(monkeypatch), _spy_elements(monkeypatch)
+        assert _same_bits(strategy_from_text(text), s)
+        # the state, then per player the first question and each that flips
+        # one more bit of it; each question payload parsed is split
+        assert len(parses) == 1 + 2 * 5 and len(splits) == 2 * 5
 
 
 def _complex_bytes(s: Strategy) -> int:

@@ -1,5 +1,7 @@
 """Game scoring: subtest functionals, exact values, referee sampling."""
 
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -16,9 +18,10 @@ from chsh_selftest import (
     random_strategy,
     referee_simulate,
 )
-from chsh_selftest import bits
+from chsh_selftest import bits, cli, save_strategy, strategy as strategy_module
 from chsh_selftest.game import expectation_table, subtest_table, subtest_value
 from test_strategy import collapse_sample
+from test_verifier import family_strategy
 
 
 def win(q, k, x_k, y_k):
@@ -115,6 +118,58 @@ def test_expectation_table_entries():
     assert e[0, 1, 0] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     assert e[1, 0, 0] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     assert e[1, 1, 0] == pytest.approx(-1 / np.sqrt(2), abs=1e-12)
+
+
+def expectation_table_per_question(strategy):
+    """The table with psi^dag M psi for every Alice observable and one GEMM
+    of all questions' factors per subtest: the formula before the table
+    was taken over distinct observables."""
+    psi = strategy.state.reshape(strategy.dim_a, strategy.dim_b)
+    left = psi.conj().T @ (strategy.alice @ psi)  # [a, k] = psi^dag M^a_k psi
+    q = len(left)
+    table = np.empty((q, q, strategy.half))
+    for k in range(strategy.half):  # sum_ij left[a, k, i, j] bob[b, k, i, j]
+        table[:, :, k] = (left[:, k].reshape(q, -1) @ strategy.bob[:, k].reshape(q, -1).T).real
+    return table
+
+
+EXPECTATION_FAMILIES = ["random", "random-3x5", "bob-rotation", "partial-entanglement",
+                        "twisted-ideal", "phased-partial-entanglement"]
+
+
+@pytest.mark.parametrize("family", EXPECTATION_FAMILIES)
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+def test_expectation_table_over_distinct_observables_matches_every_question(n, family):
+    if family.startswith("phased-"):  # a global phase: complex state, real observables
+        s = family_strategy(n, family.removeprefix("phased-"))
+        s = Strategy(state=s.state * np.exp(0.7j), alice=s.alice, bob=s.bob)
+    else:
+        s = family_strategy(n, family, seed=40 + n)
+    got, want = expectation_table(s), expectation_table_per_question(s)
+    if family.startswith("random"):
+        # every question is its own class: each GEMM is the per-question one
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_the_classes_are_found_once_per_player_in_a_value_run(monkeypatch, tmp_path):
+    calls = []
+    classes = strategy_module._classes
+
+    def spy(flat):
+        calls.append(len(flat))
+        return classes(flat)
+
+    monkeypatch.setattr(strategy_module, "_classes", spy)
+    path = tmp_path / "pe.json"
+    save_strategy(noisy_strategy(6, NoiseSpec("partial-entanglement", 0.6)), path)
+    for argv in (["value", "--strategy", str(path)],
+                 ["value", "--n", "6", "--noise", "bob-rotation", "--noise-param", "0.1"]):
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert calls == [3 * 8, 3 * 8]  # Alice's stack, then Bob's, once each
 
 
 @pytest.mark.parametrize("n", [2, 4])

@@ -26,7 +26,7 @@ from chsh_selftest import bits, jsonio
 from chsh_selftest.extraction import ExtractedOperators, build_xz, relabel, search_questions
 from chsh_selftest.game import subtest_table
 from chsh_selftest.strategy import ideal_state
-from chsh_selftest.linalg import PAULI_X, PAULI_Z, dagger
+from chsh_selftest.linalg import PAULI_X, PAULI_Z, apply_on_a, apply_on_b, dagger
 from chsh_selftest import verifier
 from chsh_selftest.verifier import (
     BOUND_SLACK,
@@ -206,6 +206,33 @@ def test_apply_string_matches_dense_products(n):
     got = _products(*ops.gather_stacks, *_pauli_rows(n, p, q)).reshape(len(p), -1)
     want = dense["x"][q] @ dense["z"][p] @ s.state
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def side_table_per_string(self, kind, side, w):
+    """``ExtractedOperators._side_table`` one string u at a time: entry u
+    applies the operator of u's leading qubit to entry u less that bit."""
+    m, ops = self.n // 2, (self.alice, self.bob)[side][kind]
+    act = apply_on_b if side else apply_on_a
+    table = np.empty((1 << m,) + w.shape, dtype=np.result_type(w, ops))
+    table[0] = w
+    for u in range(1, 1 << m):
+        pos = u.bit_length() - 1
+        table[u] = act(ops[m - 1 - pos], table[u - (1 << pos)])
+    return table
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+@pytest.mark.parametrize("family", ["random", "random-3x5", "bob-rotation",
+                                    "partial-entanglement", "twisted-ideal"])
+def test_string_tables_by_doubling_match_the_per_string_loop(monkeypatch, n, family):
+    # each level's batched product takes the products the loop takes, so
+    # both gather stacks are the same bits
+    s = family_strategy(n, family, seed=110 + n)
+    got = build_xz(s).gather_stacks
+    monkeypatch.setattr(ExtractedOperators, "_side_table", side_table_per_string)
+    want = build_xz(s).gather_stacks
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -684,7 +711,8 @@ def operator_refs(monkeypatch):
 
 
 def test_certify_builds_the_gather_operands_once(monkeypatch):
-    # Bob's string table on psi takes 4 (2^(n/2) - 1) one-sided products
+    # Bob's string table on psi takes 4 (n/2) one-sided products: one
+    # batched product per qubit for each of its four side tables
     from chsh_selftest import extraction
 
     calls = []
@@ -692,7 +720,7 @@ def test_certify_builds_the_gather_operands_once(monkeypatch):
     monkeypatch.setattr(extraction, "apply_on_b", lambda m, w: calls.append(1) or apply(m, w))
     refs = operator_refs(monkeypatch)
     certify(noisy_strategy(4, NoiseSpec(model="bob-rotation", param=0.1)))
-    assert len(calls) == 4 * 3
+    assert len(calls) == 4 * 2
     assert len(refs) == 1 and refs[0]() is None  # the operators and their stacks go with the run
 
 
