@@ -67,50 +67,28 @@ def expectation_table(strategy: Strategy) -> np.ndarray:
 
     Indices a, b are the big-endian integer encodings of the questions.
     Each entry is sum_ij L[i, j] N[i, j] with Alice's left factor
-    L = psi^dag M psi, so the table is taken over distinct observables,
-    the classes of each player's bit-identical ones
-    (``Strategy._player_classes``): per subtest k, L once for each of
-    Alice's classes at k, one GEMM of those left factors against Bob's
-    distinct matrices at k, and a gather of the table's entries at k.  An
-    honest or locally noisy player has two distinct observables at each
-    k, each at that k alone, so a noise model's table forms each left
-    factor once and takes 2 x 2 products per subtest.  Where nothing
-    repeats (a random strategy) every question is its own class, and
-    each GEMM is the one of all questions' factors at k; the factors are
-    formed one subtest at a time, so only 2^(n/2) of them are held at
-    once.
+    L = psi^dag M psi, so the table is taken over distinct observables
+    (``Strategy._distinct_at``): per subtest k, L once for each of
+    Alice's distinct observables at k, one GEMM of those left factors
+    against Bob's distinct observables at k, and a gather of the table's
+    entries at k.  An honest or locally noisy player has two distinct
+    observables at each k, so a noise model's table forms each left
+    factor once and takes 2 x 2 products per subtest; where nothing
+    repeats (a random strategy) each GEMM is the one of all questions'
+    factors at k.  The factors are formed one subtest at a time, so only
+    2^(n/2) of them are held at once.
     """
     da, db = strategy.dim_a, strategy.dim_b
     psi = strategy.state.reshape(da, db)
-    (alice_classes, alice_members), (bob_classes, bob_members) = strategy._player_classes
-    # one member of each class, in class order: where every matrix is its
-    # own class that is the whole stack, uncopied
-    alice = strategy.alice.reshape(-1, da, da)  # [q * m + k]
-    if len(alice_members) < len(alice):
-        alice = alice[alice_members]
-    bob = strategy.bob.reshape(-1, db * db)
-    if len(bob_members) < len(bob):
-        bob = bob[bob_members]
     q, m = strategy.alice.shape[:2]
     table = np.empty((q, q, m))
     for k in range(m):
-        a_rows, a_idx = _distinct_at(alice_classes, len(alice), k, m)
-        b_rows, b_idx = _distinct_at(bob_classes, len(bob), k, m)
-        left = (psi.conj().T @ (alice[a_rows] @ psi)).reshape(-1, db * db)
-        product = (left @ bob[b_rows].T).real  # sum_ij L[a, i, j] N[b, i, j]
+        alice, a_idx = strategy._distinct_at(0, k)
+        left = (psi.conj().T @ (alice @ psi)).reshape(len(alice), -1)
+        bob, b_idx = strategy._distinct_at(1, k)
+        product = (left @ bob.reshape(len(bob), -1).T).real  # sum_ij L[a, i, j] N[b, i, j]
         table[:, :, k] = product[a_idx[:, None], b_idx]
     return table
-
-
-def _distinct_at(classes: np.ndarray, distinct: int, k: int, m: int) -> tuple:
-    """The classes among a player's observables [q, k] at subtest k, in
-    class order, and the index of each question's class among them.
-    Where each of the [q * m + k] observables is its own class
-    (``distinct`` of them), a basic slice, which no gather copies."""
-    at = classes[k::m]
-    if distinct == len(classes):
-        return slice(k, None, m), np.arange(len(at))
-    return np.unique(at, return_inverse=True)
 
 
 def subtest_table(strategy: Strategy) -> np.ndarray:

@@ -121,10 +121,21 @@ class Strategy:
     @cached_property
     def _player_classes(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """``_classes`` of Alice's and of Bob's observables, each stack
-        flattened to [q * m + k]; ``validate`` and ``expectation_table``
-        both read them, so the grouping runs once per strategy."""
+        flattened to [q * m + k]; ``validate`` and ``_distinct_at`` (for
+        ``expectation_table``) both read them, so the grouping runs once
+        per strategy."""
         return tuple(_classes(stack.reshape(-1, *stack.shape[2:]))
                      for stack in (self.alice, self.bob))
+
+    def _distinct_at(self, player: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct observables of Alice (player 0) or Bob (player 1)
+        at subtest k + 1, one member of each of the player's classes there
+        in class order as a (count, d, d) stack, and the index of each
+        question's observable among them."""
+        stack = (self.alice, self.bob)[player]
+        cls, members = self._player_classes[player]
+        distinct, index = np.unique(cls[k::self.half], return_inverse=True)
+        return stack.reshape(-1, *stack.shape[2:])[members[distinct]], index
 
     # Read-only {question string: tuple of observables} views of the stacks,
     # kept only for perfbench/workloads.write_strategy; nothing in the
@@ -293,7 +304,8 @@ def _classes(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     every first entry is distinct (as in a random strategy) each matrix
     is its own class, and no matrix is hashed.  A strategy keeps each
     player's classes (``Strategy._player_classes``), which ``validate``
-    and ``expectation_table`` both read.
+    and ``expectation_table`` (through ``Strategy._distinct_at``) both
+    read.
     """
     firsts = flat.reshape(len(flat), -1).view(np.int64)[:, 0]  # a complex entry's real part
     if len(set(firsts.tolist())) == len(flat):
@@ -312,8 +324,8 @@ def validate(strategy: Strategy) -> StrategyDiagnostics:
 
     Each residual is taken once per bitwise-distinct input.  A player's
     observables fall into classes of bit-identical matrices, which the
-    strategy finds once and keeps (``Strategy._player_classes``, read by
-    ``expectation_table`` too).  Hermiticity and unitarity are taken on
+    strategy finds once and keeps (``Strategy._player_classes``, which
+    ``expectation_table`` reads too).  Hermiticity and unitarity are taken on
     one member of each class, and the commutator of each pair (k, j) once
     per distinct (class of k, class of j) combination among the
     questions, both in blocks of ``VALIDATE_BLOCK_BYTES``.  Bit-identical
