@@ -10,39 +10,27 @@ A strategy file is mostly ``[re, im]`` pairs: millions of numbers that
 the stdlib decoder would turn into Python lists and floats.  ``loads``
 lets the stdlib decoder read the document's skeleton (objects, strings,
 the numbers outside arrays) but reads each array that holds only numbers
-straight into a float64 array of the array's nesting shape.  The
-numerals keep JSON's grammar; any array that the fast path does not
-accept is handed to the stdlib decoder, which parses it into lists
-(reading its numbers as floats) or raises as ``json.loads`` would.
+straight into a float64 array of the array's nesting shape, through one
+numpy text parse per matrix text.  The numerals keep JSON's grammar; any
+array that the fast path does not accept is handed to the stdlib
+decoder, which parses it into lists (reading its numbers as floats) or
+raises as ``json.loads`` would.
 
-Most arrays go through one numpy text parse.  The paper's operators are
-tensor products of one-qubit Paulis and rotations, so their matrices are
-nearly all zeros, written ``0.0`` or ``-0.0``; numpy would spend most of
-a parse on them.  An array in which at least half the numerals end in
-the digit 0 (a count the grammar check takes anyway) therefore finds
-where each numeral starts, reads the ones spelled ``0``, ``-0``, ``0.0``
-or ``-0.0`` as +0.0 or -0.0 from their sign, and hands only the others
-to numpy.  Both ways give the same bits.
-
-Many payloads repeat.  In the paper's test a player's observable for one
+Many matrices repeat.  In the paper's test a player's observable for one
 pair depends only on that pair's question bit, so the file of an honest
 or locally noisy strategy writes each of a player's matrices once for
 every question that shares its bit: an n = 12 noise-model file holds 24
-distinct matrix texts among its 768.  So for the length of one ``loads``
-call the decoder keeps a table of the elements of the payloads it has
-parsed, in arrays nested at least three deep (each question's list of
-matrices): the hash and length of an element's text, its offset in the
-document and its row of the parsed array, and for each depth the
-lengths of the texts recorded at it (few: an n = 12 noise-model file
-writes its 24 distinct matrix texts in 4 lengths).  Each element of a payload is sought by those lengths alone:
-a length is tried only where a text that long would end in depth - 1
-closing brackets with a comma after them, or just before the payload's
-closing bracket, and only then is that text sliced, hashed and
-confirmed against the document at the stored offset.  A payload whose
-elements are all found so, framed as the parse would accept, is the
-stack of their rows.  Any other payload takes the parse, and only then
-is it split at its separators, so that its elements can be recorded.
-The table holds offsets, never copies of the texts.
+distinct matrix texts, in 4 lengths, among its 768.  So an array nested
+at least three deep (each question's list of matrices) is walked one
+element at a time (``_Decoder._walk``): an element whose text was read
+before in the same ``loads`` call is found by the text lengths recorded
+at its depth and takes its stored row, and any other is parsed alone.
+An n = 12 noise-model file so takes 25 parses (one per distinct matrix
+text, and the state), a random one, which repeats nothing, one per
+matrix and the state.  An array the walk cannot read (whitespace inside
+a separator, rows of unequal shapes) and every array nested less deeply
+take one parse of the whole.  The table of elements read holds offsets
+and rows, never copies of the texts.
 """
 
 from __future__ import annotations
@@ -114,9 +102,8 @@ def _pair_ok(a: int, b: int) -> bool:
 
 def _pair_table() -> bytes:
     """Symbol for each pair code 16 a + b: b"!" for a pair no numeric
-    array holds, the letters of the leading-zero patterns (Z D: a numeral
-    starting "0" and a digit; M N D: "-0" and a digit), and E where a
-    numeral ends in the digit 0."""
+    array holds, and the letters of the leading-zero patterns (Z D: a
+    numeral starting "0" and a digit; M N D: "-0" and a digit)."""
     table = bytearray(b"!") * 256
     for a in range(1, 11):
         for b in range(1, 11):
@@ -128,8 +115,6 @@ def _pair_table() -> bytes:
     table[16 * _MINUS + _ZERO] = ord("N")
     for b in _DIGITS:
         table[16 * _ZERO + b] = ord("D")
-    for b in (_COMMA, _CLOSE):
-        table[16 * _ZERO + b] = ord("E")
     return bytes(table)
 
 
@@ -138,7 +123,6 @@ _PAIRS = _pair_table()
 _WHITESPACE = b" \t\n\r"
 _NUMERAL_CODES = bytes([_MINUS, _PLUS, _DOT, _EXP, _ZERO, _DIGIT])
 _TO_BLANKS = bytes.maketrans(b",[]\t\n\r", b"      ")
-_BLANK, _MINUS_SIGN, _DOT_SIGN, _ZERO_DIGIT = b" -.0"
 
 
 def _shape(skeleton: bytes) -> tuple | None:
@@ -204,15 +188,11 @@ def _numeric(region: str) -> np.ndarray | None:
     del pairs
     if b"!" in symbols or _leading_zero(np.frombuffer(symbols, dtype=np.uint8)):
         return None
-    ends_in_zero = np.count_nonzero(np.frombuffer(symbols, dtype=np.uint8) == ord("E"))
     del symbols
-    size = math.prod(shape)
     text = raw.translate(_TO_BLANKS)
     del raw
-    # Only a numeral that ends in 0 can be a zero: a payload of mostly such
-    # numerals (the paper's operators) takes the path that skips its zeros.
-    values = _parse(text) if 2 * ends_in_zero < size else _parse_sparse(text, size)
-    if values is None or values.size != size:
+    values = _parse(text)
+    if values is None or values.size != math.prod(shape):
         return None
     return values.reshape(shape)
 
@@ -245,52 +225,6 @@ def _parse(text: bytes) -> np.ndarray | None:
             return None
 
 
-def _parse_sparse(text: bytes, size: int) -> np.ndarray | None:
-    """``_parse`` for a payload of mostly zeros: a token spelled 0, -0, 0.0
-    or -0.0 becomes +0.0 or -0.0 by its sign, and numpy reads the others.
-    None unless ``text`` holds exactly ``size`` tokens and numpy reads every
-    other one.  ``text`` holds blanks and numeral characters, begins with a
-    blank and ends with one."""
-    chars = np.frombuffer(text, dtype=np.uint8)
-    blank = chars == _BLANK
-    at = np.flatnonzero(blank[:-1] > blank[1:])  # the blank before each token
-    del blank
-    if at.size != size:
-        return None
-    at += 1
-    negative = chars[at] == _MINUS_SIGN
-    at += negative  # each token's first digit; a blank follows at the latest
-    zero = chars[at] == _ZERO_DIGIT
-    at += 1
-    after = chars[at]
-    # then a blank, or ".0" and a blank.  A dot is followed by a digit and
-    # that by a blank at the latest, so only a token that is no zero anyway
-    # can read past the end, where the clip holds it.
-    tail = after == _DOT_SIGN
-    at += 1
-    tail &= chars.take(at, mode="clip") == _ZERO_DIGIT
-    at += 1
-    tail &= chars.take(at, mode="clip") == _BLANK
-    tail |= after == _BLANK
-    zero &= tail
-    keep = ~zero
-    # Runs of tokens that are all zeros or all not: the tokens of the other
-    # runs, each with the blanks after it, go to one parse.
-    runs = np.flatnonzero(keep[1:] != keep[:-1])
-    runs = np.concatenate(([0], runs + 1))
-    starts = at[runs] - 3 - negative[runs]  # at is each token's first digit + 3
-    del at, after, tail, zero
-    mask = np.repeat(keep[runs], np.diff(starts, append=chars.size))
-    read = _parse(chars[starts[0]:][mask].tobytes())
-    del mask
-    if read is None or read.size != np.count_nonzero(keep):
-        return None
-    values = np.zeros(size)
-    values[negative] = -0.0
-    values[keep] = read
-    return values
-
-
 def _ascii(parse):
     """A number parser for the skeleton that, like the C scanner, takes
     only ASCII digits (the pure-Python scanner's pattern matches any
@@ -310,33 +244,6 @@ def _depth(text: str, start: int, stop: int) -> int:
     return len(head) - len(head.lstrip("["))
 
 
-def _elements(text: str, start: int, stop: int, depth: int) -> list:
-    """The (offset, length) of the text of each element of the array
-    written in ``text[start:stop]``, whose leading brackets number
-    ``depth``.
-
-    An element ends before a run of depth - 1 closing brackets and a
-    comma, and the next starts after the comma and its JSON whitespace;
-    the last ends before the closing bracket at ``stop - 1``.  In a
-    rectangular array of that depth such a run ends only an element of
-    the outermost list, and it misses one where whitespace stands
-    between its brackets and the comma.
-    """
-    separator = "]" * (depth - 1) + ","
-    spans = []
-    begin = start + 1
-    comma = text.find(separator, begin, stop)
-    while comma >= 0:
-        end = comma + depth - 1
-        spans.append((begin, end - begin))
-        begin = end + 1
-        while begin < stop and text[begin] in " \t\n\r":
-            begin += 1
-        comma = text.find(separator, begin, stop)
-    spans.append((begin, stop - 1 - begin))
-    return spans
-
-
 class _Decoder(json.JSONDecoder):
     """The stdlib decoder with its array parser replaced by ``_array``."""
 
@@ -347,18 +254,18 @@ class _Decoder(json.JSONDecoder):
         # numbers inside arrays are doubles on either path: an int would lose
         # the sign of -0, and numpy makes an object array of one beyond int64
         self._stdlib = json.JSONDecoder(parse_int=float)
-        # the elements of the payloads recorded so far: (hash, length) of an
-        # element's text -> its offset in the document and its parsed row
+        # the elements of the payloads walked so far: (hash, length) of an
+        # element's text -> its offset in the document and its payload row
         self.seen: dict = {}
         # depth -> the lengths of the element texts recorded in payloads of
         # that depth, in the order first recorded (a dict as an ordered set)
         self.lengths: dict = {}
 
     def _array(self, s_and_end, scan_once):
-        """Array starting just before ``end``: a payload whose elements have
-        all been read before as the stack of their rows, other numeric
-        payloads through ``_numeric``, anything else through the stdlib C
-        scanner."""
+        """Array starting just before ``end``: a numeric payload nested at
+        least three deep through ``_walk``, one the walk refuses and any
+        other numeric array through ``_numeric``, anything else through the
+        stdlib C scanner."""
         text, end = s_and_end
         start = end - 1
         # A payload is followed by a key or the end of its object; the
@@ -371,37 +278,36 @@ class _Decoder(json.JSONDecoder):
         while text[stop - 1] in " \t\n\r,":  # text[start] is '['
             stop -= 1
         depth = _depth(text, start, stop)
-        rows = self._known_rows(text, start, stop, depth)
-        if rows is not None and len({row.shape for row in rows}) == 1:
-            return np.stack(rows), stop
-        values = _numeric(text[start:stop])  # _numeric holds the only reference
+        values = self._walk(text, start, stop, depth) if depth >= 3 else None
+        if values is None:
+            values = _numeric(text[start:stop])  # _numeric holds the only reference
         if values is None:
             return self._stdlib.scan_once(text, start)
-        if depth >= 3 and values.ndim == depth:  # the leading brackets gave the true depth
-            self._record(text, start, stop, depth, values)
         return values, stop
 
-    def _known_rows(self, text: str, start: int, stop: int, depth: int) -> list | None:
-        """The rows stored for the elements of the payload
-        ``text[start:stop]``, or None unless every element's text was
-        recorded before in a payload of the same depth, and the payload
-        frames them as the parse would accept: '[', the elements, each
-        followed by a comma and JSON whitespace, and the closing ']' at
-        ``stop - 1``.
+    def _walk(self, text: str, start: int, stop: int, depth: int) -> np.ndarray | None:
+        """The payload ``text[start:stop]``, whose leading brackets number
+        ``depth``, as the array of its elements' rows, or None unless it is
+        '[', its elements, each followed by a comma and JSON whitespace, and
+        the closing ']' at ``stop - 1``, and the rows share one shape.
 
-        An element is sought by the lengths recorded at ``depth``: a length
-        is a candidate only where a text that long would end in the
-        separator's depth - 1 closing brackets with its comma right after,
-        or just before the closing bracket at ``stop - 1``.  Only a
-        candidate's text is sliced, hashed and confirmed against the
-        document at the stored offset, so the payload is never searched
-        for its separators.
+        Each element is first sought by the lengths recorded at ``depth``:
+        a length is a candidate only where a text that long would end in
+        the separator's depth - 1 closing brackets with its comma right
+        after, or just before the closing bracket, and only a candidate's
+        text is sliced, hashed and confirmed against the document at the
+        stored offset.  An element no length finds runs to the next
+        separator (or the closing bracket).  Then the payload is allocated
+        once and filled row by row: a known row, or the parse of a new
+        text, which ``_numeric`` accepts only as exactly one rectangular
+        array (so it is the whole element) and which is dropped once
+        copied.  Each new text is recorded with its row of the payload.
         """
-        lengths = self.lengths.get(depth)
-        if lengths is None or text[stop - 1] != "]":
+        if text[stop - 1] != "]":
             return None
+        lengths = self.lengths.setdefault(depth, {})
         separator = "]" * (depth - 1) + ","
-        rows = []
+        slots = []  # (offset, end, known row or None) of each element
         begin = start + 1
         while True:
             for length in lengths:
@@ -410,29 +316,33 @@ class _Decoder(json.JSONDecoder):
                     piece = text[begin:end]
                     known = self.seen.get((hash(piece), length))
                     if known is not None and text.startswith(piece, known[0]):
+                        slots.append((begin, end, known[1]))
                         break
             else:
-                return None
-            rows.append(known[1])
+                comma = text.find(separator, begin, stop)
+                end = stop - 1 if comma < 0 else comma + depth - 1
+                slots.append((begin, end, None))
             if end == stop - 1:
-                return rows
+                break
             begin = end + 1
             while text[begin] in " \t\n\r":  # text[stop - 1] is ']'
                 begin += 1
-
-    def _record(self, text: str, start: int, stop: int, depth: int,
-                values: np.ndarray) -> None:
-        """Record the elements of the parsed payload ``text[start:stop]``,
-        each with its row of ``values``, where the split at its separators
-        found as many elements as the parse did: then no separator was
-        missed, and each piece is one element."""
-        spans = _elements(text, start, stop, depth)
-        if len(spans) != len(values):
-            return
-        lengths = self.lengths.setdefault(depth, {})
-        for (offset, length), row in zip(spans, values):
-            self.seen[hash(text[offset:offset + length]), length] = offset, row
-            lengths[length] = None
+        values = None
+        for i, (begin, end, row) in enumerate(slots):
+            if row is None:
+                row = _numeric(text[begin:end])
+                if row is None:
+                    return None
+            if values is None:
+                values = np.empty((len(slots), *row.shape))
+            elif row.shape != values.shape[1:]:
+                return None
+            values[i] = row
+        for i, (begin, end, row) in enumerate(slots):
+            if row is None:
+                self.seen[hash(text[begin:end]), end - begin] = begin, values[i]
+                lengths[end - begin] = None
+        return values
 
 
 def loads(text: str):

@@ -333,9 +333,7 @@ def validate(strategy: Strategy) -> StrategyDiagnostics:
     field, is the one a loop over every question gives.  Repeats are the
     rule for a local strategy: an honest or locally noisy player's
     observable for pair k depends on question bit k alone, so a noise
-    model holds 2m distinct matrices per player among m 2^m.  Where
-    nothing repeats, as in a random strategy, the residuals run on basic
-    slices of the stacks, not on gathered copies.
+    model holds 2m distinct matrices per player among m 2^m.
     """
     m = strategy.half
     herm, unit, comm = [0.0], [0.0], [0.0]
@@ -345,24 +343,19 @@ def validate(strategy: Strategy) -> StrategyDiagnostics:
         for stack, (cls, members) in zip((strategy.alice, strategy.bob),
                                          strategy._player_classes):
             flat = stack.reshape(-1, *stack.shape[2:])  # [q * m + k]
-            repeats = len(members) < len(flat)
             block = max(1, VALIDATE_BLOCK_BYTES // flat[0].nbytes)
             for lo in range(0, len(members), block):
-                obs = flat[members[lo:lo + block]] if repeats else flat[lo:lo + block]
+                obs = flat[members[lo:lo + block]]
                 herm.append(hermiticity_residual(obs))
                 unit.append(unitarity_residual(obs))
-            if repeats:
-                cols = cls.reshape(-1, m).T.tolist()  # cols[k][q]: the class of [q, k]
-                # the distinct (class of k, class of j) combinations of each pair
-                combos = [c for k in range(m) for j in range(k + 1, m)
-                          for c in set(zip(cols[k], cols[j]))]
-                first, second = members[np.array(combos, dtype=np.int64).reshape(-1, 2).T]
-                for lo in range(0, len(combos), block):
-                    comm.append(commutation_residual(flat[first[lo:lo + block]],
-                                                     flat[second[lo:lo + block]]))
-            else:
-                comm.extend(commutation_residual(stack[:, k], stack[:, j])
-                            for k in range(m) for j in range(k + 1, m))
+            cols = cls.reshape(-1, m).T.tolist()  # cols[k][q]: the class of [q, k]
+            # the distinct (class of k, class of j) combinations of each pair
+            combos = [c for k in range(m) for j in range(k + 1, m)
+                      for c in set(zip(cols[k], cols[j]))]
+            first, second = members[np.array(combos, dtype=np.int64).reshape(-1, 2).T]
+            for lo in range(0, len(combos), block):
+                comm.append(commutation_residual(flat[first[lo:lo + block]],
+                                                 flat[second[lo:lo + block]]))
     normres = abs(float(np.linalg.norm(strategy.state)) - 1.0)
     # np.max, unlike the builtin max, keeps a NaN residual
     return StrategyDiagnostics(hermiticity=float(np.max(herm)), unitarity=float(np.max(unit)),

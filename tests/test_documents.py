@@ -342,8 +342,7 @@ def test_numpy_partial_parse_is_caught_in_every_numpy(monkeypatch):
             return values[:-1] if short else values
         return partial
 
-    # a payload numpy reads whole, and one of mostly zeros, which it reads
-    # but for its zeros
+    # a payload without zeros, and one of mostly zeros
     for text in ("[[1, 2], [3, 4]]", "[[1, 0], [0.0, -0.0], [0, 2]]"):
         want = json.loads(text)
         assert jsonio._numeric(text).tolist() == want
@@ -354,55 +353,36 @@ def test_numpy_partial_parse_is_caught_in_every_numpy(monkeypatch):
         monkeypatch.setattr(np, "fromstring", fromstring)
 
 
-def _spy_sparse(monkeypatch) -> list:
-    """The sizes of the payloads ``jsonio`` reads on its zero path from now on."""
-    calls = []
-    sparse = jsonio._parse_sparse
-
-    def spy(text, size):
-        calls.append(size)
-        return sparse(text, size)
-
-    monkeypatch.setattr(jsonio, "_parse_sparse", spy)
-    return calls
-
-
-#: every way JSON spells a zero; the zero path reads 0, -0, 0.0 and -0.0 itself
+#: every way JSON spells a zero
 ZERO_SPELLINGS = ["0", "-0", "0.0", "-0.0", "0e0", "-0.0e-0", "0.000", "0E+5"]
+#: 2 x 2 matrices of numerals that end in the digit 0 or begin like a zero,
+#: most of them no zero
+NEAR_ZEROS = ["[[1.5, 0.0], [-2.5, -0.0]]", "[[1.5, 0.0], [-2.5, 0.5]]",
+              "[[10.0, 20], [-30.0, 0.05]]", "[[0.05, -0.0], [0.0, 0.0e5]]"]
 
 
-@pytest.mark.parametrize("where", ["first", "interior", "last"])
-@pytest.mark.parametrize("spelling", ZERO_SPELLINGS)
-def test_zero_spellings_load_like_the_oracle(monkeypatch, spelling, where):
+@pytest.mark.parametrize("numerals, where", [
+    *[pytest.param([spelling], where, id=f"{spelling}-{where}")
+      for spelling in ZERO_SPELLINGS for where in ("first", "interior", "last")],
+    *[pytest.param(NUMERAL.findall(matrix), "first", id=matrix) for matrix in NEAR_ZEROS],
+])
+def test_zero_spellings_load_like_the_oracle(numerals, where):
     # Alice's payloads hold X and Z: six of their eight numerals are zeros
     text = strategy_to_text(noisy_strategy(2, NoiseSpec("bob-rotation", 0.2)))
     start = text.index("[", text.index('"alice_obs"'))
     spans = [m.span() for m in NUMERAL.finditer(text, start, text.index("]]]", start))]
-    at = {"first": 0, "interior": len(spans) // 2, "last": len(spans) - 1}[where]
-    edited = text[:spans[at][0]] + spelling + text[spans[at][1]:]
+    at = {"first": 0, "interior": len(spans) // 2, "last": len(spans) - len(numerals)}[where]
+    edited = text
+    for (a, b), numeral in reversed(list(zip(spans[at:], numerals))):
+        edited = edited[:a] + numeral + edited[b:]
     payload = edited[start:edited.index("]]]", start) + 3]
-    calls = _spy_sparse(monkeypatch)
     got = jsonio._numeric(payload)
-    assert calls == [len(spans)]  # read on the zero path
     want = np.array(json.loads(payload, parse_int=_oracle_int), dtype=float)
     assert got.tobytes() == want.tobytes()
-    entry = got.reshape(-1)[at]
-    assert entry == 0.0 and np.signbit(entry) == spelling.startswith("-")
+    # each entry keeps its numeral's value and sign
+    entries = got.reshape(-1)[at:at + len(numerals)]
+    assert entries.tobytes() == np.array([float(x) for x in numerals]).tobytes()
     assert _same_bits(strategy_from_text(edited), oracle_from_text(edited))
-
-
-@pytest.mark.parametrize("text, sparse", [
-    ("[[1.5, 0.0], [-2.5, -0.0]]", True),   # half the numerals end in 0
-    ("[[1.5, 0.0], [-2.5, 0.5]]", False),   # fewer than half
-    ("[[10.0, 20], [-30.0, 0.05]]", True),  # numerals that end in 0 but are no zeros
-    ("[[0.05, -0.0], [0.0, 0.0e5]]", True),  # and ones that begin like a zero
-])
-def test_the_zero_gate_changes_no_value(monkeypatch, text, sparse):
-    calls = _spy_sparse(monkeypatch)
-    got = jsonio._numeric(text)
-    want = np.array(json.loads(text, parse_int=_oracle_int), dtype=float)
-    assert bool(calls) == sparse
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _spy_numeric(monkeypatch) -> list:
@@ -421,16 +401,19 @@ def _spy_numeric(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("make, parses", [
-    # the state, then per player the first question and each question that
-    # flips one more bit of it: 1 + 2 (m + 1) with m = 5
-    (lambda: noisy_strategy(10, NoiseSpec("bob-rotation", 0.1)), 13),
-    (lambda: noisy_strategy(10, NoiseSpec("partial-entanglement", 0.6)), 13),
-    # no matrix repeats: every payload is parsed
-    (lambda: random_strategy(6, np.random.default_rng(4)), 1 + 8 + 8),
-], ids=["bob-rotation", "partial-entanglement", "random"])
+    # the state, then per player the 2 m distinct matrices: 1 + 2 (2 m)
+    (lambda: noisy_strategy(10, NoiseSpec("bob-rotation", 0.1)), 1 + 2 * 10),
+    (lambda: noisy_strategy(10, NoiseSpec("partial-entanglement", 0.6)), 1 + 2 * 10),
+    (lambda: noisy_strategy(12, NoiseSpec("bob-rotation", 0.1)), 1 + 2 * 12),
+    # no matrix repeats: the state, and each of the m 2^m matrices per player
+    (lambda: random_strategy(6, np.random.default_rng(4)), 1 + 2 * 3 * 8),
+], ids=["bob-rotation", "partial-entanglement", "bob-rotation-n12", "random"])
 def test_each_repeated_matrix_text_is_parsed_once(monkeypatch, tmp_path, make, parses):
     s = make()
-    for text in (strategy_to_text(s), _compact_text(s, tmp_path / "doc.json")):
+    texts = [_compact_text(s, tmp_path / "doc.json")]
+    if s.n < 12:  # the stdlib writer takes seconds and half a GB at n = 12
+        texts.append(strategy_to_text(s))
+    for text in texts:
         calls = _spy_numeric(monkeypatch)
         assert _same_bits(strategy_from_text(text), s)
         assert len(calls) == parses and None not in calls
@@ -442,14 +425,18 @@ def _payload(text: str, side: str, question: str) -> tuple[int, int]:
     return start, text.index("]]]", start) + 3
 
 
-def _edit_first_matrix(text: str, edit) -> str:
-    """``text`` with ``edit`` applied to the first matrix of Alice's last
-    question, every one of whose matrices was read before."""
+def _edit_matrix(text: str, edit, index: int = 0) -> tuple[str, str]:
+    """``text`` with ``edit`` applied to matrix ``index`` of Alice's last
+    question, every one of whose matrices was read before, and the edited
+    matrix's text."""
     start, end = _payload(text, "alice_obs", "111")
-    matrix_end = text.index("]]", start) + 2
-    edited = edit(text[start + 1:matrix_end])
-    assert edited != text[start + 1:matrix_end]
-    return text[:start + 1] + edited + text[matrix_end:]
+    matrix_start = start + 1
+    for _ in range(index):
+        matrix_start = text.index("[", text.index("]]", matrix_start) + 2)
+    matrix_end = text.index("]]", matrix_start) + 2
+    edited = edit(text[matrix_start:matrix_end])
+    assert edited != text[matrix_start:matrix_end]
+    return text[:matrix_start] + edited + text[matrix_end:], edited
 
 
 def _first_numeral(matrix: str, want) -> tuple[int, int]:
@@ -477,11 +464,30 @@ def test_a_repeated_matrix_changed_in_its_text_loads_like_the_oracle(
         monkeypatch, tmp_path, edit):
     strategy = noisy_strategy(6, NoiseSpec("bob-rotation", 0.2))
     for text in (strategy_to_text(strategy), _compact_text(strategy, tmp_path / "doc.json")):
-        edited = _edit_first_matrix(text, edit)
+        edited, _ = _edit_matrix(text, edit)
         calls = _spy_numeric(monkeypatch)
         strategy_from_text(edited)
-        # the state, four first questions per player, and the edited one
-        assert len(calls) == 10
+        # the state, the 2 m distinct matrices per player, and the edited
+        # matrix, or the edited payload where its leading brackets no longer
+        # say it holds matrices
+        assert len(calls) == 1 + 2 * 6 + 1
+        _check_like_the_oracle(edited, tmp_path / "edited.json")
+
+
+def test_a_new_matrix_in_a_known_payload_parses_alone(monkeypatch, tmp_path):
+    strategy = noisy_strategy(6, NoiseSpec("bob-rotation", 0.2))
+    regions = []
+    numeric = jsonio._numeric
+    monkeypatch.setattr(jsonio, "_numeric",
+                        lambda region: regions.append(region) or numeric(region))
+    for text in (strategy_to_text(strategy), _compact_text(strategy, tmp_path / "doc.json")):
+        # the middle one of the three matrices of a payload of known matrices
+        edited, matrix = _edit_matrix(text, _negate_a_zero, index=1)
+        regions.clear()
+        strategy_from_text(edited)
+        # the state, the 2 m distinct matrices per player, and the new one
+        # alone: the known matrix after it is still found by its length
+        assert regions.count(matrix) == 1 and len(regions) == 1 + 2 * 6 + 1
         _check_like_the_oracle(edited, tmp_path / "edited.json")
 
 
@@ -515,21 +521,24 @@ def test_a_payload_of_known_elements_keeps_json_framing(text):
 
 
 @pytest.mark.parametrize("text, parses", [
-    # "b" is a stack of rows read in "a"
-    ('{"a": [[[1,2]],[[3,4]]], "b": [[[3,4]],\n\t [[1,2]],[[3,4]]]}', 1),
+    # "a" takes a parse per element, and "b" is a stack of their rows
+    ('{"a": [[[1,2]],[[3,4]]], "b": [[[3,4]],\n\t [[1,2]],[[3,4]]]}', 2),
     # a last element with whitespace after it is another text
-    ('{"a": [[[1,2]],[[3,4]]], "b": [[[1,2]],[[3,4]] ]}', 2),
-    # known elements of two shapes: a ragged array, which numpy cannot hold
-    ('{"a": [[[1,2]],[[3,4]]], "c": [[[5]],[[6]]], "b": [[[1,2]],[[5]]]}', 3),
+    ('{"a": [[[1,2]],[[3,4]]], "b": [[[1,2]],[[3,4]] ]}', 3),
+    # known elements of two shapes: a ragged array, which numpy cannot
+    # hold, so "b" is parsed whole and refused
+    ('{"a": [[[1,2]],[[3,4]]], "c": [[[5]],[[6]]], "b": [[[1,2]],[[5]]]}', 5),
     # the same text one level deeper is another element
-    ('{"a": [[[1,2]],[[3,4]]], "b": [[[[1,2]],[[3,4]]]]}', 2),
-    # separators the split misses, so "a" holds more elements than it finds
-    ('{"a": [[[1,2]] ,[[3,4]],[[5,6]]], "b": [[[5,6]],[[1,2]] ,[[3,4]]]}', 2),
-    ('{"a": [[[1,2] ],[[3,4]],[[5,6]]], "b": [[[5,6]],[[1,2] ],[[3,4]]]}', 2),
-    # a depth the leading brackets understate: the split of "a" finds as
-    # many pieces as it has elements, but not its elements
+    ('{"a": [[[1,2]],[[3,4]]], "b": [[[[1,2]],[[3,4]]]]}', 3),
+    # separators with whitespace inside: the walk of "a" reads two elements
+    # as one text, which the parse refuses, and "a" is parsed whole; "b"
+    # alike after its first element
+    ('{"a": [[[1,2]] ,[[3,4]],[[5,6]]], "b": [[[5,6]],[[1,2]] ,[[3,4]]]}', 5),
+    ('{"a": [[[1,2] ],[[3,4]],[[5,6]]], "b": [[[5,6]],[[1,2] ],[[3,4]]]}', 5),
+    # a depth the leading brackets understate: the text before the first
+    # separator is no array, and each payload is parsed whole
     ('{"a": [[[ [1]],[[2]]] ,[[[3]] ,[[4]]],[[[5]] ,[[6]]]],'
-     ' "b": [[[ [1]],[[[5]] ,[[6]]],[[2]]] ,[[[3]] ,[[4]]]]}', 2),
+     ' "b": [[[ [1]],[[[5]] ,[[6]]],[[2]]] ,[[[3]] ,[[4]]]]}', 4),
 ])
 def test_a_payload_of_known_elements_loads_like_json(monkeypatch, text, parses):
     calls = _spy_numeric(monkeypatch)
@@ -564,21 +573,6 @@ def test_the_table_is_dropped_when_loads_returns(monkeypatch):
     assert [(d.seen, d.lengths) for d in decoders] == [({}, {}), ({}, {})]
 
 
-def _spy_elements(monkeypatch) -> list:
-    """The payloads ``jsonio`` splits into element texts from now on, as
-    their (offset, length) spans."""
-    calls = []
-    elements = jsonio._elements
-
-    def spy(text, start, stop, depth):
-        spans = elements(text, start, stop, depth)
-        calls.append(spans)
-        return spans
-
-    monkeypatch.setattr(jsonio, "_elements", spy)
-    return calls
-
-
 def _as_lists(obj):
     """``obj`` with every array turned into nested lists."""
     if isinstance(obj, dict):
@@ -591,10 +585,12 @@ def _loads_like_json(text: str) -> None:
 
 
 @pytest.mark.parametrize("text, parsed", [
-    # the separator after "b"'s second element
-    ('{"a": [[[1,2,3,4]],[[5,6,7,8]]], "b": [[[1]],[[2]],[[7,7,7,7]]]}', None),
+    # the separator after "b"'s second element; "b" is ragged, so its
+    # elements are parsed alone, and it is parsed whole and refused
+    ('{"a": [[[1,2,3,4]],[[5,6,7,8]]], "b": [[[1]],[[2]],[[7,7,7,7]]]}',
+     [(1, 1), (1, 1), (1, 4), None]),
     # the closing bracket after it
-    ('{"a": [[[1,2,3,4]],[[5,6,7,8]]], "b": [[[1]],[[2]]]}', (2, 1, 1)),
+    ('{"a": [[[1,2,3,4]],[[5,6,7,8]]], "b": [[[1]],[[2]]]}', [(1, 1), (1, 1)]),
 ], ids=["separator", "closing"])
 @pytest.mark.parametrize("collide", [False, True], ids=["hash", "colliding-hash"])
 def test_a_known_length_over_other_texts_is_no_hit(monkeypatch, text, parsed, collide):
@@ -605,7 +601,7 @@ def test_a_known_length_over_other_texts_is_no_hit(monkeypatch, text, parsed, co
         monkeypatch.setattr(jsonio, "hash", lambda piece: 0, raising=False)
     calls = _spy_numeric(monkeypatch)
     _loads_like_json(text)
-    assert calls == [(2, 1, 4), parsed]  # "b" is parsed (and, ragged, refused)
+    assert calls == [(1, 4), (1, 4)] + parsed  # "b"'s first element is parsed
 
 
 @pytest.mark.parametrize("text", [
@@ -617,17 +613,19 @@ def test_a_known_length_over_other_texts_is_no_hit(monkeypatch, text, parsed, co
 def test_a_known_text_at_another_position_is_a_hit(monkeypatch, text):
     calls = _spy_numeric(monkeypatch)
     _loads_like_json(text)
-    assert len(calls) == 1  # the first payload alone is parsed
+    # each distinct element of the first payload is parsed, and nothing else
+    assert len(calls) == len(set(re.findall(r"\[\[[^][]*\]\]", text)))
 
 
 @pytest.mark.parametrize("text, parses", [
     # the last element has a known length, and whitespace, not the closing
     # bracket, follows it
-    ('{"a": [[[1,2]],[[3,4]]], "b": [[[3,4]],[[1,2]]\n ]}', 2),
+    ('{"a": [[[1,2]],[[3,4]]], "b": [[[3,4]],[[1,2]]\n ]}', 3),
     # a last element recorded with the whitespace after it is that text
-    ('{"a": [[[1,2]],[[3,4]] ], "b": [[[1,2]],[[3,4]] ]}', 1),
-    # where a separator follows, it is no known text
-    ('{"a": [[[1,2]],[[3,4]] ], "b": [[[3,4]] ,[[1,2]]]}', 2),
+    ('{"a": [[[1,2]],[[3,4]] ], "b": [[[1,2]],[[3,4]] ]}', 2),
+    # where a separator follows, it is no known text: the walk reads two
+    # elements as one text, and "b" is parsed whole
+    ('{"a": [[[1,2]],[[3,4]] ], "b": [[[3,4]] ,[[1,2]]]}', 4),
 ])
 def test_a_last_element_followed_by_whitespace(monkeypatch, text, parses):
     calls = _spy_numeric(monkeypatch)
@@ -641,28 +639,24 @@ def test_known_rows_of_two_shapes_are_parsed(monkeypatch):
     text = '{"a": [[[1,2]],[[3,4]]], "c": [[[5],[6]]], "b": [[[1,2]],[[5],[6]]]}'
     calls = _spy_numeric(monkeypatch)
     _loads_like_json(text)
-    assert calls == [(2, 1, 2), (1, 2, 1), None]
+    assert calls == [(1, 2), (1, 2), (2, 1), None]
 
 
-def test_a_random_document_takes_one_parse_and_one_split_per_payload(monkeypatch, tmp_path):
-    # nothing repeats, so every payload is parsed, and every question payload
-    # split once, to be recorded; the state, nested two deep, is not split
-    s = random_strategy(6, np.random.default_rng(5))
+@pytest.mark.parametrize("make, distinct", [
+    # nothing repeats: every matrix of every question
+    (lambda: random_strategy(6, np.random.default_rng(5)), 2 * 3 * 8),
+    # per player the 2 m distinct matrices
+    (lambda: noisy_strategy(8, NoiseSpec("partial-entanglement", 0.6)), 2 * 8),
+], ids=["random", "partial-entanglement"])
+def test_each_parse_reads_one_matrix_or_the_state(monkeypatch, tmp_path, make, distinct):
+    # a question payload is read one matrix at a time, and the state,
+    # nested two deep, whole
+    s = make()
+    side = s.dim_a * s.dim_a
     for text in (strategy_to_text(s), _compact_text(s, tmp_path / "doc.json")):
-        parses, splits = _spy_numeric(monkeypatch), _spy_elements(monkeypatch)
+        parses = _spy_numeric(monkeypatch)
         assert _same_bits(strategy_from_text(text), s)
-        assert len(parses) == 1 + 2 * 8 and None not in parses
-        assert [len(spans) for spans in splits] == [3] * (2 * 8)
-
-
-def test_only_a_parsed_payload_is_split(monkeypatch, tmp_path):
-    s = noisy_strategy(8, NoiseSpec("partial-entanglement", 0.6))
-    for text in (strategy_to_text(s), _compact_text(s, tmp_path / "doc.json")):
-        parses, splits = _spy_numeric(monkeypatch), _spy_elements(monkeypatch)
-        assert _same_bits(strategy_from_text(text), s)
-        # the state, then per player the first question and each that flips
-        # one more bit of it; each question payload parsed is split
-        assert len(parses) == 1 + 2 * 5 and len(splits) == 2 * 5
+        assert sorted(parses) == [(side, 2)] * distinct + [(s.state.size, 2)]
 
 
 def _complex_bytes(s: Strategy) -> int:
