@@ -2,9 +2,10 @@
 straight into numpy.
 
 ``dumps`` rounds a report's floats to 12 significant digits and hands
-the result to the stdlib encoder.  Strategy documents need no writer of
-their own: the stdlib's shortest round-trip float ``repr`` already pins
-every double, -0.0 included.
+the result to the stdlib encoder.  Strategy documents are written by
+``strategy.strategy_to_text``: the text ``json.dumps`` gives, each float
+its shortest round-trip ``repr``, which pins every double, -0.0
+included.
 
 A strategy file is mostly ``[re, im]`` pairs: millions of numbers that
 the stdlib decoder would turn into Python lists and floats.  ``loads``
@@ -22,15 +23,21 @@ or locally noisy strategy writes each of a player's matrices once for
 every question that shares its bit: an n = 12 noise-model file holds 24
 distinct matrix texts, in 4 lengths, among its 768.  So an array nested
 at least three deep (each question's list of matrices) is walked one
-element at a time (``_Decoder._walk``): an element whose text was read
-before in the same ``loads`` call is found by the text lengths recorded
-at its depth and takes its stored row, and any other is parsed alone.
-An n = 12 noise-model file so takes 25 parses (one per distinct matrix
-text, and the state), a random one, which repeats nothing, one per
-matrix and the state.  An array the walk cannot read (whitespace inside
-a separator, rows of unequal shapes) and every array nested less deeply
-take one parse of the whole.  The table of elements read holds offsets
-and rows, never copies of the texts.
+element at a time (``_Decoder._walk``) and comes back by reference, as
+``Rows``: each element's row and a document-wide id of its text.  An
+element whose text was read before in the same ``loads`` call is found
+by the text lengths recorded at its depth and takes its stored row and
+id, with no copy; the others are parsed alone and copied into one block
+per payload.  An n = 12 noise-model file so takes 25 parses (one per
+distinct matrix text, and the state) and holds its 24 rows in 14 small
+blocks (1.6 MB) for its 128 payloads; a random file, which repeats
+nothing, takes one parse per matrix and the state.  ``np.asarray`` of
+``Rows`` gives the array a whole parse gives; the strategy loader
+instead writes each row straight into its player's stack and groups the
+ids into classes of bit-identical matrices (``strategy._stack_from_doc``).  An array the walk cannot read
+(whitespace inside a separator, rows of unequal shapes) and every array
+nested less deeply take one parse of the whole.  The table of elements
+read holds offsets, rows and ids, never copies of the texts.
 """
 
 from __future__ import annotations
@@ -244,6 +251,25 @@ def _depth(text: str, start: int, stop: int) -> int:
     return len(head) - len(head.lstrip("["))
 
 
+class Rows:
+    """A payload that ``loads`` read element by element, by reference.
+
+    ``rows[i]`` is element i's float64 array: a row of the block of the
+    payload that first wrote its text.  ``ids[i]`` numbers that text in
+    its document, so two elements with one id hold the same text and the
+    same bits.  ``np.asarray`` stacks the rows into the array that a parse
+    of the whole payload gives.
+    """
+
+    __slots__ = ("rows", "ids")
+
+    def __init__(self, rows: list, ids: list):
+        self.rows, self.ids = rows, ids
+
+    def __array__(self, dtype=None, copy=None):
+        return np.stack(self.rows, dtype=dtype)
+
+
 class _Decoder(json.JSONDecoder):
     """The stdlib decoder with its array parser replaced by ``_array``."""
 
@@ -255,17 +281,18 @@ class _Decoder(json.JSONDecoder):
         # the sign of -0, and numpy makes an object array of one beyond int64
         self._stdlib = json.JSONDecoder(parse_int=float)
         # the elements of the payloads walked so far: (hash, length) of an
-        # element's text -> its offset in the document and its payload row
+        # element's text -> its offset in the document, its row and its id
         self.seen: dict = {}
+        self.texts = 0  # the element texts recorded so far, which number the next
         # depth -> the lengths of the element texts recorded in payloads of
         # that depth, in the order first recorded (a dict as an ordered set)
         self.lengths: dict = {}
 
     def _array(self, s_and_end, scan_once):
         """Array starting just before ``end``: a numeric payload nested at
-        least three deep through ``_walk``, one the walk refuses and any
-        other numeric array through ``_numeric``, anything else through the
-        stdlib C scanner."""
+        least three deep through ``_walk`` (as ``Rows``), one the walk
+        refuses and any other numeric array through ``_numeric``, anything
+        else through the stdlib C scanner."""
         text, end = s_and_end
         start = end - 1
         # A payload is followed by a key or the end of its object; the
@@ -285,9 +312,9 @@ class _Decoder(json.JSONDecoder):
             return self._stdlib.scan_once(text, start)
         return values, stop
 
-    def _walk(self, text: str, start: int, stop: int, depth: int) -> np.ndarray | None:
+    def _walk(self, text: str, start: int, stop: int, depth: int) -> Rows | None:
         """The payload ``text[start:stop]``, whose leading brackets number
-        ``depth``, as the array of its elements' rows, or None unless it is
+        ``depth``, as the ``Rows`` of its elements, or None unless it is
         '[', its elements, each followed by a comma and JSON whitespace, and
         the closing ']' at ``stop - 1``, and the rows share one shape.
 
@@ -296,18 +323,20 @@ class _Decoder(json.JSONDecoder):
         the separator's depth - 1 closing brackets with its comma right
         after, or just before the closing bracket, and only a candidate's
         text is sliced, hashed and confirmed against the document at the
-        stored offset.  An element no length finds runs to the next
-        separator (or the closing bracket).  Then the payload is allocated
-        once and filled row by row: a known row, or the parse of a new
-        text, which ``_numeric`` accepts only as exactly one rectangular
-        array (so it is the whole element) and which is dropped once
-        copied.  Each new text is recorded with its row of the payload.
+        stored offset, whose row and id it takes.  An element no length
+        finds runs to the next separator (or the closing bracket) and is
+        parsed alone; ``_numeric`` accepts it only as exactly one
+        rectangular array (so it is the whole element).  The payload's new
+        rows are copied into one block, allocated at the first of them,
+        and each parse is dropped once copied; a payload of known rows
+        allocates no array.  Each new text is then recorded with its row
+        of the block and the next id.
         """
         if text[stop - 1] != "]":
             return None
         lengths = self.lengths.setdefault(depth, {})
         separator = "]" * (depth - 1) + ","
-        slots = []  # (offset, end, known row or None) of each element
+        slots = []  # (offset, end, the known entry or None) of each element
         begin = start + 1
         while True:
             for length in lengths:
@@ -316,7 +345,7 @@ class _Decoder(json.JSONDecoder):
                     piece = text[begin:end]
                     known = self.seen.get((hash(piece), length))
                     if known is not None and text.startswith(piece, known[0]):
-                        slots.append((begin, end, known[1]))
+                        slots.append((begin, end, known))
                         break
             else:
                 comma = text.find(separator, begin, stop)
@@ -327,28 +356,34 @@ class _Decoder(json.JSONDecoder):
             begin = end + 1
             while text[begin] in " \t\n\r":  # text[stop - 1] is ']'
                 begin += 1
-        values = None
-        for i, (begin, end, row) in enumerate(slots):
-            if row is None:
-                row = _numeric(text[begin:end])
-                if row is None:
-                    return None
-            if values is None:
-                values = np.empty((len(slots), *row.shape))
-            elif row.shape != values.shape[1:]:
+        rows, ids = [], []
+        block, fresh = None, 0
+        for begin, end, known in slots:
+            row = _numeric(text[begin:end]) if known is None else known[1]
+            if row is None or (rows and row.shape != rows[0].shape):
                 return None
-            values[i] = row
-        for i, (begin, end, row) in enumerate(slots):
-            if row is None:
-                self.seen[hash(text[begin:end]), end - begin] = begin, values[i]
+            if known is None:  # copied into the block, and the parse dropped
+                if block is None:
+                    block = np.empty((sum(k is None for *_, k in slots), *row.shape))
+                block[fresh] = row
+                row, fresh = block[fresh], fresh + 1
+            rows.append(row)
+            ids.append(None if known is None else known[2])
+        for i, (begin, end, known) in enumerate(slots):
+            if known is None:
+                ids[i] = self.texts
+                self.seen[hash(text[begin:end]), end - begin] = begin, rows[i], self.texts
+                self.texts += 1
                 lengths[end - begin] = None
-        return values
+        return Rows(rows, ids)
 
 
 def loads(text: str):
     """Parse JSON text; arrays holding only numbers come back as float64
-    ndarrays of their nesting shape, other arrays as lists in which every
-    number is a float, and everything else as ``json.loads`` returns it.
+    ndarrays of their nesting shape (as ``Rows`` where ``_Decoder._walk``
+    read one element at a time: ``np.asarray`` gives that ndarray), other
+    arrays as lists in which every number is a float, and everything else
+    as ``json.loads`` returns it.
     Raises ValueError (``json.JSONDecodeError`` for syntax errors) on text
     that is not JSON."""
     decoder = _Decoder()

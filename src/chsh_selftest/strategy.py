@@ -13,8 +13,8 @@ sigma_z per question bit, Bob the diagonal combinations
 
 from __future__ import annotations
 
-import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,9 +65,13 @@ class Strategy:
     is bitwise +0.0, and as complex128 otherwise: a -0.0 imaginary part
     keeps it complex, so a loaded document writes back byte for byte.  The
     arrays are copied and marked read-only on construction (the loader
-    hands its own arrays over uncopied); strategies compare and hash by
-    identity.  Each player's classes of bit-identical observables
-    (``_player_classes``) are found on first use and kept.
+    and ``noisy_strategy`` hand their own arrays over uncopied);
+    strategies compare and hash by identity.  Each player's classes of
+    bit-identical observables (``_player_classes``) come with the arrays
+    from those two builders, which know where the matrices repeat: the
+    loader from the matrix texts it read once, ``noisy_strategy`` from
+    question bit k.  For arrays handed to the constructor they are found
+    on first use and kept.
     """
 
     state: np.ndarray
@@ -78,13 +82,17 @@ class Strategy:
         self._freeze(copy=True)
 
     @classmethod
-    def _adopt(cls, state: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> Strategy:
+    def _adopt(cls, state: np.ndarray, alice: np.ndarray, bob: np.ndarray,
+               classes: tuple) -> Strategy:
         """A strategy over arrays that their builder hands over and no longer
-        holds: they are checked and marked read-only, not copied."""
+        holds: they are checked and marked read-only, not copied.  The
+        builder knows which observables repeat, and hands each player's
+        classes too: ``classes`` becomes ``_player_classes``."""
         strategy = object.__new__(cls)
         for name, a in (("state", state), ("alice", alice), ("bob", bob)):
             object.__setattr__(strategy, name, a)
         strategy._freeze(copy=False)
+        object.__setattr__(strategy, "_player_classes", classes)
         return strategy
 
     def _freeze(self, copy: bool) -> None:
@@ -121,9 +129,10 @@ class Strategy:
     @cached_property
     def _player_classes(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """``_classes`` of Alice's and of Bob's observables, each stack
-        flattened to [q * m + k]; ``validate`` and ``_distinct_at`` (for
-        ``expectation_table``) both read them, so the grouping runs once
-        per strategy."""
+        flattened to [q * m + k]; ``validate``, ``_distinct_at`` (for
+        ``expectation_table``) and ``strategy_to_text`` read them.  A
+        loaded or noise-model strategy is built with them (``_adopt``);
+        for arrays handed to the constructor they are found here, once."""
         return tuple(_classes(stack.reshape(-1, *stack.shape[2:]))
                      for stack in (self.alice, self.bob))
 
@@ -258,8 +267,20 @@ def noisy_strategy(n: int, noise: NoiseSpec) -> Strategy:
                     [math.sin(eta / 2), math.cos(eta / 2)]])
     bob_pair = tuple(rot @ b @ rot.T for b in _BOB_PAIR)
     # built in float64, so nothing needs narrowing, and fresh, so not copied
+    classes = _local_classes(m)
     return Strategy._adopt(state.reshape(-1), _local_stack(m, (PAULI_X, PAULI_Z)),
-                           _local_stack(m, bob_pair))
+                           _local_stack(m, bob_pair), (classes, classes))
+
+
+def _local_classes(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_classes`` of a ``_local_stack`` of two distinct operators: entry
+    [q, k] depends on (k, bit k + 1 of q) alone, and no two of these 2m
+    matrices are equal.  In order of first appearance over [q * m + k],
+    (k, 0) is class k, at question 0, and (k, 1), first at question
+    2^(m-1-k) and so in descending k, is class 2m - 1 - k."""
+    k = np.arange(m)
+    cls = np.where(bits.bit_table(m), 2 * m - 1 - k, k).reshape(-1)
+    return cls, np.concatenate([k, (m << k) + m - 1 - k])
 
 
 def random_strategy(n: int, rng: np.random.Generator,
@@ -302,10 +323,14 @@ def _classes(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Matrices whose first entries differ in their bits differ, so where
     every first entry is distinct (as in a random strategy) each matrix
-    is its own class, and no matrix is hashed.  A strategy keeps each
-    player's classes (``Strategy._player_classes``), which ``validate``
-    and ``expectation_table`` (through ``Strategy._distinct_at``) both
-    read.
+    is its own class, and no matrix is hashed.  Classes are numbered in
+    order of first appearance.  A strategy keeps each player's classes
+    (``Strategy._player_classes``), which ``validate``,
+    ``expectation_table`` (through ``Strategy._distinct_at``) and
+    ``strategy_to_text`` read.  Only arrays handed to ``Strategy(...)``
+    are grouped whole; the loader groups only its distinct matrix texts
+    (``_stack_from_doc``: 12 per player of an n = 12 noise-model file,
+    not 384), and a noise model is built with its classes.
     """
     firsts = flat.reshape(len(flat), -1).view(np.int64)[:, 0]  # a complex entry's real part
     if len(set(firsts.tolist())) == len(flat):
@@ -324,16 +349,19 @@ def validate(strategy: Strategy) -> StrategyDiagnostics:
 
     Each residual is taken once per bitwise-distinct input.  A player's
     observables fall into classes of bit-identical matrices, which the
-    strategy finds once and keeps (``Strategy._player_classes``, which
-    ``expectation_table`` reads too).  Hermiticity and unitarity are taken on
-    one member of each class, and the commutator of each pair (k, j) once
-    per distinct (class of k, class of j) combination among the
-    questions, both in blocks of ``VALIDATE_BLOCK_BYTES``.  Bit-identical
-    inputs give bit-identical residuals, so every maximum, and every
-    field, is the one a loop over every question gives.  Repeats are the
-    rule for a local strategy: an honest or locally noisy player's
-    observable for pair k depends on question bit k alone, so a noise
-    model holds 2m distinct matrices per player among m 2^m.
+    strategy holds (``Strategy._player_classes``, which
+    ``expectation_table`` reads too).  The loader and ``noisy_strategy``
+    hand them over, so a loaded or noise-model strategy's matrices are
+    never hashed here: the first ``validate`` of an n = 12 noise-model
+    file takes about 5 ms (one BLAS thread).  Hermiticity and unitarity
+    are taken on one member of each class, and the commutator of each
+    pair (k, j) once per distinct (class of k, class of j) combination
+    among the questions, both in blocks of ``VALIDATE_BLOCK_BYTES``.
+    Bit-identical inputs give bit-identical residuals, so every maximum,
+    and every field, is the one a loop over every question gives.
+    Repeats are the rule for a local strategy: an honest or locally noisy
+    player's observable for pair k depends on question bit k alone, so a
+    noise model holds 2m distinct matrices per player among m 2^m.
     """
     m = strategy.half
     herm, unit, comm = [0.0], [0.0], [0.0]
@@ -581,39 +609,55 @@ def born_answers(strategy: Strategy, qa_idx: np.ndarray, qb_idx: np.ndarray,
 # serialization
 
 def strategy_to_text(strategy: Strategy) -> str:
-    """Serialize to one line of JSON text.
+    """Serialize to one line of JSON text, byte for byte the text that
+    ``json.dumps`` writes for the document's lists of [re, im] pairs.
 
     Each float is written as its shortest round-trip ``repr``, which pins
     down the double exactly (-0.0 included), so a load of the dump
-    reproduces every array bit for bit.
+    reproduces every array bit for bit.  A non-finite entry raises
+    ValueError, as ``json.dumps(..., allow_nan=False)`` does.
     """
-    def families(stack):
-        return {q: [_to_pairs(o) for o in family]
-                for q, family in zip(bits.all_strings(strategy.half), stack)}
-
-    doc = {
-        "n": strategy.n,
-        "dim_A": strategy.dim_a,
-        "dim_B": strategy.dim_b,
-        "state": _to_pairs(strategy.state),
-        "alice_obs": families(strategy.alice),
-        "bob_obs": families(strategy.bob),
-    }
-    return json.dumps(doc, allow_nan=False) + "\n"
+    return "".join(_document(strategy))
 
 
-def _to_pairs(a: np.ndarray) -> list:
-    """[[re, im], ...] over the entries of an array, row-major; a real
-    array is written through a complex copy, with +0.0 imaginary parts."""
-    return np.ascontiguousarray(a, dtype=complex).view(float).reshape(-1, 2).tolist()
+def _document(strategy: Strategy) -> Iterator[str]:
+    """The pieces of ``strategy_to_text``, in order, one question a piece.
+
+    Each of a player's classes of bit-identical observables
+    (``Strategy._player_classes``) is formatted once, and every question
+    that holds one of its members repeats that text: a noise model's
+    matrices are formatted 2m times per player, not m 2^m.
+    """
+    m = strategy.half
+    yield (f'{{"n": {strategy.n}, "dim_A": {strategy.dim_a}, "dim_B": {strategy.dim_b}, '
+           f'"state": {_pairs_text(strategy.state)}')
+    for key, stack, (cls, members) in zip(("alice_obs", "bob_obs"), (strategy.alice, strategy.bob),
+                                          strategy._player_classes):
+        flat = stack.reshape(-1, *stack.shape[2:])
+        texts = [_pairs_text(flat[i]) for i in members.tolist()]
+        yield f', "{key}": {{'
+        for i, (q, family) in enumerate(zip(bits.all_strings(m), cls.reshape(-1, m).tolist())):
+            yield f'{", " if i else ""}"{q}": [{", ".join(texts[c] for c in family)}]'
+        yield "}"
+    yield "}\n"
 
 
-def _from_pairs(obj, what: str) -> np.ndarray:
-    """Array from an array of [re, im] number pairs: a float array from
-    ``jsonio.loads``, or nested lists (possibly holding such arrays) where
-    a payload was not all numbers; ``jsonio.loads`` reads every number in
-    an array as a float.  A view of the real parts when every imaginary
-    part is +0.0 (``_narrowed``), else complex."""
+def _pairs_text(a: np.ndarray) -> str:
+    """[[re, im], ...] over the entries of an array, row-major, as
+    ``json.dumps`` writes it; a real array is written with +0.0 imaginary
+    parts."""
+    values = np.ascontiguousarray(a, dtype=complex).view(float).reshape(-1)
+    if not np.isfinite(values).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    words = list(map(repr, values.tolist()))
+    return "[" + ", ".join(map("[{}, {}]".format, words[0::2], words[1::2])) + "]"
+
+
+def _pairs(obj, what: str) -> np.ndarray:
+    """The float array of an array of [re, im] number pairs, its last axis
+    the pair: from a float array of ``jsonio.loads`` (or its ``Rows``), or
+    nested lists (possibly holding such arrays) where a payload was not all
+    numbers; ``jsonio.loads`` reads every number in an array as a float."""
     try:
         raw = np.asarray(obj)  # no dtype: a float dtype would parse "1.0" and map null to nan
         ok = raw.dtype.kind == "f" and raw.shape[-1:] == (2,) and not _holds_bool(obj)
@@ -621,7 +665,7 @@ def _from_pairs(obj, what: str) -> np.ndarray:
         ok = False
     if not ok:
         raise ValueError(f"{what} must hold nested lists of [re, im] number pairs")
-    return _narrowed(np.ascontiguousarray(raw, dtype=float).view(complex)[..., 0])
+    return np.ascontiguousarray(raw, dtype=float)
 
 
 def _holds_bool(obj) -> bool:
@@ -631,32 +675,66 @@ def _holds_bool(obj) -> bool:
     return isinstance(obj, bool)
 
 
-def _stack_from_doc(families, what: str, m: int, dim: int) -> np.ndarray:
-    """One player's (2^m, m, dim, dim) observable stack from its question map.
+def _stack_from_doc(families, what: str, m: int, dim: int) -> tuple[np.ndarray, tuple]:
+    """One player's (2^m, m, dim, dim) observable stack from its question
+    map, and its classes: ``_classes`` of the stack flattened to
+    [q * m + k].
 
-    Each question's payload is popped from the map into a stack that grows
-    in place (``ndarray.resize`` reallocates), so the parsed and the stacked
-    copy of a side never both exist in full.  Each payload is narrowed on
-    its own, so the stack is float64 until a complex payload promotes it,
-    and a real side never holds a complex copy.
+    Each question's payload is popped from the map.  ``jsonio.Rows`` give
+    their rows and document ids; any other payload (a parse of the whole
+    payload, or lists) gives rows that are all new.  The first row of each
+    id, and each new row, is a distinct row.  The stack is float64 unless
+    a distinct row has an imaginary part whose bits are not +0.0.  It
+    grows in place a question at a time (``ndarray.resize`` reallocates)
+    and each matrix is written once, from its distinct row narrowed to the
+    stack's dtype as a view; a distinct row is dropped after its last
+    matrix, so each payload's block is freed once its rows are written
+    and the parsed and the stacked copy of a side never both exist in
+    full.  ``_classes`` of the distinct rows alone merges those with
+    bit-identical matrices (texts such as "1.0" and "1.00"); numbered by
+    their first rows, which come in slot order, its classes are the
+    ``cls`` that ``_classes`` of the whole stack gives.
     """
     if not isinstance(families, dict):
         raise ValueError(f"{what} must be an object keyed by question")
     questions = sorted(families)
-    stack = np.empty(0)
-    for i, q in enumerate(questions):
-        block = _from_pairs(families.pop(q), what)
-        if block.shape != (m, dim * dim):
+    distinct, first, last = [], [], []  # each distinct row, its first and last slot
+    row_of = []  # [q * m + k] -> its distinct row
+    index = {}  # document id -> its distinct row
+    for q in questions:
+        payload = families.pop(q)
+        if isinstance(payload, jsonio.Rows):
+            rows, ids = payload.rows, payload.ids
+            _pairs(rows[0], what)  # the check alone: the rows share one shape
+        else:
+            rows = _pairs(payload, what)
+            ids = [None] * len(rows)
+        if len(rows) != m or rows[0].shape != (dim * dim, 2):
             break
-        if block.dtype != stack.dtype == float:  # the first complex payload
-            stack = stack.astype(complex)
-        stack.resize((i + 1, m, dim * dim), refcheck=False)
-        stack[i] = block
+        for row, ident in zip(rows, ids):
+            j = len(distinct) if ident is None else index.setdefault(ident, len(distinct))
+            if j == len(distinct):
+                distinct.append(row)
+                first.append(len(row_of))
+                last.append(None)
+            last[j] = len(row_of)
+            row_of.append(j)
     else:
         # the count's bit length is compared first, so a huge n in the document
         # builds neither the integer 2^m nor more question strings than it holds
         if len(questions).bit_length() == m + 1 and questions == list(bits.all_strings(m)):
-            return stack.reshape(1 << m, m, dim, dim)
+            real = not any(row[:, 1].view(np.int64).any() for row in distinct)
+            stack = np.empty((0, dim, dim), dtype=float if real else complex)
+            for i, j in enumerate(row_of):
+                if i % m == 0:
+                    stack.resize((i + m, dim, dim), refcheck=False)
+                row = distinct[j]
+                stack[i] = (row[:, 0] if real else row.view(complex)[:, 0]).reshape(dim, dim)
+                if last[j] == i:
+                    distinct[j] = None
+            # every slot holds a distinct row of its own where nothing repeats
+            cls, members = _classes(stack[first] if len(first) < len(stack) else stack)
+            return stack.reshape(1 << m, m, dim, dim), (cls[row_of], np.array(first)[members])
     raise ValueError(f"{what} must hold {m} flat {dim}x{dim} matrices "
                      f"for each length-{m} question")
 
@@ -674,20 +752,22 @@ def strategy_from_text(text: str) -> Strategy:
             raise ValueError("n must be even and at least 2")
         if min(da, db) < 1:
             raise ValueError(f"dim_A and dim_B must be at least 1, got {da} and {db}")
-        state = _from_pairs(doc["state"], "state")
+        # a view of the real parts where every imaginary part is +0.0
+        state = _narrowed(_pairs(doc["state"], "state").view(complex)[..., 0])
         if state.shape != (da * db,):
             raise ValueError("state must hold dim_A * dim_B amplitudes")
         # popped, so each side's parsed families are freed once stacked
-        alice = _stack_from_doc(doc.pop("alice_obs"), "alice_obs", n // 2, da)
-        bob = _stack_from_doc(doc.pop("bob_obs"), "bob_obs", n // 2, db)
-        return Strategy._adopt(state, alice, bob)
+        alice, alice_classes = _stack_from_doc(doc.pop("alice_obs"), "alice_obs", n // 2, da)
+        bob, bob_classes = _stack_from_doc(doc.pop("bob_obs"), "bob_obs", n // 2, db)
+        return Strategy._adopt(state, alice, bob, (alice_classes, bob_classes))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed strategy document: {exc}") from exc
 
 
 def save_strategy(strategy: Strategy, path) -> None:
+    """Write ``strategy_to_text`` to ``path``, one question at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(strategy_to_text(strategy))
+        fh.writelines(_document(strategy))
 
 
 def load_strategy(path) -> Strategy:

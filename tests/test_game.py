@@ -164,12 +164,19 @@ def test_the_classes_are_found_once_per_player_in_a_value_run(monkeypatch, tmp_p
     monkeypatch.setattr(strategy_module, "_classes", spy)
     path = tmp_path / "pe.json"
     save_strategy(noisy_strategy(6, NoiseSpec("partial-entanglement", 0.6)), path)
-    for argv in (["value", "--strategy", str(path)],
-                 ["value", "--n", "6", "--noise", "bob-rotation", "--noise-param", "0.1"]):
+    random_path = tmp_path / "random.json"
+    save_strategy(random_strategy(6, np.random.default_rng(1)), random_path)
+    for argv, want in (
+            # the loader groups the 2 m distinct matrix texts per player
+            (["value", "--strategy", str(path)], [2 * 3, 2 * 3]),
+            # and a random file's every matrix, each distinct
+            (["value", "--strategy", str(random_path)], [3 * 8, 3 * 8]),
+            # a noise model is built with its classes
+            (["value", "--n", "6", "--noise", "bob-rotation", "--noise-param", "0.1"], [])):
         calls.clear()
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
-        assert calls == [3 * 8, 3 * 8]  # Alice's stack, then Bob's, once each
+        assert calls == want  # Alice's, then Bob's, once each
 
 
 @pytest.mark.parametrize("n", [2, 4])

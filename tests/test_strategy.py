@@ -13,6 +13,7 @@ from chsh_selftest import (
     ideal_strategy,
     noisy_strategy,
     random_strategy,
+    save_strategy,
     strategy_from_text,
     strategy_to_text,
     validate,
@@ -595,6 +596,48 @@ def test_serialization_round_trip_bit_exact():
     for got, want in ((back.state, s.state), (back.alice, s.alice), (back.bob, s.bob)):
         assert got.tobytes() == want.tobytes()
     assert strategy_to_text(back) == text
+
+
+def json_dumps_text(strategy):
+    """The document through ``json.dumps`` of its nested [re, im] lists:
+    the text that ``strategy_to_text`` must write byte for byte."""
+    def pairs(a):
+        return np.ascontiguousarray(a, dtype=complex).view(float).reshape(-1, 2).tolist()
+
+    def families(stack):
+        return {q: [pairs(o) for o in family]
+                for q, family in zip(bits.all_strings(strategy.half), stack)}
+
+    doc = {"n": strategy.n, "dim_A": strategy.dim_a, "dim_B": strategy.dim_b,
+           "state": pairs(strategy.state), "alice_obs": families(strategy.alice),
+           "bob_obs": families(strategy.bob)}
+    return json.dumps(doc, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("family", VALIDATE_FAMILIES)
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_the_writer_writes_the_json_dumps_text(tmp_path, n, family):
+    # the noise models hold -0.0 entries, the random families and
+    # "twisted-ideal" complex ones, and "complex state" a global phase
+    s = validate_strategy(n, family)
+    want = json_dumps_text(s)
+    assert strategy_to_text(s) == want
+    save_strategy(s, tmp_path / "s.json")
+    assert (tmp_path / "s.json").read_text() == want
+
+
+def test_the_writer_keeps_each_copy_of_a_repeated_matrix():
+    # one copy of a repeated observable with a -0.0 imaginary part, which
+    # makes the stack complex and the copy a class of its own, and a
+    # global phase on the state
+    s = noisy_strategy(4, NoiseSpec("bob-rotation", 0.1))
+    bob = s.bob.astype(complex)
+    bob[3, 1, 0, 0] = complex(bob[3, 1, 0, 0].real, -0.0)
+    phased = Strategy(state=s.state * np.exp(0.25j), alice=s.alice, bob=bob)
+    text = strategy_to_text(phased)
+    assert text == json_dumps_text(phased) and "-0.0]" in text and "-0.0," in text
+    back = strategy_from_text(text)
+    assert back.bob.dtype == complex and back.bob.tobytes() == phased.bob.tobytes()
 
 
 def test_loading_holds_one_copy_of_the_arrays():
