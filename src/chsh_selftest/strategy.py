@@ -13,6 +13,7 @@ sigma_z per question bit, Bob the diagonal combinations
 
 from __future__ import annotations
 
+import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -68,10 +69,9 @@ class Strategy:
     and ``noisy_strategy`` hand their own arrays over uncopied);
     strategies compare and hash by identity.  Each player's classes of
     bit-identical observables (``_player_classes``) come with the arrays
-    from those two builders, which know where the matrices repeat: the
-    loader from the matrix texts it read once, ``noisy_strategy`` from
-    question bit k.  For arrays handed to the constructor they are found
-    on first use and kept.
+    from the loader, which knows from the matrix texts it read once where
+    the matrices repeat; for any other strategy they are found on first
+    use and kept.
     """
 
     state: np.ndarray
@@ -83,16 +83,17 @@ class Strategy:
 
     @classmethod
     def _adopt(cls, state: np.ndarray, alice: np.ndarray, bob: np.ndarray,
-               classes: tuple) -> Strategy:
+               classes: tuple | None = None) -> Strategy:
         """A strategy over arrays that their builder hands over and no longer
         holds: they are checked and marked read-only, not copied.  The
-        builder knows which observables repeat, and hands each player's
+        loader knows which observables repeat, and hands each player's
         classes too: ``classes`` becomes ``_player_classes``."""
         strategy = object.__new__(cls)
         for name, a in (("state", state), ("alice", alice), ("bob", bob)):
             object.__setattr__(strategy, name, a)
         strategy._freeze(copy=False)
-        object.__setattr__(strategy, "_player_classes", classes)
+        if classes is not None:
+            object.__setattr__(strategy, "_player_classes", classes)
         return strategy
 
     def _freeze(self, copy: bool) -> None:
@@ -131,8 +132,8 @@ class Strategy:
         """``_classes`` of Alice's and of Bob's observables, each stack
         flattened to [q * m + k]; ``validate``, ``_distinct_at`` (for
         ``expectation_table``) and ``strategy_to_text`` read them.  A
-        loaded or noise-model strategy is built with them (``_adopt``);
-        for arrays handed to the constructor they are found here, once."""
+        loaded strategy is built with them (``_adopt``); for any other
+        they are found here, once."""
         return tuple(_classes(stack.reshape(-1, *stack.shape[2:]))
                      for stack in (self.alice, self.bob))
 
@@ -267,20 +268,8 @@ def noisy_strategy(n: int, noise: NoiseSpec) -> Strategy:
                     [math.sin(eta / 2), math.cos(eta / 2)]])
     bob_pair = tuple(rot @ b @ rot.T for b in _BOB_PAIR)
     # built in float64, so nothing needs narrowing, and fresh, so not copied
-    classes = _local_classes(m)
     return Strategy._adopt(state.reshape(-1), _local_stack(m, (PAULI_X, PAULI_Z)),
-                           _local_stack(m, bob_pair), (classes, classes))
-
-
-def _local_classes(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_classes`` of a ``_local_stack`` of two distinct operators: entry
-    [q, k] depends on (k, bit k + 1 of q) alone, and no two of these 2m
-    matrices are equal.  In order of first appearance over [q * m + k],
-    (k, 0) is class k, at question 0, and (k, 1), first at question
-    2^(m-1-k) and so in descending k, is class 2m - 1 - k."""
-    k = np.arange(m)
-    cls = np.where(bits.bit_table(m), 2 * m - 1 - k, k).reshape(-1)
-    return cls, np.concatenate([k, (m << k) + m - 1 - k])
+                           _local_stack(m, bob_pair))
 
 
 def random_strategy(n: int, rng: np.random.Generator,
@@ -327,10 +316,10 @@ def _classes(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order of first appearance.  A strategy keeps each player's classes
     (``Strategy._player_classes``), which ``validate``,
     ``expectation_table`` (through ``Strategy._distinct_at``) and
-    ``strategy_to_text`` read.  Only arrays handed to ``Strategy(...)``
-    are grouped whole; the loader groups only its distinct matrix texts
+    ``strategy_to_text`` read.  A built strategy's stacks are grouped
+    whole; the loader groups only its distinct matrix texts
     (``_stack_from_doc``: 12 per player of an n = 12 noise-model file,
-    not 384), and a noise model is built with its classes.
+    not 384).
     """
     firsts = flat.reshape(len(flat), -1).view(np.int64)[:, 0]  # a complex entry's real part
     if len(set(firsts.tolist())) == len(flat):
@@ -350,13 +339,13 @@ def validate(strategy: Strategy) -> StrategyDiagnostics:
     Each residual is taken once per bitwise-distinct input.  A player's
     observables fall into classes of bit-identical matrices, which the
     strategy holds (``Strategy._player_classes``, which
-    ``expectation_table`` reads too).  The loader and ``noisy_strategy``
-    hand them over, so a loaded or noise-model strategy's matrices are
-    never hashed here: the first ``validate`` of an n = 12 noise-model
-    file takes about 5 ms (one BLAS thread).  Hermiticity and unitarity
-    are taken on one member of each class, and the commutator of each
-    pair (k, j) once per distinct (class of k, class of j) combination
-    among the questions, both in blocks of ``VALIDATE_BLOCK_BYTES``.
+    ``expectation_table`` reads too).  The loader hands them over, so a
+    loaded strategy's matrices are never hashed here: the first
+    ``validate`` of an n = 12 noise-model file takes about 5 ms (one BLAS
+    thread).  Hermiticity and unitarity are taken on one member of each
+    class, and the commutator of each pair (k, j) once per distinct
+    (class of k, class of j) combination among the questions, both in
+    blocks of ``VALIDATE_BLOCK_BYTES``.
     Bit-identical inputs give bit-identical residuals, so every maximum,
     and every field, is the one a loop over every question gives.
     Repeats are the rule for a local strategy: an honest or locally noisy
@@ -643,14 +632,10 @@ def _document(strategy: Strategy) -> Iterator[str]:
 
 
 def _pairs_text(a: np.ndarray) -> str:
-    """[[re, im], ...] over the entries of an array, row-major, as
-    ``json.dumps`` writes it; a real array is written with +0.0 imaginary
-    parts."""
-    values = np.ascontiguousarray(a, dtype=complex).view(float).reshape(-1)
-    if not np.isfinite(values).all():
-        raise ValueError("Out of range float values are not JSON compliant")
-    words = list(map(repr, values.tolist()))
-    return "[" + ", ".join(map("[{}, {}]".format, words[0::2], words[1::2])) + "]"
+    """``json.dumps`` of [[re, im], ...] over the entries of an array,
+    row-major; a real array is written with +0.0 imaginary parts."""
+    pairs = np.ascontiguousarray(a, dtype=complex).view(float).reshape(-1, 2)
+    return json.dumps(pairs.tolist(), allow_nan=False)
 
 
 def _pairs(obj, what: str) -> np.ndarray:
@@ -704,8 +689,7 @@ def _stack_from_doc(families, what: str, m: int, dim: int) -> tuple[np.ndarray, 
     for q in questions:
         payload = families.pop(q)
         if isinstance(payload, jsonio.Rows):
-            rows, ids = payload.rows, payload.ids
-            _pairs(rows[0], what)  # the check alone: the rows share one shape
+            rows, ids = payload.rows, payload.ids  # float64 rows of one shape
         else:
             rows = _pairs(payload, what)
             ids = [None] * len(rows)
@@ -765,7 +749,11 @@ def strategy_from_text(text: str) -> Strategy:
 
 
 def save_strategy(strategy: Strategy, path) -> None:
-    """Write ``strategy_to_text`` to ``path``, one question at a time."""
+    """Write ``strategy_to_text`` to ``path``, one question at a time.  A
+    non-finite entry raises ValueError before the file is opened, so no
+    partial document is left."""
+    if not all(np.isfinite(a).all() for a in (strategy.state, strategy.alice, strategy.bob)):
+        raise ValueError("Out of range float values are not JSON compliant")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_document(strategy))
 

@@ -537,12 +537,12 @@ def test_handed_classes_are_those_the_stacks_hold(tmp_path, n, family):
     (_negate_a_zero, 2 * 3 + 1),
 ], ids=["respelled", "negative-zero"])
 def test_a_respelled_matrix_is_classed_by_its_bits(monkeypatch, tmp_path, edit, classes):
+    text = strategy_to_text(noisy_strategy(6, NoiseSpec("partial-entanglement", 0.6)))
+    edited, _ = _edit_matrix(text, edit)
     calls = []
     spy = strategy_module._classes
     monkeypatch.setattr(strategy_module, "_classes",
                         lambda flat: calls.append(len(flat)) or spy(flat))
-    text = strategy_to_text(noisy_strategy(6, NoiseSpec("partial-entanglement", 0.6)))
-    edited, _ = _edit_matrix(text, edit)
     s = strategy_from_text(edited)
     # each player's distinct matrix texts are grouped, not their 24 matrices:
     # Alice's one more text, then Bob's 2 m

@@ -171,8 +171,9 @@ def test_the_classes_are_found_once_per_player_in_a_value_run(monkeypatch, tmp_p
             (["value", "--strategy", str(path)], [2 * 3, 2 * 3]),
             # and a random file's every matrix, each distinct
             (["value", "--strategy", str(random_path)], [3 * 8, 3 * 8]),
-            # a noise model is built with its classes
-            (["value", "--n", "6", "--noise", "bob-rotation", "--noise-param", "0.1"], [])):
+            # a noise model's every matrix
+            (["value", "--n", "6", "--noise", "bob-rotation", "--noise-param", "0.1"],
+             [3 * 8, 3 * 8])):
         calls.clear()
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0

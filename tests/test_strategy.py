@@ -640,6 +640,26 @@ def test_the_writer_keeps_each_copy_of_a_repeated_matrix():
     assert back.bob.dtype == complex and back.bob.tobytes() == phased.bob.tobytes()
 
 
+@pytest.mark.parametrize("where", ["state", "alice", "bob"])
+def test_a_non_finite_strategy_is_not_saved(tmp_path, where):
+    # Bob's last question is the last piece written: a writer that checks
+    # only as it goes would leave a truncated document
+    s = noisy_strategy(4, NoiseSpec("bob-rotation", 0.1))
+    arrays = {"state": s.state.copy(), "alice": s.alice.copy(), "bob": s.bob.copy()}
+    arrays[where].reshape(-1)[-1] = np.inf if where == "state" else np.nan
+    bad = Strategy(**arrays)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        strategy_to_text(bad)
+    path = tmp_path / "s.json"
+    path.write_text("kept")
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_strategy(bad, path)
+    assert path.read_text() == "kept"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_strategy(bad, tmp_path / "new.json")
+    assert not (tmp_path / "new.json").exists()
+
+
 def test_loading_holds_one_copy_of_the_arrays():
     # the parsed payloads become the strategy's arrays: no second copy of a
     # side coexists with the first, so the peak is the arrays plus parse buffers
