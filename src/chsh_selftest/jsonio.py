@@ -1,5 +1,5 @@
 """The report writer, and a JSON parser that reads numeric arrays
-straight into numpy.
+straight into numpy, in place in the document.
 
 ``dumps`` rounds a report's floats to 12 significant digits and hands
 the result to the stdlib encoder.  Strategy documents are written by
@@ -8,14 +8,23 @@ its shortest round-trip ``repr``, which pins every double, -0.0
 included.
 
 A strategy file is mostly ``[re, im]`` pairs: millions of numbers that
-the stdlib decoder would turn into Python lists and floats.  ``loads``
-lets the stdlib decoder read the document's skeleton (objects, strings,
-the numbers outside arrays) but reads each array that holds only numbers
-straight into a float64 array of the array's nesting shape, through one
-numpy text parse per matrix text.  The numerals keep JSON's grammar; any
-array that the fast path does not accept is handed to the stdlib
-decoder, which parses it into lists (reading its numbers as floats) or
-raises as ``json.loads`` would.
+the stdlib decoder would turn into Python lists and floats, in 40 MB of
+text at n = 12 that a decoded copy would double.  ``loads`` takes the
+document as text or as its UTF-8 bytes (``bytes``, or a read-only
+``mmap`` of the file) and reads it in place.  A scan finds each array
+outside string literals and reads each one that holds only numbers from
+its own slice straight into a float64 array of the array's nesting
+shape, through one numpy text parse per matrix text; the numerals keep
+JSON's grammar.  The rest is the skeleton: keys, strings, ``n``,
+``dim_A``, ``dim_B``, the question maps, and each array the fast path
+does not accept (whole, with any arrays nested in it).  The skeleton is
+decoded from UTF-8 piece by piece between the payloads, with "[]"
+standing in for each payload, and the stdlib decoder reads it: it takes
+each payload by its stand-in's position, and parses any other array into
+lists (reading its numbers as floats) or raises as ``json.loads`` would.
+So no payload reaches the stdlib as text, and bytes are never decoded
+whole; a syntax error or bytes that are not UTF-8 are still reported at
+their place in the document.
 
 Many matrices repeat.  In the paper's test a player's observable for one
 pair depends only on that pair's question bit, so the file of an honest
@@ -26,18 +35,22 @@ at least three deep (each question's list of matrices) is walked one
 element at a time (``_Decoder._walk``) and comes back by reference, as
 ``Rows``: each element's row and a document-wide id of its text.  An
 element whose text was read before in the same ``loads`` call is found
-by the text lengths recorded at its depth and takes its stored row and
-id, with no copy; the others are parsed alone and copied into one block
-per payload.  An n = 12 noise-model file so takes 25 parses (one per
-distinct matrix text, and the state) and holds its 24 rows in 14 small
-blocks (1.6 MB) for its 128 payloads; a random file, which repeats
-nothing, takes one parse per matrix and the state.  ``np.asarray`` of
-``Rows`` gives the array a whole parse gives; the strategy loader
-instead writes each row straight into its player's stack and groups the
-ids into classes of bit-identical matrices (``strategy._stack_from_doc``).  An array the walk cannot read
+by the text lengths recorded at its depth, looked up by its length and
+its first and last 16 characters (``_key``), and confirmed against the
+document at the stored offset of each text recorded with that key; it
+takes that text's row and id, with no copy.  The others are parsed alone
+and copied into one block per payload.  An n = 12 noise-model file so
+takes 25 parses (one per distinct matrix text, and the state) and holds
+its 24 rows in 14 small blocks (1.6 MB) for its 128 payloads; a random
+file, which repeats nothing, takes one parse per matrix and the state.
+``np.asarray`` of ``Rows`` gives the array a whole parse gives; the
+strategy loader instead writes each row straight into its player's stack
+and groups the ids into classes of bit-identical matrices
+(``strategy._stack_from_doc``).  An array the walk cannot read
 (whitespace inside a separator, rows of unequal shapes) and every array
 nested less deeply take one parse of the whole.  The table of elements
-read holds offsets, rows and ids, never copies of the texts.
+read holds offsets, rows, ids and the short ends of the keys, never
+whole copies of the texts.
 """
 
 from __future__ import annotations
@@ -45,6 +58,7 @@ from __future__ import annotations
 import json
 import json.scanner
 import math
+import re
 import warnings
 
 import numpy as np
@@ -163,9 +177,10 @@ def _shape(skeleton: bytes) -> tuple | None:
     return tuple(shape) if expected == skeleton else None
 
 
-def _numeric(region: str) -> np.ndarray | None:
-    """The float64 array written in ``region`` (which starts with '['), or
-    None unless ``region`` is exactly one rectangular JSON array of numbers.
+def _numeric(region) -> np.ndarray | None:
+    """The float64 array written in ``region`` (text or bytes that start
+    with '['), or None unless ``region`` is exactly one rectangular JSON
+    array of numbers.
 
     After the byte-pair check, every slot of the bracket skeleton holds a
     run of numeral characters that starts and ends like a JSON numeral and
@@ -178,7 +193,7 @@ def _numeric(region: str) -> np.ndarray | None:
     passes the only reference to ``region``.
     """
     try:
-        raw = region.encode("ascii")
+        raw = region.encode("ascii") if isinstance(region, str) else region
     except UnicodeEncodeError:
         return None
     del region
@@ -243,12 +258,41 @@ def _ascii(parse):
     return checked
 
 
-def _depth(text: str, start: int, stop: int) -> int:
-    """The number of brackets that lead the array written in
-    ``text[start:stop]``, counted up to 33 (``_shape`` takes at most 32
-    levels)."""
-    head = text[start:min(stop, start + 33)]
-    return len(head) - len(head.lstrip("["))
+class _Letters:
+    """What the scan of a document looks for, spelled in the document's
+    kind (``str``, or bytes), and how a piece of it becomes text."""
+
+    def __init__(self, kind: type):
+        def spell(chars: str):
+            return chars if kind is str else chars.encode("ascii")
+        self.kind = kind
+        self.token = re.compile(spell(r'["\[\]]'))
+        # the rest of a string literal after its opening quote
+        self.string = re.compile(spell(r'[^"\\]*(?:\\.[^"\\]*)*"'), re.DOTALL)
+        self.quote, self.brace, self.open, self.close, self.comma = map(spell, '"}[],')
+        self.blank = spell(" \t\n\r")
+
+    def text(self, doc, begin: int, end: int) -> str:
+        """``doc[begin:end]`` as text; bytes that are not UTF-8 raise
+        UnicodeDecodeError at their place in ``doc``."""
+        if self.kind is str:
+            return doc[begin:end]
+        try:
+            return str(doc[begin:end], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise UnicodeDecodeError(exc.encoding, doc, begin + exc.start, begin + exc.end,
+                                     exc.reason) from None
+
+
+_TEXT, _BYTES = _Letters(str), _Letters(bytes)
+
+
+def _key(doc, begin: int, end: int) -> tuple:
+    """The table's key of the element text ``doc[begin:end]``: its length
+    and its first and last 16 characters.  Every repeat of a text shares
+    its key; only the check against the document tells apart two texts
+    that share one."""
+    return end - begin, doc[begin:min(end, begin + 16)], doc[max(begin, end - 16):end]
 
 
 class Rows:
@@ -271,7 +315,9 @@ class Rows:
 
 
 class _Decoder(json.JSONDecoder):
-    """The stdlib decoder with its array parser replaced by ``_array``."""
+    """The scan that reads a document's payloads and writes its skeleton,
+    and the stdlib decoder of the skeleton, with its array parser replaced
+    by ``_array``."""
 
     def __init__(self):
         super().__init__(parse_int=_ascii(int), parse_float=_ascii(float))
@@ -280,40 +326,101 @@ class _Decoder(json.JSONDecoder):
         # numbers inside arrays are doubles on either path: an int would lose
         # the sign of -0, and numpy makes an object array of one beyond int64
         self._stdlib = json.JSONDecoder(parse_int=float)
-        # the elements of the payloads walked so far: (hash, length) of an
-        # element's text -> its offset in the document, its row and its id
+        # the skeleton offset of each payload's stand-in -> the payload
+        self.payloads: dict = {}
+        # the elements of the payloads walked so far: _key of an element's
+        # text -> (its offset in the document, its length, its row, its id)
+        # of each text recorded with that key
         self.seen: dict = {}
         self.texts = 0  # the element texts recorded so far, which number the next
         # depth -> the lengths of the element texts recorded in payloads of
         # that depth, in the order first recorded (a dict as an ordered set)
         self.lengths: dict = {}
 
+    def read(self, doc, view):
+        """The document ``doc`` (text or bytes; ``view`` is the text, or a
+        memoryview of the bytes): its payloads through the fast path, and
+        its skeleton through the stdlib decoder.  A syntax error names its
+        place in the document, not in the skeleton."""
+        skeleton, shifts = self._skeleton(doc, view, _TEXT if doc is view else _BYTES)
+        try:
+            return self.decode(skeleton)
+        except json.JSONDecodeError as exc:
+            # each stand-in ends at a skeleton offset where the document is
+            # ahead by the payloads' lengths less 2 each, all in ASCII
+            shift = max(total for end, total in shifts if end <= exc.pos)
+            text = doc if doc is view else str(doc, "utf-8")  # decodes: the skeleton did
+            raise json.JSONDecodeError(exc.msg, text, exc.pos + shift) from None
+
+    def _skeleton(self, doc, view, letters: _Letters) -> tuple[str, list]:
+        """The text of ``doc`` with "[]" standing in for each payload the
+        fast path reads, which ``payloads`` holds by the stand-in's offset,
+        and (the skeleton offset where each stand-in ends, the document's
+        lead there).
+
+        The scan takes each '[' outside string literals that no array it
+        left to the stdlib holds.  Where the fast path refuses that array,
+        it is left to the stdlib whole, so the arrays nested in it are
+        parsed as ``json.loads`` parses them; the brackets counted outside
+        string literals find its end, as the stdlib's parse of it would.
+        The text between payloads is decoded piece by piece (a payload is
+        ASCII, so no UTF-8 sequence spans one)."""
+        pieces, shifts = [], [(0, 0)]
+        length = last = pos = nested = 0  # nested: open brackets of a left array
+        while (token := letters.token.search(doc, pos)) is not None:
+            char, pos = token.group(), token.end()
+            if char == letters.quote:
+                rest = letters.string.match(doc, pos)
+                pos = len(doc) if rest is None else rest.end()
+            elif char == letters.close:
+                nested = max(nested - 1, 0)
+            elif nested:
+                nested += 1
+            elif (payload := self._payload(doc, view, letters, token.start())) is None:
+                nested = 1
+            else:
+                value, pos = payload
+                pieces.append(letters.text(doc, last, token.start()))
+                length += len(pieces[-1])
+                self.payloads[length] = value
+                length += 2
+                shifts.append((length, shifts[-1][1] + pos - token.start() - 2))
+                last = pos
+        pieces.append(letters.text(doc, last, len(doc)))
+        return "[]".join(pieces), shifts
+
     def _array(self, s_and_end, scan_once):
-        """Array starting just before ``end``: a numeric payload nested at
-        least three deep through ``_walk`` (as ``Rows``), one the walk
-        refuses and any other numeric array through ``_numeric``, anything
-        else through the stdlib C scanner."""
-        text, end = s_and_end
-        start = end - 1
+        """The payload whose stand-in starts just before ``end``, or the
+        stdlib C scanner's parse of the array there."""
+        skeleton, end = s_and_end
+        if end - 1 in self.payloads:
+            return self.payloads.pop(end - 1), end + 1
+        return self._stdlib.scan_once(skeleton, end - 1)
+
+    def _payload(self, doc, view, letters: _Letters, start: int) -> tuple | None:
+        """The array starting at ``doc[start]`` and its end, or None where
+        the fast path refuses it: a numeric array nested at least three deep
+        through ``_walk`` (as ``Rows``), one the walk refuses and any other
+        numeric array through ``_numeric``."""
         # A payload is followed by a key or the end of its object; the
         # region up to there, less trailing whitespace and commas, must be
         # the whole array for the fast path.
-        stop = text.find('"', end)
-        stop = len(text) if stop < 0 else stop
-        brace = text.find("}", end, stop)
+        stop = doc.find(letters.quote, start)
+        stop = len(doc) if stop < 0 else stop
+        brace = doc.find(letters.brace, start, stop)
         stop = stop if brace < 0 else brace
-        while text[stop - 1] in " \t\n\r,":  # text[start] is '['
+        while doc[stop - 1:stop] in letters.blank + letters.comma:  # doc[start] is '['
             stop -= 1
-        depth = _depth(text, start, stop)
-        values = self._walk(text, start, stop, depth) if depth >= 3 else None
+        head = doc[start:min(stop, start + 33)]  # _shape takes at most 32 levels
+        depth = len(head) - len(head.lstrip(letters.open))
+        values = self._walk(doc, view, letters, start, stop, depth) if depth >= 3 else None
         if values is None:
-            values = _numeric(text[start:stop])  # _numeric holds the only reference
-        if values is None:
-            return self._stdlib.scan_once(text, start)
-        return values, stop
+            values = _numeric(doc[start:stop])  # _numeric holds the only reference
+        return None if values is None else (values, stop)
 
-    def _walk(self, text: str, start: int, stop: int, depth: int) -> Rows | None:
-        """The payload ``text[start:stop]``, whose leading brackets number
+    def _walk(self, doc, view, letters: _Letters, start: int, stop: int,
+              depth: int) -> Rows | None:
+        """The payload ``doc[start:stop]``, whose leading brackets number
         ``depth``, as the ``Rows`` of its elements, or None unless it is
         '[', its elements, each followed by a comma and JSON whitespace, and
         the closing ']' at ``stop - 1``, and the rows share one shape.
@@ -321,45 +428,45 @@ class _Decoder(json.JSONDecoder):
         Each element is first sought by the lengths recorded at ``depth``:
         a length is a candidate only where a text that long would end in
         the separator's depth - 1 closing brackets with its comma right
-        after, or just before the closing bracket, and only a candidate's
-        text is sliced, hashed and confirmed against the document at the
-        stored offset, whose row and id it takes.  An element no length
-        finds runs to the next separator (or the closing bracket) and is
-        parsed alone; ``_numeric`` accepts it only as exactly one
-        rectangular array (so it is the whole element).  The payload's new
-        rows are copied into one block, allocated at the first of them,
-        and each parse is dropped once copied; a payload of known rows
-        allocates no array.  Each new text is then recorded with its row
-        of the block and the next id.
+        after, or just before the closing bracket, and only then is the
+        text's ``_key`` looked up; each text recorded with that key is
+        confirmed against the document at its stored offset, and the first
+        that matches gives its row and id.  An element no length finds runs
+        to the next separator (or the closing bracket) and is parsed alone;
+        ``_numeric`` accepts it only as exactly one rectangular array (so it
+        is the whole element).  The payload's new rows are copied into one
+        block, allocated at the first of them, and each parse is dropped
+        once copied; a payload of known rows allocates no array.  Each new
+        text is then recorded with its row of the block and the next id.
         """
-        if text[stop - 1] != "]":
+        if doc[stop - 1:stop] != letters.close:
             return None
         lengths = self.lengths.setdefault(depth, {})
-        separator = "]" * (depth - 1) + ","
+        separator = letters.close * (depth - 1) + letters.comma
         slots = []  # (offset, end, the known entry or None) of each element
         begin = start + 1
         while True:
             for length in lengths:
                 end = begin + length
-                if end == stop - 1 or text.startswith(separator, end - depth + 1, stop):
-                    piece = text[begin:end]
-                    known = self.seen.get((hash(piece), length))
-                    if known is not None and text.startswith(piece, known[0]):
+                if end == stop - 1 or (end < stop - 1
+                                       and doc[end - depth + 1:end + 1] == separator):
+                    known = self._known(doc, view, begin, end)
+                    if known is not None:
                         slots.append((begin, end, known))
                         break
             else:
-                comma = text.find(separator, begin, stop)
+                comma = doc.find(separator, begin, stop)
                 end = stop - 1 if comma < 0 else comma + depth - 1
                 slots.append((begin, end, None))
             if end == stop - 1:
                 break
             begin = end + 1
-            while text[begin] in " \t\n\r":  # text[stop - 1] is ']'
+            while doc[begin:begin + 1] in letters.blank:  # doc[stop - 1] is ']'
                 begin += 1
         rows, ids = [], []
         block, fresh = None, 0
         for begin, end, known in slots:
-            row = _numeric(text[begin:end]) if known is None else known[1]
+            row = _numeric(doc[begin:end]) if known is None else known[2]
             if row is None or (rows and row.shape != rows[0].shape):
                 return None
             if known is None:  # copied into the block, and the parse dropped
@@ -368,31 +475,50 @@ class _Decoder(json.JSONDecoder):
                 block[fresh] = row
                 row, fresh = block[fresh], fresh + 1
             rows.append(row)
-            ids.append(None if known is None else known[2])
+            ids.append(None if known is None else known[3])
         for i, (begin, end, known) in enumerate(slots):
             if known is None:
                 ids[i] = self.texts
-                self.seen[hash(text[begin:end]), end - begin] = begin, rows[i], self.texts
+                self.seen.setdefault(_key(doc, begin, end), []).append(
+                    (begin, end - begin, rows[i], self.texts))
                 self.texts += 1
                 lengths[end - begin] = None
         return Rows(rows, ids)
 
+    def _known(self, doc, view, begin: int, end: int) -> tuple | None:
+        """The table's entry of the text ``doc[begin:end]``, or None where
+        no text recorded with its key has its length and is written at that
+        entry's offset."""
+        for entry in self.seen.get(_key(doc, begin, end), ()):
+            offset, length = entry[:2]
+            # sought in a window of its own length, so found only at the offset
+            if length == end - begin and doc.find(view[begin:end], offset, offset + length) >= 0:
+                return entry
+        return None
 
-def loads(text: str):
-    """Parse JSON text; arrays holding only numbers come back as float64
-    ndarrays of their nesting shape (as ``Rows`` where ``_Decoder._walk``
-    read one element at a time: ``np.asarray`` gives that ndarray), other
-    arrays as lists in which every number is a float, and everything else
-    as ``json.loads`` returns it.
-    Raises ValueError (``json.JSONDecodeError`` for syntax errors) on text
-    that is not JSON."""
+
+def loads(doc):
+    """Parse a JSON document, given as text (``str``) or as its UTF-8 bytes
+    (``bytes``, or a read-only ``mmap`` of a file), which are read in place:
+    arrays holding only numbers come back as float64 ndarrays of their
+    nesting shape (as ``Rows`` where ``_Decoder._walk`` read one element at
+    a time: ``np.asarray`` gives that ndarray), other arrays as lists in
+    which every number is a float, and everything else as ``json.loads``
+    returns it.
+    Raises ValueError (``json.JSONDecodeError`` for syntax errors,
+    ``UnicodeDecodeError`` for bytes that are not UTF-8) on a document that
+    is not JSON."""
     decoder = _Decoder()
+    view = doc if isinstance(doc, str) else memoryview(doc)
     try:
-        return decoder.decode(text)
+        return decoder.read(doc, view)
     except RecursionError:
         raise ValueError("document nested too deeply") from None
     finally:
+        if view is not doc:
+            view.release()  # a mapped file can then be closed
         # the decoder and its scanner form a cycle that outlives this call,
         # and the table's rows would keep every payload alive
         decoder.seen.clear()
         decoder.lengths.clear()
+        decoder.payloads.clear()

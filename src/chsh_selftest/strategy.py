@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
+import stat
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -723,7 +726,10 @@ def _stack_from_doc(families, what: str, m: int, dim: int) -> tuple[np.ndarray, 
                      f"for each length-{m} question")
 
 
-def strategy_from_text(text: str) -> Strategy:
+def strategy_from_text(text) -> Strategy:
+    """The strategy a document writes, given as text or as its UTF-8 bytes
+    (``bytes``, or a read-only ``mmap``), which ``jsonio.loads`` reads in
+    place.  Raises ValueError on a malformed document."""
     try:
         doc = jsonio.loads(text)
         if not isinstance(doc, dict):
@@ -759,5 +765,13 @@ def save_strategy(strategy: Strategy, path) -> None:
 
 
 def load_strategy(path) -> Strategy:
-    with open(path, encoding="utf-8") as fh:
-        return strategy_from_text(fh.read())
+    """The strategy in the file at ``path``, parsed from the file's bytes
+    with no decoded copy of the document: a regular non-empty file is
+    mapped read-only, anything else (a pipe such as /dev/stdin, an empty
+    file) read whole."""
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        if not (stat.S_ISREG(info.st_mode) and info.st_size):
+            return strategy_from_text(fh.read())
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as doc:
+            return strategy_from_text(doc)

@@ -10,9 +10,13 @@ oracle refuses them.
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +25,10 @@ from hypothesis import given, settings, strategies as st
 from chsh_selftest import (
     NoiseSpec,
     Strategy,
+    load_strategy,
     noisy_strategy,
     random_strategy,
+    save_strategy,
     strategy_from_text,
     strategy_to_text,
     validate,
@@ -90,6 +96,17 @@ def _same_bits(got: Strategy, want: Strategy) -> bool:
     return all(g.shape == w.shape and g.tobytes() == w.tobytes()
                for g, w in ((got.state, want.state), (got.alice, want.alice),
                             (got.bob, want.bob)))
+
+
+def _same_strategy(got: Strategy | None, want: Strategy | None) -> bool:
+    """Both refused (None), or the same arrays, dtypes and classes."""
+    if got is None or want is None:
+        return got is want
+    pairs = ((got.state, want.state), (got.alice, want.alice), (got.bob, want.bob))
+    return _same_bits(got, want) and all(g.dtype == w.dtype for g, w in pairs) and all(
+        np.array_equal(g, w) and g.dtype == w.dtype
+        for got_classes, want_classes in zip(got._player_classes, want._player_classes)
+        for g, w in zip(got_classes, want_classes))
 
 
 def _compact_text(strategy, path) -> str:
@@ -187,6 +204,9 @@ def _check_like_the_oracle(text, path):
     the code its load and validation call for, with one error line at most."""
     want = _load(oracle_from_text, text)
     got = _load(strategy_from_text, text)
+    # the file the commands read loads as its text does
+    path.write_text(text, encoding="utf-8")
+    assert _same_strategy(_load(load_strategy, path), got)
     if got is None and want is not None:
         # booleans are refused; read as the numbers numpy made of them, the
         # document loads like the oracle
@@ -313,6 +333,44 @@ def test_loads_returns_numeric_arrays_and_leaves_the_rest_to_the_stdlib():
                 '{"n": 2.\u0665}'):
         with pytest.raises(ValueError):
             jsonio.loads(bad)
+
+
+@pytest.mark.parametrize("kind", [str, bytes])
+def test_a_refused_array_comes_back_whole_as_json_gives_it(kind):
+    # the arrays nested in a refused array are lists too, and brackets in a
+    # string are no array
+    text = ('{"a": [[1, 0], "x"], "b": [{"c": [[[1, 2]]]}, [[[3, 4]]]], "s": "[[[1, 2]]]",'
+            ' "t": "\\"[", "\\u00e9[": [[[1, 2]], [[3, 4]]], "u": [[[3, 4]]]}')
+    doc = jsonio.loads(text if kind is str else text.encode())
+    reference = json.loads(text)
+    for key in ("a", "b", "s", "t"):
+        assert doc[key] == reference[key] and type(doc[key]) is type(reference[key])
+    assert isinstance(doc["é["], jsonio.Rows) and doc["u"].ids == [1]
+    assert np.asarray(doc["u"]).tolist() == reference["u"]
+
+
+@pytest.mark.parametrize("kind", [str, bytes])
+@pytest.mark.parametrize("text", [
+    '{"é": [[1, 0],\n [0, 1]],\n "b": [[[1, 2]], [[3, 4]]] 3}',
+    '{"a": [[[1, 2]], [[3, 4]]], "b": [[[1, 2]], [[3, 4]]],\n "c" 3}',
+    '{"a": [[1, 0]], "b": [1, [[2, 0]]} ',
+])
+def test_a_syntax_error_is_named_at_its_place_in_the_document(kind, text):
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text)
+    with pytest.raises(json.JSONDecodeError) as got:
+        jsonio.loads(text if kind is str else text.encode())
+    assert str(got.value) == str(want.value)
+
+
+def test_bytes_that_are_not_utf8_are_named_at_their_place():
+    # after two payloads, and characters of two bytes before them
+    data = '{"é": [[1, 0]], "bé": [[[1, 2]]], "c'.encode() + b'\xff": 1}'
+    with pytest.raises(UnicodeDecodeError) as want:
+        data.decode("utf-8")
+    with pytest.raises(UnicodeDecodeError) as got:
+        jsonio.loads(data)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("text", ["[[0.5, 0]]", "[]", "2", '"x"', "null", "{not json"])
@@ -509,6 +567,62 @@ def test_whitespace_between_closing_brackets_loads_like_the_oracle(tmp_path):
         _check_like_the_oracle(text, tmp_path / "spaced.json")
 
 
+def _in_a_payload(data: bytes, byte: bytes) -> bytes:
+    """``data`` with the first digit of Alice's first matrix replaced by ``byte``."""
+    at = data.index(b"[[[", data.index(b'"alice_obs"')) + 3
+    return data[:at] + byte + data[at + 1:]
+
+
+#: edits of a document's bytes, and the code ``value`` exits with on the file
+FILE_EDITS = {
+    "bom": (lambda data: b"\xef\xbb\xbf" + data, 2),
+    "crlf": (lambda data: data.replace(b"\n", b"\r\n"), 0),
+    # a payload after a key whose characters take two bytes each
+    "non-ascii-key": (lambda data: data.replace(
+        b'"state"', '"\u043a\u043b\u044e\u0447": [[1, 0]], "state"'.encode(), 1), 0),
+    "invalid-utf8-key": (lambda data: data.replace(b'"state"', b'"\xff": 1, "state"', 1), 2),
+    "invalid-utf8-payload": (lambda data: _in_a_payload(data, b"\xff"), 2),
+    "empty": (lambda data: b"", 2),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(FILE_EDITS))
+def test_a_file_loads_as_its_text_does(tmp_path, edit):
+    """A file loads to the arrays, dtypes and classes its text loads to,
+    or both are refused, where a file that is not UTF-8 has no text."""
+    change, code = FILE_EDITS[edit]
+    path = tmp_path / "doc.json"
+    _compact_text(noisy_strategy(4, NoiseSpec("bob-rotation", 0.1)), path)
+    data = change(path.read_bytes())
+    path.write_bytes(data)
+    try:
+        want = _load(strategy_from_text, data.decode("utf-8"))
+    except UnicodeDecodeError:
+        want = None
+    assert _same_strategy(_load(load_strategy, path), want)
+    assert (want is None) == (code == 2)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.main(["value", "--strategy", str(path)]) == code
+    assert len(err.getvalue().splitlines()) == (code == 2)
+
+
+def test_a_document_piped_to_dev_stdin_loads_as_its_file_does(tmp_path):
+    # a pipe cannot be mapped, so its bytes are read whole
+    path = tmp_path / "doc.json"
+    _compact_text(noisy_strategy(4, NoiseSpec("partial-entanglement", 0.6)), path)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    piped = subprocess.run([sys.executable, "-m", "chsh_selftest.cli", "value", "--strategy",
+                            "/dev/stdin"], input=path.read_bytes(), capture_output=True,
+                           env=env, timeout=120)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["value", "--strategy", str(path)]) == 0
+    assert (piped.returncode, piped.stdout.decode(), piped.stderr) == (0, out.getvalue(), b"")
+
+
 def assert_classes_are_those_of_the_stacks(s: Strategy) -> None:
     """The classes a strategy holds are those ``_classes`` finds in its
     stacks: the same class numbers, and members of bit-identical matrices."""
@@ -602,9 +716,15 @@ def test_a_payload_of_known_elements_loads_like_json(monkeypatch, text, parses):
             assert got[key] == value
 
 
+def _every_key_collides(monkeypatch):
+    """Every element text from now on takes one key, whatever its length
+    and its ends: only the check against the document tells texts apart."""
+    monkeypatch.setattr(jsonio, "_key", lambda doc, begin, end: 0)
+
+
 def test_a_hash_collision_is_no_hit(monkeypatch):
-    # every element text collides with every other of its length
-    monkeypatch.setattr(jsonio, "hash", lambda piece: 0, raising=False)
+    # every element text collides with every other on the table's key
+    _every_key_collides(monkeypatch)
     text = strategy_to_text(noisy_strategy(6, NoiseSpec("bob-rotation", 0.2)))
     assert _same_bits(strategy_from_text(text), oracle_from_text(text))
 
@@ -650,10 +770,25 @@ def test_a_known_length_over_other_texts_is_no_hit(monkeypatch, text, parsed, co
     # "b" are two elements and the separator between them, and a separator
     # or the closing bracket follows
     if collide:  # then only the check against the document tells them apart
-        monkeypatch.setattr(jsonio, "hash", lambda piece: 0, raising=False)
+        _every_key_collides(monkeypatch)
     calls = _spy_numeric(monkeypatch)
     _loads_like_json(text)
     assert calls == [(1, 4), (1, 4)] + parsed  # "b"'s first element is parsed
+
+
+def test_a_text_recorded_with_another_length_is_no_hit(monkeypatch):
+    _every_key_collides(monkeypatch)
+    # "b"'s two elements span the length of "c"'s element, and the document
+    # spells them at the offset of "a"'s first
+    calls = _spy_numeric(monkeypatch)
+    _loads_like_json('{"c": [[[1,2,3,4,5,6]]], "a": [[[1,2]],[[3,4]]], "b": [[[1,2]],[[3,4]]]}')
+    assert calls == [(1, 6), (1, 2), (1, 2)]
+    # "b" holds a prefix of "c"'s element, as long as "d"'s, and no array
+    text = '{"c": [[[7,8],[1,2]]], "d": [[[12]]], "b": [[[7,8]]}'
+    with pytest.raises(ValueError):
+        json.loads(text)
+    with pytest.raises(ValueError):
+        jsonio.loads(text)
 
 
 @pytest.mark.parametrize("text", [
@@ -738,3 +873,19 @@ def test_loading_holds_about_one_copy_of_the_arrays(make, dtype, bound):
     # measured: 1.22x (random) and 0.62x (bob-rotation, whose float64
     # arrays take half the complex bytes the document spells out)
     assert peak <= bound * _complex_bytes(s)
+
+
+def test_loading_a_file_holds_no_decoded_copy_of_it(tmp_path):
+    # the bytes are parsed in place: reading the text held its bytes and
+    # its decoded copy at once, at least twice the file
+    s = noisy_strategy(10, NoiseSpec("partial-entanglement", 0.6))
+    path = tmp_path / "doc.json"
+    save_strategy(s, path)
+    tracemalloc.start()
+    try:
+        back = load_strategy(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.alice.tobytes() == s.alice.tobytes()
+    assert peak <= path.stat().st_size + 0.65 * _complex_bytes(s)

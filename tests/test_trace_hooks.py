@@ -1,16 +1,23 @@
 """The benchmark's tracer patches names in the package; they must exist."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def test_every_traced_binding_resolves():
+def _tracer_module():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_binding_resolves():
+    tracer = _tracer_module()
     bindings = [b for table in (tracer.SPANS, tracer.COUNTS) for group in table.values()
                 for b in group]
     assert bindings
@@ -24,11 +31,8 @@ def _traced(strategy):
     """Spans of a traced certify of ``strategy``, with its traced and plain reports."""
     from chsh_selftest import certify
 
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
     plain = certify(strategy).to_text()
-    trace = tracer.Tracer()
+    trace = _tracer_module().Tracer()
     trace.install()
     try:
         traced = certify(strategy).to_text()
@@ -75,11 +79,8 @@ def test_traced_exact_distances_nest_the_isometry_kernels():
         assert f"verifier.{kernel}" not in names
     assert traced == plain
 
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
     ops = build_xz(s)
-    trace = tracer.Tracer()
+    trace = _tracer_module().Tracer()
     trace.install()
     try:
         verifier.swap_isometry_apply(ops, np.asarray(ops.state))
@@ -88,3 +89,23 @@ def test_traced_exact_distances_nest_the_isometry_kernels():
         trace.uninstall()
     assert {name for name, *_ in trace.spans} == {"verifier.swap_isometry_apply",
                                                   "verifier.pauli_target"}
+
+
+def test_a_traced_value_op_loads_the_file_once_by_its_bytes(tmp_path):
+    """Each traced ``value --strategy FILE`` op records one ``jsonio.loads``
+    span, and the loads read the file's size in bytes per op."""
+    from chsh_selftest import NoiseSpec, cli, noisy_strategy, save_strategy
+
+    path = tmp_path / "bob4.json"
+    save_strategy(noisy_strategy(4, NoiseSpec("bob-rotation", 0.1)), path)
+    trace = _tracer_module().Tracer()
+    trace.install()
+    try:
+        for op in range(2):
+            trace.op = op
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["value", "--strategy", str(path)]) == 0
+    finally:
+        trace.uninstall()
+    assert [op for name, *_, op in trace.spans if name == "jsonio.loads"] == [0, 1]
+    assert trace.metrics(2, 0.0)["jsonio.loads.bytes"]["value"] == path.stat().st_size
