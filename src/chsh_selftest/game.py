@@ -80,7 +80,8 @@ def expectation_table(strategy: Strategy) -> np.ndarray:
     """
     da, db = strategy.dim_a, strategy.dim_b
     psi = strategy.state.reshape(da, db)
-    q, m = strategy.alice.shape[:2]
+    m = strategy.half
+    q = 1 << m
     table = np.empty((q, q, m))
     for k in range(m):
         alice, a_idx = strategy._distinct_at(0, k)

@@ -38,23 +38,26 @@ element whose text was read before in the same ``loads`` call is found
 by the text lengths recorded at its depth, looked up by its length and
 its first and last 16 characters (``_key``), and confirmed against the
 document at the stored offset of each text recorded with that key; it
-takes that text's row and id, with no copy.  The others are parsed alone
-and copied into one block per payload.  An n = 12 noise-model file so
-takes 25 parses (one per distinct matrix text, and the state) and holds
-its 24 rows in 14 small blocks (1.6 MB) for its 128 payloads; a random
-file, which repeats nothing, takes one parse per matrix and the state.
+takes that text's row and id, with no copy.  Each run of consecutive
+new elements takes one parse, which is the block of their rows.  An
+n = 12 noise-model file so takes 15 parses (the state, and per player
+one of the first question's 6 matrices and one for each of the 6
+questions with a single 1 bit) and holds its 24 rows in 14 small blocks
+(1.6 MB) for its 128 payloads; a random file, which repeats nothing,
+takes one parse per payload and the state.
 ``np.asarray`` of ``Rows`` gives the array a whole parse gives; the
-strategy loader instead writes each row straight into its player's stack
-and groups the ids into classes of bit-identical matrices
-(``strategy._stack_from_doc``).  An array the walk cannot read
-(whitespace inside a separator, rows of unequal shapes) and every array
-nested less deeply take one parse of the whole.  The table of elements
-read holds offsets, rows, ids and the short ends of the keys, never
-whole copies of the texts.
+strategy loader instead writes each distinct row once into its player's
+stack of distinct observables and groups the ids into classes of
+bit-identical matrices (``strategy._stack_from_doc``).  An array the
+walk cannot read (whitespace inside a separator, rows of unequal shapes)
+and every array nested less deeply take one parse of the whole.  The
+table of elements read holds offsets, rows, ids and the short ends of
+the keys, never whole copies of the texts.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import json.scanner
 import math
@@ -432,12 +435,14 @@ class _Decoder(json.JSONDecoder):
         text's ``_key`` looked up; each text recorded with that key is
         confirmed against the document at its stored offset, and the first
         that matches gives its row and id.  An element no length finds runs
-        to the next separator (or the closing bracket) and is parsed alone;
-        ``_numeric`` accepts it only as exactly one rectangular array (so it
-        is the whole element).  The payload's new rows are copied into one
-        block, allocated at the first of them, and each parse is dropped
-        once copied; a payload of known rows allocates no array.  Each new
-        text is then recorded with its row of the block and the next id.
+        to the next separator (or the closing bracket) and is new.  Each run
+        of consecutive new elements takes one ``_numeric`` parse of its
+        texts in brackets, and its rows are views of that parse, its block;
+        a payload of known rows allocates no array.  The parse must hold as
+        many elements as the run, nested ``depth`` deep: in a rectangular
+        array of that depth each separator the walk found is one between
+        top-level elements, so each element's text is exactly one row.
+        Each new text is then recorded with its row and the next id.
         """
         if doc[stop - 1:stop] != letters.close:
             return None
@@ -463,26 +468,26 @@ class _Decoder(json.JSONDecoder):
             begin = end + 1
             while doc[begin:begin + 1] in letters.blank:  # doc[stop - 1] is ']'
                 begin += 1
-        rows, ids = [], []
-        block, fresh = None, 0
-        for begin, end, known in slots:
-            row = _numeric(doc[begin:end]) if known is None else known[2]
-            if row is None or (rows and row.shape != rows[0].shape):
+        rows = []
+        for new, run in itertools.groupby(slots, key=lambda slot: slot[2] is None):
+            run = list(run)
+            if not new:
+                rows += [known[2] for *_, known in run]
+                continue
+            block = _numeric(letters.open + doc[run[0][0]:run[-1][1]] + letters.close)
+            if block is None or block.ndim != depth or len(block) != len(run):
                 return None
-            if known is None:  # copied into the block, and the parse dropped
-                if block is None:
-                    block = np.empty((sum(k is None for *_, k in slots), *row.shape))
-                block[fresh] = row
-                row, fresh = block[fresh], fresh + 1
-            rows.append(row)
-            ids.append(None if known is None else known[3])
-        for i, (begin, end, known) in enumerate(slots):
+            rows.extend(block)
+        if any(row.shape != rows[0].shape for row in rows):
+            return None
+        ids = []
+        for (begin, end, known), row in zip(slots, rows):
             if known is None:
-                ids[i] = self.texts
-                self.seen.setdefault(_key(doc, begin, end), []).append(
-                    (begin, end - begin, rows[i], self.texts))
+                known = (begin, end - begin, row, self.texts)
+                self.seen.setdefault(_key(doc, begin, end), []).append(known)
                 self.texts += 1
                 lengths[end - begin] = None
+            ids.append(known[3])
         return Rows(rows, ids)
 
     def _known(self, doc, view, begin: int, end: int) -> tuple | None:

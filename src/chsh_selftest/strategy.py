@@ -19,7 +19,7 @@ import mmap
 import os
 import stat
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -57,86 +57,111 @@ class NoiseSpec:
             raise ValueError("partial-entanglement angle must lie in (0, pi/4]")
 
 
-@dataclass(frozen=True, eq=False)
 class Strategy:
     """Shared state plus per-question observable stacks for both players.
 
     ``alice[q, k]`` is Alice's observable for subtest k + 1 at the question
     with big-endian integer index q, so ``alice`` has shape
     (2^(n/2), n/2, dim_a, dim_a); ``bob`` likewise with dim_b.  The state
-    is A-major: index = i_A * dim_b + i_B.  n, dim_a and dim_b are read off
-    the shapes.  Each array is stored as float64 when every imaginary part
-    is bitwise +0.0, and as complex128 otherwise: a -0.0 imaginary part
-    keeps it complex, so a loaded document writes back byte for byte.  The
-    arrays are copied and marked read-only on construction (the loader
-    and ``noisy_strategy`` hand their own arrays over uncopied);
-    strategies compare and hash by identity.  Each player's classes of
-    bit-identical observables (``_player_classes``) come with the arrays
-    from the loader, which knows from the matrix texts it read once where
-    the matrices repeat; for any other strategy they are found on first
-    use and kept.
+    is A-major: index = i_A * dim_b + i_B.  Each array is stored as
+    float64 when every imaginary part is bitwise +0.0, and as complex128
+    otherwise: a -0.0 imaginary part keeps it complex, so a loaded
+    document writes back byte for byte.  Every array is read-only, a
+    strategy's attributes cannot be set, and strategies compare and hash
+    by identity.
+
+    Each player's observables fall into classes of bit-identical matrices.
+    A strategy holds, per player, one member of each class as a
+    (count, d, d) stack in class order and the class of each slot,
+    flattened to [q * n/2 + k] (``_observables``); ``validate``,
+    ``expectation_table`` (through ``_distinct_at``), ``strategy_to_text``
+    and ``save_strategy`` read only these.  A strategy built from dense
+    stacks copies them (``noisy_strategy`` hands its own over uncopied)
+    and finds its classes on first use.  A loaded one is built from its
+    classes alone, since the loader knows from the matrix texts it read
+    once where the matrices repeat: an n = 12 noise-model file holds 12
+    distinct matrices per player among 384 slots.  Its ``alice`` and
+    ``bob`` are gathered on first read, by one index of the distinct stack
+    (a reshape, copying nothing, where every slot is a class of its own),
+    and kept; a ``value`` run never reads them.
     """
 
-    state: np.ndarray
-    alice: np.ndarray
-    bob: np.ndarray
-
-    def __post_init__(self):
-        self._freeze(copy=True)
+    def __init__(self, state, alice, bob):
+        self._hold(state, alice, bob, copy=True)
 
     @classmethod
-    def _adopt(cls, state: np.ndarray, alice: np.ndarray, bob: np.ndarray,
-               classes: tuple | None = None) -> Strategy:
-        """A strategy over arrays that their builder hands over and no longer
-        holds: they are checked and marked read-only, not copied.  The
-        loader knows which observables repeat, and hands each player's
-        classes too: ``classes`` becomes ``_player_classes``."""
+    def _adopt(cls, state: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> Strategy:
+        """A strategy over dense arrays that their builder hands over and no
+        longer holds: they are checked and marked read-only, not copied."""
         strategy = object.__new__(cls)
-        for name, a in (("state", state), ("alice", alice), ("bob", bob)):
-            object.__setattr__(strategy, name, a)
-        strategy._freeze(copy=False)
-        if classes is not None:
-            object.__setattr__(strategy, "_player_classes", classes)
+        strategy._hold(state, alice, bob, copy=False)
         return strategy
 
-    def _freeze(self, copy: bool) -> None:
-        for name in ("alice", "bob"):
-            obs = _frozen(getattr(self, name), copy)
+    @classmethod
+    def _of_classes(cls, state: np.ndarray, half: int, observables: tuple) -> Strategy:
+        """A strategy over the loader's arrays, uncopied: ``observables``
+        becomes ``_observables``, and the dense stacks are left unbuilt."""
+        strategy = object.__new__(cls)
+        for distinct, _ in observables:
+            distinct.setflags(write=False)
+        strategy.__dict__["_observables"] = observables
+        strategy._hold_state(state, half, *(distinct.shape[1] for distinct, _ in observables),
+                             copy=False)
+        return strategy
+
+    def _hold(self, state, alice, bob, copy: bool) -> None:
+        for name, obs in (("alice", alice), ("bob", bob)):
+            obs = _frozen(obs, copy)
             m = obs.shape[1] if obs.ndim == 4 else 0
             if m < 1 or obs.shape[0] != 1 << m or obs.shape[2] != obs.shape[3]:
                 raise ValueError(f"{name} must have shape (2^m, m, d, d) with m >= 1, "
                                  f"got {obs.shape}")
-            object.__setattr__(self, name, obs)
+            self.__dict__[name] = obs
         if self.alice.shape[1] != self.bob.shape[1]:
             raise ValueError("alice and bob must answer questions of the same length")
-        state = _frozen(np.reshape(self.state, -1), copy)
-        if state.size != self.dim_a * self.dim_b:
-            raise ValueError("state length does not match dim_a * dim_b")
-        object.__setattr__(self, "state", state)
+        self._hold_state(state, self.alice.shape[1], self.alice.shape[2], self.bob.shape[2],
+                         copy)
 
-    @property
-    def half(self) -> int:
-        return self.alice.shape[1]
+    def _hold_state(self, state, half: int, dim_a: int, dim_b: int, copy: bool) -> None:
+        state = _frozen(np.reshape(state, -1), copy)
+        if state.size != dim_a * dim_b:
+            raise ValueError("state length does not match dim_a * dim_b")
+        self.__dict__.update(state=state, half=half, dim_a=dim_a, dim_b=dim_b)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     @property
     def n(self) -> int:
         return 2 * self.half
 
-    @property
-    def dim_a(self) -> int:
-        return self.alice.shape[2]
-
-    @property
-    def dim_b(self) -> int:
-        return self.bob.shape[2]
+    @cached_property
+    def alice(self) -> np.ndarray:
+        return self._gathered(0)
 
     @cached_property
-    def _player_classes(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """``_classes`` of Alice's and of Bob's observables, each stack
-        flattened to [q * m + k]; ``validate``, ``_distinct_at`` (for
-        ``expectation_table``) and ``strategy_to_text`` read them.  A
-        loaded strategy is built with them (``_adopt``); for any other
-        they are found here, once."""
+    def bob(self) -> np.ndarray:
+        return self._gathered(1)
+
+    def _gathered(self, player: int) -> np.ndarray:
+        """The dense stack of Alice (player 0) or Bob (player 1), gathered
+        from the player's distinct observables; ``alice`` and ``bob`` keep
+        it."""
+        distinct, cls = self._observables[player]
+        # classes are numbered in slot order, so where each slot is its own
+        # class ``cls`` is every index, ascending
+        stack = distinct if len(distinct) == len(cls) else distinct[cls]
+        stack = stack.reshape(1 << self.half, self.half, *distinct.shape[1:])
+        stack.setflags(write=False)
+        return stack
+
+    @cached_property
+    def _observables(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Alice's and Bob's distinct observables, one member of each class
+        of bit-identical matrices in class order, and the class of each
+        slot [q * m + k]: ``_classes`` of the dense stack, for a strategy
+        built from one (a loaded strategy is built with them).  Where every
+        slot is its own class, the distinct stack is the dense one."""
         return tuple(_classes(stack.reshape(-1, *stack.shape[2:]))
                      for stack in (self.alice, self.bob))
 
@@ -145,10 +170,9 @@ class Strategy:
         at subtest k + 1, one member of each of the player's classes there
         in class order as a (count, d, d) stack, and the index of each
         question's observable among them."""
-        stack = (self.alice, self.bob)[player]
-        cls, members = self._player_classes[player]
-        distinct, index = np.unique(cls[k::self.half], return_inverse=True)
-        return stack.reshape(-1, *stack.shape[2:])[members[distinct]], index
+        distinct, cls = self._observables[player]
+        present, index = np.unique(cls[k::self.half], return_inverse=True)
+        return distinct[present], index
 
     # Read-only {question string: tuple of observables} views of the stacks,
     # kept only for perfbench/workloads.write_strategy; nothing in the
@@ -309,30 +333,27 @@ VALIDATE_BLOCK_BYTES = 1 << 16
 
 
 def _classes(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Classes of bit-identical matrices in a (count, d, d) stack: the
-    class of each matrix, and the index of one member of each class
-    (every index, ascending, where no two matrices are equal).
+    """Classes of bit-identical matrices in a (count, d, d) stack: one
+    member of each class, in class order, as a stack (``flat`` itself
+    where no two matrices are equal), and the class of each matrix.
 
     Matrices whose first entries differ in their bits differ, so where
     every first entry is distinct (as in a random strategy) each matrix
     is its own class, and no matrix is hashed.  Classes are numbered in
-    order of first appearance.  A strategy keeps each player's classes
-    (``Strategy._player_classes``), which ``validate``,
-    ``expectation_table`` (through ``Strategy._distinct_at``) and
-    ``strategy_to_text`` read.  A built strategy's stacks are grouped
+    order of first appearance.  A strategy keeps each player's
+    (``Strategy._observables``).  A built strategy's stacks are grouped
     whole; the loader groups only its distinct matrix texts
     (``_stack_from_doc``: 12 per player of an n = 12 noise-model file,
     not 384).
     """
     firsts = flat.reshape(len(flat), -1).view(np.int64)[:, 0]  # a complex entry's real part
     if len(set(firsts.tolist())) == len(flat):
-        every = np.arange(len(flat))
-        return every, every
+        return flat, np.arange(len(flat))
     ids = {}
     cls = np.array([ids.setdefault(o.tobytes(), len(ids)) for o in flat])
     members = np.empty(len(ids), dtype=np.int64)
     members[cls] = np.arange(len(flat))  # any member: they share every bit
-    return cls, members
+    return flat[members], cls
 
 
 def validate(strategy: Strategy) -> StrategyDiagnostics:
@@ -340,15 +361,16 @@ def validate(strategy: Strategy) -> StrategyDiagnostics:
     commutation, and state normalization.
 
     Each residual is taken once per bitwise-distinct input.  A player's
-    observables fall into classes of bit-identical matrices, which the
-    strategy holds (``Strategy._player_classes``, which
-    ``expectation_table`` reads too).  The loader hands them over, so a
-    loaded strategy's matrices are never hashed here: the first
-    ``validate`` of an n = 12 noise-model file takes about 5 ms (one BLAS
-    thread).  Hermiticity and unitarity are taken on one member of each
-    class, and the commutator of each pair (k, j) once per distinct
-    (class of k, class of j) combination among the questions, both in
-    blocks of ``VALIDATE_BLOCK_BYTES``.
+    observables fall into classes of bit-identical matrices, and the
+    strategy holds one member of each, in class order, and each slot's
+    class (``Strategy._observables``, which ``expectation_table`` reads
+    too).  A loaded strategy is built with them, so its matrices are never
+    hashed and its dense stacks never built here: the first ``validate``
+    of an n = 12 noise-model file takes about 5 ms (one BLAS thread).
+    Hermiticity and unitarity are taken on each class's member, and the
+    commutator of each pair (k, j) once per distinct (class of k, class
+    of j) combination among the questions, both in blocks of
+    ``VALIDATE_BLOCK_BYTES``.
     Bit-identical inputs give bit-identical residuals, so every maximum,
     and every field, is the one a loop over every question gives.
     Repeats are the rule for a local strategy: an honest or locally noisy
@@ -360,22 +382,20 @@ def validate(strategy: Strategy) -> StrategyDiagnostics:
     # non-finite entries give NaN or inf residuals, which fail below; the
     # arithmetic that produces them is expected, not worth a warning
     with np.errstate(invalid="ignore", over="ignore"):
-        for stack, (cls, members) in zip((strategy.alice, strategy.bob),
-                                         strategy._player_classes):
-            flat = stack.reshape(-1, *stack.shape[2:])  # [q * m + k]
-            block = max(1, VALIDATE_BLOCK_BYTES // flat[0].nbytes)
-            for lo in range(0, len(members), block):
-                obs = flat[members[lo:lo + block]]
+        for distinct, cls in strategy._observables:
+            block = max(1, VALIDATE_BLOCK_BYTES // distinct[0].nbytes)
+            for lo in range(0, len(distinct), block):
+                obs = distinct[lo:lo + block]
                 herm.append(hermiticity_residual(obs))
                 unit.append(unitarity_residual(obs))
             cols = cls.reshape(-1, m).T.tolist()  # cols[k][q]: the class of [q, k]
             # the distinct (class of k, class of j) combinations of each pair
             combos = [c for k in range(m) for j in range(k + 1, m)
                       for c in set(zip(cols[k], cols[j]))]
-            first, second = members[np.array(combos, dtype=np.int64).reshape(-1, 2).T]
+            first, second = np.array(combos, dtype=np.int64).reshape(-1, 2).T
             for lo in range(0, len(combos), block):
-                comm.append(commutation_residual(flat[first[lo:lo + block]],
-                                                 flat[second[lo:lo + block]]))
+                comm.append(commutation_residual(distinct[first[lo:lo + block]],
+                                                 distinct[second[lo:lo + block]]))
     normres = abs(float(np.linalg.norm(strategy.state)) - 1.0)
     # np.max, unlike the builtin max, keeps a NaN residual
     return StrategyDiagnostics(hermiticity=float(np.max(herm)), unitarity=float(np.max(unit)),
@@ -615,18 +635,16 @@ def strategy_to_text(strategy: Strategy) -> str:
 def _document(strategy: Strategy) -> Iterator[str]:
     """The pieces of ``strategy_to_text``, in order, one question a piece.
 
-    Each of a player's classes of bit-identical observables
-    (``Strategy._player_classes``) is formatted once, and every question
-    that holds one of its members repeats that text: a noise model's
-    matrices are formatted 2m times per player, not m 2^m.
+    Each of a player's distinct observables (``Strategy._observables``)
+    is formatted once, and every question that holds one of its class
+    repeats that text: a noise model's matrices are formatted 2m times per
+    player, not m 2^m.
     """
     m = strategy.half
     yield (f'{{"n": {strategy.n}, "dim_A": {strategy.dim_a}, "dim_B": {strategy.dim_b}, '
            f'"state": {_pairs_text(strategy.state)}')
-    for key, stack, (cls, members) in zip(("alice_obs", "bob_obs"), (strategy.alice, strategy.bob),
-                                          strategy._player_classes):
-        flat = stack.reshape(-1, *stack.shape[2:])
-        texts = [_pairs_text(flat[i]) for i in members.tolist()]
+    for key, (distinct, cls) in zip(("alice_obs", "bob_obs"), strategy._observables):
+        texts = [_pairs_text(obs) for obs in distinct]
         yield f', "{key}": {{'
         for i, (q, family) in enumerate(zip(bits.all_strings(m), cls.reshape(-1, m).tolist())):
             yield f'{", " if i else ""}"{q}": [{", ".join(texts[c] for c in family)}]'
@@ -663,30 +681,30 @@ def _holds_bool(obj) -> bool:
     return isinstance(obj, bool)
 
 
-def _stack_from_doc(families, what: str, m: int, dim: int) -> tuple[np.ndarray, tuple]:
-    """One player's (2^m, m, dim, dim) observable stack from its question
-    map, and its classes: ``_classes`` of the stack flattened to
-    [q * m + k].
+def _stack_from_doc(families, what: str, m: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """One player's distinct observables from its question map, as a
+    (count, dim, dim) stack in class order, and the class of each slot
+    [q * m + k]: the ``Strategy._observables`` of the player.
 
     Each question's payload is popped from the map.  ``jsonio.Rows`` give
     their rows and document ids; any other payload (a parse of the whole
     payload, or lists) gives rows that are all new.  The first row of each
     id, and each new row, is a distinct row.  The stack is float64 unless
     a distinct row has an imaginary part whose bits are not +0.0.  It
-    grows in place a question at a time (``ndarray.resize`` reallocates)
-    and each matrix is written once, from its distinct row narrowed to the
-    stack's dtype as a view; a distinct row is dropped after its last
-    matrix, so each payload's block is freed once its rows are written
-    and the parsed and the stacked copy of a side never both exist in
-    full.  ``_classes`` of the distinct rows alone merges those with
-    bit-identical matrices (texts such as "1.0" and "1.00"); numbered by
-    their first rows, which come in slot order, its classes are the
-    ``cls`` that ``_classes`` of the whole stack gives.
+    holds the distinct rows alone, and grows in place a question at a
+    time (``ndarray.resize`` reallocates): each is written once, narrowed
+    to the stack's dtype as a view, and then dropped, so each payload's
+    block is freed once its rows are written and the parsed and the
+    stacked copy of a side never both exist in full.  ``_classes`` of the
+    stack merges the distinct rows of bit-identical matrices (texts such
+    as "1.0" and "1.00"); numbered by their first slots, which come in
+    slot order, its classes are those ``_classes`` of the dense stack
+    gives.
     """
     if not isinstance(families, dict):
         raise ValueError(f"{what} must be an object keyed by question")
     questions = sorted(families)
-    distinct, first, last = [], [], []  # each distinct row, its first and last slot
+    distinct, counts = [], []  # each distinct row; their count after each question
     row_of = []  # [q * m + k] -> its distinct row
     index = {}  # document id -> its distinct row
     for q in questions:
@@ -702,26 +720,23 @@ def _stack_from_doc(families, what: str, m: int, dim: int) -> tuple[np.ndarray, 
             j = len(distinct) if ident is None else index.setdefault(ident, len(distinct))
             if j == len(distinct):
                 distinct.append(row)
-                first.append(len(row_of))
-                last.append(None)
-            last[j] = len(row_of)
             row_of.append(j)
+        counts.append(len(distinct))
     else:
         # the count's bit length is compared first, so a huge n in the document
         # builds neither the integer 2^m nor more question strings than it holds
         if len(questions).bit_length() == m + 1 and questions == list(bits.all_strings(m)):
             real = not any(row[:, 1].view(np.int64).any() for row in distinct)
             stack = np.empty((0, dim, dim), dtype=float if real else complex)
-            for i, j in enumerate(row_of):
-                if i % m == 0:
-                    stack.resize((i + m, dim, dim), refcheck=False)
-                row = distinct[j]
-                stack[i] = (row[:, 0] if real else row.view(complex)[:, 0]).reshape(dim, dim)
-                if last[j] == i:
-                    distinct[j] = None
-            # every slot holds a distinct row of its own where nothing repeats
-            cls, members = _classes(stack[first] if len(first) < len(stack) else stack)
-            return stack.reshape(1 << m, m, dim, dim), (cls[row_of], np.array(first)[members])
+            for count in counts:
+                written = len(stack)
+                stack.resize((count, dim, dim), refcheck=False)  # a no-op where no row is new
+                for j in range(written, count):
+                    row, distinct[j] = distinct[j], None
+                    stack[j] = (row[:, 0] if real else row.view(complex)[:, 0]).reshape(dim, dim)
+            # the stack itself, unless two distinct texts spell one matrix
+            distinct, cls = _classes(stack)
+            return distinct, cls[row_of]
     raise ValueError(f"{what} must hold {m} flat {dim}x{dim} matrices "
                      f"for each length-{m} question")
 
@@ -747,9 +762,9 @@ def strategy_from_text(text) -> Strategy:
         if state.shape != (da * db,):
             raise ValueError("state must hold dim_A * dim_B amplitudes")
         # popped, so each side's parsed families are freed once stacked
-        alice, alice_classes = _stack_from_doc(doc.pop("alice_obs"), "alice_obs", n // 2, da)
-        bob, bob_classes = _stack_from_doc(doc.pop("bob_obs"), "bob_obs", n // 2, db)
-        return Strategy._adopt(state, alice, bob, (alice_classes, bob_classes))
+        alice = _stack_from_doc(doc.pop("alice_obs"), "alice_obs", n // 2, da)
+        bob = _stack_from_doc(doc.pop("bob_obs"), "bob_obs", n // 2, db)
+        return Strategy._of_classes(state, n // 2, (alice, bob))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed strategy document: {exc}") from exc
 
@@ -758,7 +773,8 @@ def save_strategy(strategy: Strategy, path) -> None:
     """Write ``strategy_to_text`` to ``path``, one question at a time.  A
     non-finite entry raises ValueError before the file is opened, so no
     partial document is left."""
-    if not all(np.isfinite(a).all() for a in (strategy.state, strategy.alice, strategy.bob)):
+    arrays = (strategy.state, *(distinct for distinct, _ in strategy._observables))
+    if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("Out of range float values are not JSON compliant")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_document(strategy))

@@ -99,14 +99,15 @@ def _same_bits(got: Strategy, want: Strategy) -> bool:
 
 
 def _same_strategy(got: Strategy | None, want: Strategy | None) -> bool:
-    """Both refused (None), or the same arrays, dtypes and classes."""
+    """Both refused (None), or the same arrays, dtypes, distinct
+    observables and classes."""
     if got is None or want is None:
         return got is want
     pairs = ((got.state, want.state), (got.alice, want.alice), (got.bob, want.bob))
     return _same_bits(got, want) and all(g.dtype == w.dtype for g, w in pairs) and all(
-        np.array_equal(g, w) and g.dtype == w.dtype
-        for got_classes, want_classes in zip(got._player_classes, want._player_classes)
-        for g, w in zip(got_classes, want_classes))
+        g.shape == w.shape and g.tobytes() == w.tobytes() and g.dtype == w.dtype
+        for got_player, want_player in zip(got._observables, want._observables)
+        for g, w in zip(got_player, want_player))
 
 
 def _compact_text(strategy, path) -> str:
@@ -467,20 +468,25 @@ def _spy_numeric(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("make, parses", [
-    # the state, then per player the 2 m distinct matrices: 1 + 2 (2 m)
-    (lambda: noisy_strategy(10, NoiseSpec("bob-rotation", 0.1)), 1 + 2 * 10),
-    (lambda: noisy_strategy(10, NoiseSpec("partial-entanglement", 0.6)), 1 + 2 * 10),
-    (lambda: noisy_strategy(12, NoiseSpec("bob-rotation", 0.1)), 1 + 2 * 12),
-    # no matrix repeats: the state, and each of the m 2^m matrices per player
-    (lambda: random_strategy(6, np.random.default_rng(4)), 1 + 2 * 3 * 8),
+@pytest.mark.parametrize("make, parses, matrices", [
+    # per player the 2 m distinct matrices, new in question 0...0 (m of
+    # them, one parse) and in each question with a single 1 bit (one
+    # each): with the state, 1 + 2 (1 + m) parses
+    (lambda: noisy_strategy(10, NoiseSpec("bob-rotation", 0.1)), 1 + 2 * 6, 2 * 10),
+    (lambda: noisy_strategy(10, NoiseSpec("partial-entanglement", 0.6)), 1 + 2 * 6, 2 * 10),
+    (lambda: noisy_strategy(12, NoiseSpec("bob-rotation", 0.1)), 1 + 2 * 7, 2 * 12),
+    # no matrix repeats: the state, and each payload's m matrices in one parse
+    (lambda: random_strategy(6, np.random.default_rng(4)), 1 + 2 * 8, 2 * 3 * 8),
 ], ids=["bob-rotation", "partial-entanglement", "bob-rotation-n12", "random"])
-def test_each_repeated_matrix_text_is_parsed_once(monkeypatch, tmp_path, make, parses):
+def test_each_repeated_matrix_text_is_parsed_once(monkeypatch, tmp_path, make, parses,
+                                                  matrices):
     s = make()
     for text in (_compact_text(s, tmp_path / "doc.json"), strategy_to_text(s)):
         calls = _spy_numeric(monkeypatch)
         assert _same_bits(strategy_from_text(text), s)
         assert len(calls) == parses and None not in calls
+        # the state is nested two deep, each run of matrices three
+        assert sum(shape[0] for shape in calls if len(shape) == 3) == matrices
 
 
 def _payload(text: str, side: str, question: str) -> tuple[int, int]:
@@ -531,10 +537,10 @@ def test_a_repeated_matrix_changed_in_its_text_loads_like_the_oracle(
         edited, _ = _edit_matrix(text, edit)
         calls = _spy_numeric(monkeypatch)
         strategy_from_text(edited)
-        # the state, the 2 m distinct matrices per player, and the edited
-        # matrix, or the edited payload where its leading brackets no longer
-        # say it holds matrices
-        assert len(calls) == 1 + 2 * 6 + 1
+        # the state, the 1 + m runs of distinct matrices per player, and the
+        # edited matrix, or the edited payload where its leading brackets no
+        # longer say it holds matrices
+        assert len(calls) == 1 + 2 * 4 + 1
         _check_like_the_oracle(edited, tmp_path / "edited.json")
 
 
@@ -549,9 +555,10 @@ def test_a_new_matrix_in_a_known_payload_parses_alone(monkeypatch, tmp_path):
         edited, matrix = _edit_matrix(text, _negate_a_zero, index=1)
         regions.clear()
         strategy_from_text(edited)
-        # the state, the 2 m distinct matrices per player, and the new one
-        # alone: the known matrix after it is still found by its length
-        assert regions.count(matrix) == 1 and len(regions) == 1 + 2 * 6 + 1
+        # the state, the 1 + m runs of distinct matrices per player, and the
+        # new one alone, in brackets: the known matrix after it is still
+        # found by its length
+        assert regions.count(f"[{matrix}]") == 1 and len(regions) == 1 + 2 * 4 + 1
         _check_like_the_oracle(edited, tmp_path / "edited.json")
 
 
@@ -625,12 +632,14 @@ def test_a_document_piped_to_dev_stdin_loads_as_its_file_does(tmp_path):
 
 def assert_classes_are_those_of_the_stacks(s: Strategy) -> None:
     """The classes a strategy holds are those ``_classes`` finds in its
-    stacks: the same class numbers, and members of bit-identical matrices."""
-    for stack, (cls, members) in zip((s.alice, s.bob), s._player_classes):
+    stacks: the same class numbers, and distinct observables bit-identical
+    to members of them, in class order and of the stack's dtype."""
+    for stack, (distinct, cls) in zip((s.alice, s.bob), s._observables):
         flat = stack.reshape(-1, *stack.shape[2:])
-        want_cls, want_members = strategy_module._classes(flat)
+        want_distinct, want_cls = strategy_module._classes(flat)
         assert np.array_equal(cls, want_cls)
-        assert flat[members].tobytes() == flat[want_members].tobytes()
+        assert distinct.dtype == flat.dtype
+        assert distinct.tobytes() == want_distinct.tobytes()
 
 
 @pytest.mark.parametrize("family", VALIDATE_FAMILIES)
@@ -638,10 +647,32 @@ def assert_classes_are_those_of_the_stacks(s: Strategy) -> None:
 def test_handed_classes_are_those_the_stacks_hold(tmp_path, n, family):
     # "complex state" is a noise model with a global phase on its state
     s = validate_strategy(n, family)
-    for strategy in (s, strategy_from_text(strategy_to_text(s)),
-                     strategy_from_text(_compact_text(s, tmp_path / "doc.json"))):
+    texts = (strategy_to_text(s), _compact_text(s, tmp_path / "doc.json"))
+    for strategy in (s, *map(strategy_from_text, texts)):
         assert_classes_are_those_of_the_stacks(strategy)
         assert_same_validation(validate(strategy), validate_per_question(strategy))
+    # the stacks a loaded strategy gathers are the arrays of its payloads,
+    # dtypes included
+    for text in texts:
+        assert _same_strategy(strategy_from_text(text), oracle_from_text(text))
+
+
+def test_the_benchmark_random_files_gather_their_payloads(tmp_path):
+    # the pinned seed's certify-n6 files.  Where nothing repeats, a gathered
+    # stack is a reshape of the distinct one and copies nothing; a random
+    # 8 x 8 observable whose signs all agree is +-1, and random-0's Alice
+    # has one twice
+    plan = WORKLOADS.make_plan("certify-n6", WORKLOADS.DEFAULT_SEED, tmp_path)
+    paths = [inp["argv"][2] for inp in plan["inputs"] if "--strategy" in inp["argv"]]
+    reshaped = []
+    for path in paths:
+        s = load_strategy(path)
+        assert _same_strategy(s, oracle_from_text(Path(path).read_text()))
+        for stack, (distinct, cls) in zip((s.alice, s.bob), s._observables):
+            reshaped.append(np.shares_memory(stack, distinct))
+            assert reshaped[-1] == (len(distinct) == len(cls))
+        assert_same_validation(validate(s), validate_per_question(s))
+    assert reshaped == [False, True, True, True]
 
 
 @pytest.mark.parametrize("edit, classes", [
@@ -662,7 +693,7 @@ def test_a_respelled_matrix_is_classed_by_its_bits(monkeypatch, tmp_path, edit, 
     # Alice's one more text, then Bob's 2 m
     assert calls == [2 * 3 + 1, 2 * 3]
     monkeypatch.setattr(strategy_module, "_classes", spy)
-    assert len(s._player_classes[0][1]) == classes
+    assert len(s._observables[0][0]) == classes
     assert_classes_are_those_of_the_stacks(s)
     assert_same_validation(validate(s), validate_per_question(s))
 
@@ -685,22 +716,23 @@ def test_a_payload_of_known_elements_keeps_json_framing(text):
 
 
 @pytest.mark.parametrize("text, parses", [
-    # "a" takes a parse per element, and "b" is a stack of their rows
-    ('{"a": [[[1,2]],[[3,4]]], "b": [[[3,4]],\n\t [[1,2]],[[3,4]]]}', 2),
+    # "a" takes one parse of its elements, and "b" is a stack of their rows
+    ('{"a": [[[1,2]],[[3,4]]], "b": [[[3,4]],\n\t [[1,2]],[[3,4]]]}', 1),
     # a last element with whitespace after it is another text
-    ('{"a": [[[1,2]],[[3,4]]], "b": [[[1,2]],[[3,4]] ]}', 3),
+    ('{"a": [[[1,2]],[[3,4]]], "b": [[[1,2]],[[3,4]] ]}', 2),
     # known elements of two shapes: a ragged array, which numpy cannot
     # hold, so "b" is parsed whole and refused
-    ('{"a": [[[1,2]],[[3,4]]], "c": [[[5]],[[6]]], "b": [[[1,2]],[[5]]]}', 5),
+    ('{"a": [[[1,2]],[[3,4]]], "c": [[[5]],[[6]]], "b": [[[1,2]],[[5]]]}', 3),
     # the same text one level deeper is another element
-    ('{"a": [[[1,2]],[[3,4]]], "b": [[[[1,2]],[[3,4]]]]}', 3),
+    ('{"a": [[[1,2]],[[3,4]]], "b": [[[[1,2]],[[3,4]]]]}', 2),
     # separators with whitespace inside: the walk of "a" reads two elements
-    # as one text, which the parse refuses, and "a" is parsed whole; "b"
-    # alike after its first element
-    ('{"a": [[[1,2]] ,[[3,4]],[[5,6]]], "b": [[[5,6]],[[1,2]] ,[[3,4]]]}', 5),
-    ('{"a": [[[1,2] ],[[3,4]],[[5,6]]], "b": [[[5,6]],[[1,2] ],[[3,4]]]}', 5),
-    # a depth the leading brackets understate: the text before the first
-    # separator is no array, and each payload is parsed whole
+    # as one text, so its parse holds more elements than the walk read, and
+    # "a" is parsed whole; "b" alike after its first element
+    ('{"a": [[[1,2]] ,[[3,4]],[[5,6]]], "b": [[[5,6]],[[1,2]] ,[[3,4]]]}', 4),
+    ('{"a": [[[1,2] ],[[3,4]],[[5,6]]], "b": [[[5,6]],[[1,2] ],[[3,4]]]}', 4),
+    # a depth the leading brackets understate: the parse of the elements
+    # is nested deeper than the walk's separators say, and each payload
+    # is parsed whole
     ('{"a": [[[ [1]],[[2]]] ,[[[3]] ,[[4]]],[[[5]] ,[[6]]]],'
      ' "b": [[[ [1]],[[[5]] ,[[6]]],[[2]]] ,[[[3]] ,[[4]]]]}', 4),
 ])
@@ -757,12 +789,12 @@ def _loads_like_json(text: str) -> None:
 
 
 @pytest.mark.parametrize("text, parsed", [
-    # the separator after "b"'s second element; "b" is ragged, so its
-    # elements are parsed alone, and it is parsed whole and refused
-    ('{"a": [[[1,2,3,4]],[[5,6,7,8]]], "b": [[[1]],[[2]],[[7,7,7,7]]]}',
-     [(1, 1), (1, 1), (1, 4), None]),
+    # the separator after "b"'s second element; "b" is ragged, so the
+    # parse of its new elements refuses them, and it is parsed whole and
+    # refused
+    ('{"a": [[[1,2,3,4]],[[5,6,7,8]]], "b": [[[1]],[[2]],[[7,7,7,7]]]}', [None, None]),
     # the closing bracket after it
-    ('{"a": [[[1,2,3,4]],[[5,6,7,8]]], "b": [[[1]],[[2]]]}', [(1, 1), (1, 1)]),
+    ('{"a": [[[1,2,3,4]],[[5,6,7,8]]], "b": [[[1]],[[2]]]}', [(2, 1, 1)]),
 ], ids=["separator", "closing"])
 @pytest.mark.parametrize("collide", [False, True], ids=["hash", "colliding-hash"])
 def test_a_known_length_over_other_texts_is_no_hit(monkeypatch, text, parsed, collide):
@@ -773,7 +805,7 @@ def test_a_known_length_over_other_texts_is_no_hit(monkeypatch, text, parsed, co
         _every_key_collides(monkeypatch)
     calls = _spy_numeric(monkeypatch)
     _loads_like_json(text)
-    assert calls == [(1, 4), (1, 4)] + parsed  # "b"'s first element is parsed
+    assert calls == [(2, 1, 4)] + parsed  # "b"'s first element is parsed, as new
 
 
 def test_a_text_recorded_with_another_length_is_no_hit(monkeypatch):
@@ -782,7 +814,7 @@ def test_a_text_recorded_with_another_length_is_no_hit(monkeypatch):
     # spells them at the offset of "a"'s first
     calls = _spy_numeric(monkeypatch)
     _loads_like_json('{"c": [[[1,2,3,4,5,6]]], "a": [[[1,2]],[[3,4]]], "b": [[[1,2]],[[3,4]]]}')
-    assert calls == [(1, 6), (1, 2), (1, 2)]
+    assert calls == [(1, 1, 6), (2, 1, 2)]
     # "b" holds a prefix of "c"'s element, as long as "d"'s, and no array
     text = '{"c": [[[7,8],[1,2]]], "d": [[[12]]], "b": [[[7,8]]}'
     with pytest.raises(ValueError):
@@ -800,19 +832,20 @@ def test_a_text_recorded_with_another_length_is_no_hit(monkeypatch):
 def test_a_known_text_at_another_position_is_a_hit(monkeypatch, text):
     calls = _spy_numeric(monkeypatch)
     _loads_like_json(text)
-    # each distinct element of the first payload is parsed, and nothing else
-    assert len(calls) == len(set(re.findall(r"\[\[[^][]*\]\]", text)))
+    # each distinct element of the first payload is parsed, in one parse,
+    # and nothing else
+    assert calls == [(len(set(re.findall(r"\[\[[^][]*\]\]", text))), 1, 2)]
 
 
 @pytest.mark.parametrize("text, parses", [
     # the last element has a known length, and whitespace, not the closing
     # bracket, follows it
-    ('{"a": [[[1,2]],[[3,4]]], "b": [[[3,4]],[[1,2]]\n ]}', 3),
+    ('{"a": [[[1,2]],[[3,4]]], "b": [[[3,4]],[[1,2]]\n ]}', 2),
     # a last element recorded with the whitespace after it is that text
-    ('{"a": [[[1,2]],[[3,4]] ], "b": [[[1,2]],[[3,4]] ]}', 2),
+    ('{"a": [[[1,2]],[[3,4]] ], "b": [[[1,2]],[[3,4]] ]}', 1),
     # where a separator follows, it is no known text: the walk reads two
     # elements as one text, and "b" is parsed whole
-    ('{"a": [[[1,2]],[[3,4]] ], "b": [[[3,4]] ,[[1,2]]]}', 4),
+    ('{"a": [[[1,2]],[[3,4]] ], "b": [[[3,4]] ,[[1,2]]]}', 3),
 ])
 def test_a_last_element_followed_by_whitespace(monkeypatch, text, parses):
     calls = _spy_numeric(monkeypatch)
@@ -826,24 +859,25 @@ def test_known_rows_of_two_shapes_are_parsed(monkeypatch):
     text = '{"a": [[[1,2]],[[3,4]]], "c": [[[5],[6]]], "b": [[[1,2]],[[5],[6]]]}'
     calls = _spy_numeric(monkeypatch)
     _loads_like_json(text)
-    assert calls == [(1, 2), (1, 2), (2, 1), None]
+    assert calls == [(2, 1, 2), (1, 2, 1), None]
 
 
-@pytest.mark.parametrize("make, distinct", [
-    # nothing repeats: every matrix of every question
-    (lambda: random_strategy(6, np.random.default_rng(5)), 2 * 3 * 8),
-    # per player the 2 m distinct matrices
-    (lambda: noisy_strategy(8, NoiseSpec("partial-entanglement", 0.6)), 2 * 8),
+@pytest.mark.parametrize("make, runs", [
+    # nothing repeats: every question's m matrices
+    (lambda: random_strategy(6, np.random.default_rng(5)), [3] * 2 * 8),
+    # per player the 2 m distinct matrices: question 0...0's m, and one in
+    # each question with a single 1 bit
+    (lambda: noisy_strategy(8, NoiseSpec("partial-entanglement", 0.6)), ([4] + [1] * 4) * 2),
 ], ids=["random", "partial-entanglement"])
-def test_each_parse_reads_one_matrix_or_the_state(monkeypatch, tmp_path, make, distinct):
-    # a question payload is read one matrix at a time, and the state,
-    # nested two deep, whole
+def test_each_parse_reads_a_run_of_new_matrices_or_the_state(monkeypatch, tmp_path, make, runs):
+    # a question payload's consecutive new matrices are read in one parse,
+    # and the state, nested two deep, whole
     s = make()
     side = s.dim_a * s.dim_a
     for text in (strategy_to_text(s), _compact_text(s, tmp_path / "doc.json")):
         parses = _spy_numeric(monkeypatch)
         assert _same_bits(strategy_from_text(text), s)
-        assert sorted(parses) == [(side, 2)] * distinct + [(s.state.size, 2)]
+        assert parses == [(s.state.size, 2)] + [(run, side, 2) for run in runs]
 
 
 def _complex_bytes(s: Strategy) -> int:
@@ -873,6 +907,27 @@ def test_loading_holds_about_one_copy_of_the_arrays(make, dtype, bound):
     # measured: 1.22x (random) and 0.62x (bob-rotation, whose float64
     # arrays take half the complex bytes the document spells out)
     assert peak <= bound * _complex_bytes(s)
+
+
+def test_a_sparse_load_holds_its_distinct_observables_and_their_parse(tmp_path):
+    # a noise-model file's 2 m distinct matrices per player are kept, and
+    # no dense stack is built: the peak is them, and the [re, im] pairs
+    # that hold them and the state as parsed.  Measured 490 KB of a 635 KB
+    # bound at n = 10, against 2.9 MB when the load built the 2.6 MB of
+    # dense stacks
+    path = tmp_path / "doc.json"
+    save_strategy(noisy_strategy(10, NoiseSpec("partial-entanglement", 0.6)), path)
+    tracemalloc.start()
+    try:
+        back = load_strategy(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "alice" not in vars(back) and "bob" not in vars(back)
+    distinct = [obs for obs, _ in back._observables]
+    assert [len(obs) for obs in distinct] == [2 * 5, 2 * 5]
+    parsed = 16 * (back.state.size + sum(obs.size for obs in distinct))
+    assert peak <= 1.25 * (sum(obs.nbytes for obs in distinct) + parsed)
 
 
 def test_loading_a_file_holds_no_decoded_copy_of_it(tmp_path):

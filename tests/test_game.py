@@ -180,6 +180,26 @@ def test_the_classes_are_found_once_per_player_in_a_value_run(monkeypatch, tmp_p
         assert calls == want  # Alice's, then Bob's, once each
 
 
+def test_a_loaded_strategy_gathers_its_dense_stacks_only_where_read(monkeypatch, tmp_path):
+    gathers = []
+    gathered = Strategy._gathered
+    monkeypatch.setattr(Strategy, "_gathered",
+                        lambda self, player: gathers.append(player) or gathered(self, player))
+    paths = [tmp_path / "pe.json", tmp_path / "random.json"]
+    save_strategy(noisy_strategy(6, NoiseSpec("partial-entanglement", 0.6)), paths[0])
+    save_strategy(random_strategy(6, np.random.default_rng(1)), paths[1])
+    for path in map(str, paths):
+        for argv, want in (
+                # validate and the exact value read the distinct observables alone
+                (["value", "--strategy", path], []),
+                # extraction reads each dense stack, gathered once and kept
+                (["certify", "--strategy", path, "--format", "text"], [0, 1])):
+            gathers.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) in (0, 1)
+            assert sorted(gathers) == want
+
+
 @pytest.mark.parametrize("n", [2, 4])
 def test_classical_deterministic_value_matches_brute_force(n):
     s = all_plus_identity_strategy(n)
