@@ -67,8 +67,9 @@ def expectation_table(strategy: Strategy) -> np.ndarray:
 
     Indices a, b are the big-endian integer encodings of the questions.
     Each entry is sum_ij L[i, j] N[i, j] with Alice's left factor
-    L = psi^dag M psi, so the table is taken over distinct observables
-    (``Strategy._distinct_at``): per subtest k, L once for each of
+    L = psi^dag M psi, so the table is taken over the distinct observables
+    every strategy stores (``Strategy._distinct_at``), and no dense stack
+    is read: per subtest k, L once for each of
     Alice's distinct observables at k, one GEMM of those left factors
     against Bob's distinct observables at k, and a gather of the table's
     entries at k.  An honest or locally noisy player has two distinct

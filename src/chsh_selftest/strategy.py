@@ -70,63 +70,57 @@ class Strategy:
     strategy's attributes cannot be set, and strategies compare and hash
     by identity.
 
-    Each player's observables fall into classes of bit-identical matrices.
-    A strategy holds, per player, one member of each class as a
+    Each player's observables fall into classes of bit-identical matrices,
+    and a strategy stores, per player, one member of each class as a
     (count, d, d) stack in class order and the class of each slot,
-    flattened to [q * n/2 + k] (``_observables``); ``validate``,
-    ``expectation_table`` (through ``_distinct_at``), ``strategy_to_text``
-    and ``save_strategy`` read only these.  A strategy built from dense
-    stacks copies them (``noisy_strategy`` hands its own over uncopied)
-    and finds its classes on first use.  A loaded one is built from its
-    classes alone, since the loader knows from the matrix texts it read
-    once where the matrices repeat: an n = 12 noise-model file holds 12
-    distinct matrices per player among 384 slots.  Its ``alice`` and
-    ``bob`` are gathered on first read, by one index of the distinct stack
-    (a reshape, copying nothing, where every slot is a class of its own),
-    and kept; a ``value`` run never reads them.
+    flattened to [q * n/2 + k] (``_observables``); nothing else stands for
+    its observables.  ``Strategy(state, alice, bob)`` copies the arrays it
+    is given and groups each player once (``_classes``); the loader and
+    ``noisy_strategy`` hand over the classes they know (``_of_classes``):
+    an n = 12 noise-model strategy holds 12 distinct matrices per player
+    among 384 slots.  ``validate``, ``expectation_table`` (through
+    ``_distinct_at``), ``strategy_to_text`` and ``save_strategy`` read only
+    these.  ``alice`` and ``bob`` are gathered from them on first read, by
+    one index of the distinct stack (a reshape, copying nothing, where
+    every slot is a class of its own), and kept; a ``value`` run never
+    reads them.  ``Strategy(...)`` starts them as its copies of the stacks
+    it was given, which hold the bits a gather would.
     """
 
     def __init__(self, state, alice, bob):
-        self._hold(state, alice, bob, copy=True)
-
-    @classmethod
-    def _adopt(cls, state: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> Strategy:
-        """A strategy over dense arrays that their builder hands over and no
-        longer holds: they are checked and marked read-only, not copied."""
-        strategy = object.__new__(cls)
-        strategy._hold(state, alice, bob, copy=False)
-        return strategy
-
-    @classmethod
-    def _of_classes(cls, state: np.ndarray, half: int, observables: tuple) -> Strategy:
-        """A strategy over the loader's arrays, uncopied: ``observables``
-        becomes ``_observables``, and the dense stacks are left unbuilt."""
-        strategy = object.__new__(cls)
-        for distinct, _ in observables:
-            distinct.setflags(write=False)
-        strategy.__dict__["_observables"] = observables
-        strategy._hold_state(state, half, *(distinct.shape[1] for distinct, _ in observables),
-                             copy=False)
-        return strategy
-
-    def _hold(self, state, alice, bob, copy: bool) -> None:
+        stacks = {}
         for name, obs in (("alice", alice), ("bob", bob)):
-            obs = _frozen(obs, copy)
+            obs = _frozen(obs)
             m = obs.shape[1] if obs.ndim == 4 else 0
             if m < 1 or obs.shape[0] != 1 << m or obs.shape[2] != obs.shape[3]:
                 raise ValueError(f"{name} must have shape (2^m, m, d, d) with m >= 1, "
                                  f"got {obs.shape}")
-            self.__dict__[name] = obs
-        if self.alice.shape[1] != self.bob.shape[1]:
+            stacks[name] = obs
+        if stacks["alice"].shape[1] != stacks["bob"].shape[1]:
             raise ValueError("alice and bob must answer questions of the same length")
-        self._hold_state(state, self.alice.shape[1], self.alice.shape[2], self.bob.shape[2],
-                         copy)
+        self._hold(state, m, tuple(_classes(obs.reshape(-1, *obs.shape[2:]))
+                                   for obs in stacks.values()))
+        self.__dict__.update(stacks)
 
-    def _hold_state(self, state, half: int, dim_a: int, dim_b: int, copy: bool) -> None:
-        state = _frozen(np.reshape(state, -1), copy)
+    @classmethod
+    def _of_classes(cls, state, half: int, observables: tuple) -> Strategy:
+        """A strategy over each player's distinct observables and classes,
+        which become ``_observables`` uncopied; ``alice`` and ``bob`` are
+        left ungathered."""
+        strategy = object.__new__(cls)
+        strategy._hold(state, half, observables)
+        return strategy
+
+    def _hold(self, state, half: int, observables: tuple) -> None:
+        for arrays in observables:
+            for a in arrays:
+                a.setflags(write=False)
+        dim_a, dim_b = (distinct.shape[1] for distinct, _ in observables)
+        state = _frozen(np.reshape(state, -1))
         if state.size != dim_a * dim_b:
             raise ValueError("state length does not match dim_a * dim_b")
-        self.__dict__.update(state=state, half=half, dim_a=dim_a, dim_b=dim_b)
+        self.__dict__.update(state=state, half=half, dim_a=dim_a, dim_b=dim_b,
+                             _observables=observables)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -155,16 +149,6 @@ class Strategy:
         stack.setflags(write=False)
         return stack
 
-    @cached_property
-    def _observables(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Alice's and Bob's distinct observables, one member of each class
-        of bit-identical matrices in class order, and the class of each
-        slot [q * m + k]: ``_classes`` of the dense stack, for a strategy
-        built from one (a loaded strategy is built with them).  Where every
-        slot is its own class, the distinct stack is the dense one."""
-        return tuple(_classes(stack.reshape(-1, *stack.shape[2:]))
-                     for stack in (self.alice, self.bob))
-
     def _distinct_at(self, player: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The distinct observables of Alice (player 0) or Bob (player 1)
         at subtest k + 1, one member of each of the player's classes there
@@ -186,11 +170,11 @@ class Strategy:
         return dict(zip(bits.all_strings(self.half), map(tuple, self.bob)))
 
 
-def _frozen(a, copy: bool) -> np.ndarray:
+def _frozen(a) -> np.ndarray:
+    """A read-only C-ordered copy of ``a``, float64 or complex128 (``_narrowed``)."""
     a = np.asarray(a)
     a = _narrowed(a if a.dtype.kind in "biuf" else a.astype(complex, copy=False))
-    dtype = complex if a.dtype.kind == "c" else float
-    a = np.array(a, dtype=dtype, order="C") if copy else np.ascontiguousarray(a, dtype=dtype)
+    a = np.array(a, dtype=complex if a.dtype.kind == "c" else float, order="C")
     a.setflags(write=False)
     return a
 
@@ -238,30 +222,6 @@ def ideal_state(n: int) -> np.ndarray:
     return (signs / math.sqrt(1 << n)).reshape(-1)
 
 
-def _local_stack(m: int, single) -> np.ndarray:
-    """(2^m, m, 2^m, 2^m) stack whose entry [q, k] is single[bit k+1 of q]
-    acting on qubit k+1, with qubit 1 the most significant index bit.
-
-    Per qubit, one broadcast product embeds both one-qubit operators:
-    each entry is an operator entry times 1.0 or 0.0 of the identity on
-    the other qubits, so a zero keeps the operator entry's sign, as in
-    np.kron with identity factors.  One broadcast copy then writes them
-    to every question.
-    """
-    single = np.asarray(single, dtype=float)
-    dim = 1 << m
-    stack = np.empty((dim, m, dim, dim))
-    for k in range(m):
-        hi, lo = 1 << k, 1 << (m - k - 1)  # the qubits before and after qubit k+1
-        # axes [s, i, a, c, j, b, d]: row (i, a, c) and column (j, b, d) split
-        # at qubit k+1, single[s] on (a, b) and the identity on (i c, j d)
-        embedded = single.reshape(2, 1, 2, 1, 1, 2, 1) * np.eye(hi * lo).reshape(
-            hi, 1, lo, hi, 1, lo)
-        # questions split the same way: bit k+1 picks s
-        stack[:, k].reshape(hi, 2, lo, dim, dim)[...] = embedded.reshape(2, 1, dim, dim)
-    return stack
-
-
 _BOB_PAIR = ((PAULI_Z + PAULI_X) / math.sqrt(2), (PAULI_Z - PAULI_X) / math.sqrt(2))
 
 
@@ -278,6 +238,11 @@ def noisy_strategy(n: int, noise: NoiseSpec) -> Strategy:
     bob-rotation sets eta; partial-entanglement keeps eta = 0 and replaces
     the pair state by cos(theta)|0,+> + sin(theta)|1,->; none is eta = 0
     on the ideal pair state: the reference strategy ``ideal_strategy(n)``.
+
+    A player's observable at [q, k] is the one-qubit operator for bit k+1
+    of q on qubit k+1, so the strategy is built from its classes
+    (``_embedded``): operator 0 at qubit k+1 is class k and operator 1
+    there class n-1-k, the first-appearance numbering of ``_classes``.
     """
     m = n // 2
     eta = noise.param if noise.model == "bob-rotation" else 0.0
@@ -294,9 +259,32 @@ def noisy_strategy(n: int, noise: NoiseSpec) -> Strategy:
     rot = np.array([[math.cos(eta / 2), -math.sin(eta / 2)],
                     [math.sin(eta / 2), math.cos(eta / 2)]])
     bob_pair = tuple(rot @ b @ rot.T for b in _BOB_PAIR)
-    # built in float64, so nothing needs narrowing, and fresh, so not copied
-    return Strategy._adopt(state.reshape(-1), _local_stack(m, (PAULI_X, PAULI_Z)),
-                           _local_stack(m, bob_pair))
+    k = np.arange(m)
+    cls = np.where(bits.bit_table(m), n - 1 - k, k).reshape(-1)
+    return Strategy._of_classes(state, m, tuple((_embedded(m, single), cls)
+                                                for single in ((PAULI_X, PAULI_Z), bob_pair)))
+
+
+def _embedded(m: int, single) -> np.ndarray:
+    """(2m, 2^m, 2^m) stack of single[0] on qubits 1..m, then single[1]
+    on qubits m..1, with qubit 1 the most significant index bit.
+
+    Per qubit, one broadcast product embeds both operators: each entry is
+    an operator entry times 1.0 or 0.0 of the identity on the other
+    qubits, so a zero keeps the operator entry's sign, as in np.kron with
+    identity factors.
+    """
+    single = np.asarray(single, dtype=float)
+    dim = 1 << m
+    stack = np.empty((2 * m, dim, dim))
+    for k in range(m):
+        hi, lo = 1 << k, 1 << (m - k - 1)  # the qubits before and after qubit k+1
+        # axes [s, i, a, c, j, b, d]: row (i, a, c) and column (j, b, d) split
+        # at qubit k+1, single[s] on (a, b) and the identity on (i c, j d)
+        embedded = single.reshape(2, 1, 2, 1, 1, 2, 1) * np.eye(hi * lo).reshape(
+            hi, 1, lo, hi, 1, lo)
+        stack[[k, 2 * m - 1 - k]] = embedded.reshape(2, dim, dim)
+    return stack
 
 
 def random_strategy(n: int, rng: np.random.Generator,
@@ -340,11 +328,11 @@ def _classes(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Matrices whose first entries differ in their bits differ, so where
     every first entry is distinct (as in a random strategy) each matrix
     is its own class, and no matrix is hashed.  Classes are numbered in
-    order of first appearance.  A strategy keeps each player's
-    (``Strategy._observables``).  A built strategy's stacks are grouped
-    whole; the loader groups only its distinct matrix texts
-    (``_stack_from_doc``: 12 per player of an n = 12 noise-model file,
-    not 384).
+    order of first appearance.  ``Strategy(...)`` groups each player's
+    stack once, at construction, into its ``_observables``; the loader
+    groups only its distinct matrix texts (``_stack_from_doc``: 12 per
+    player of an n = 12 noise-model file, not 384), and a noise model is
+    built from its classes, never grouped (``noisy_strategy``).
     """
     firsts = flat.reshape(len(flat), -1).view(np.int64)[:, 0]  # a complex entry's real part
     if len(set(firsts.tolist())) == len(flat):
@@ -361,12 +349,12 @@ def validate(strategy: Strategy) -> StrategyDiagnostics:
     commutation, and state normalization.
 
     Each residual is taken once per bitwise-distinct input.  A player's
-    observables fall into classes of bit-identical matrices, and the
-    strategy holds one member of each, in class order, and each slot's
-    class (``Strategy._observables``, which ``expectation_table`` reads
-    too).  A loaded strategy is built with them, so its matrices are never
-    hashed and its dense stacks never built here: the first ``validate``
-    of an n = 12 noise-model file takes about 5 ms (one BLAS thread).
+    observables fall into classes of bit-identical matrices, and every
+    strategy stores one member of each, in class order, and each slot's
+    class from its construction (``Strategy._observables``, which
+    ``expectation_table`` reads too), so no matrix is hashed and no dense
+    stack is built here: ``validate`` of an n = 12 noise-model strategy,
+    built from its flags or loaded, takes about 5 ms (one BLAS thread).
     Hermiticity and unitarity are taken on each class's member, and the
     commutator of each pair (k, j) once per distinct (class of k, class
     of j) combination among the questions, both in blocks of

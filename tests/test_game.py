@@ -171,16 +171,15 @@ def test_the_classes_are_found_once_per_player_in_a_value_run(monkeypatch, tmp_p
             (["value", "--strategy", str(path)], [2 * 3, 2 * 3]),
             # and a random file's every matrix, each distinct
             (["value", "--strategy", str(random_path)], [3 * 8, 3 * 8]),
-            # a noise model's every matrix
-            (["value", "--n", "6", "--noise", "bob-rotation", "--noise-param", "0.1"],
-             [3 * 8, 3 * 8])):
+            # a noise model is built from its classes, and never grouped
+            (["value", "--n", "6", "--noise", "bob-rotation", "--noise-param", "0.1"], [])):
         calls.clear()
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
-        assert calls == want  # Alice's, then Bob's, once each
+        assert calls == want  # Alice's, then Bob's, once each, if at all
 
 
-def test_a_loaded_strategy_gathers_its_dense_stacks_only_where_read(monkeypatch, tmp_path):
+def test_every_strategy_gathers_its_dense_stacks_only_where_read(monkeypatch, tmp_path):
     gathers = []
     gathered = Strategy._gathered
     monkeypatch.setattr(Strategy, "_gathered",
@@ -188,12 +187,15 @@ def test_a_loaded_strategy_gathers_its_dense_stacks_only_where_read(monkeypatch,
     paths = [tmp_path / "pe.json", tmp_path / "random.json"]
     save_strategy(noisy_strategy(6, NoiseSpec("partial-entanglement", 0.6)), paths[0])
     save_strategy(random_strategy(6, np.random.default_rng(1)), paths[1])
-    for path in map(str, paths):
+    # two loaded files, and the noise model its flags build
+    sources = [["--strategy", str(path)] for path in paths]
+    sources.append(["--n", "6", "--noise", "partial-entanglement", "--noise-param", "0.6"])
+    for source in sources:
         for argv, want in (
                 # validate and the exact value read the distinct observables alone
-                (["value", "--strategy", path], []),
+                (["value", *source], []),
                 # extraction reads each dense stack, gathered once and kept
-                (["certify", "--strategy", path, "--format", "text"], [0, 1])):
+                (["certify", *source, "--format", "text"], [0, 1])):
             gathers.clear()
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(argv) in (0, 1)

@@ -11,6 +11,7 @@ from chsh_selftest import (
     NoiseSpec,
     Strategy,
     ideal_strategy,
+    load_strategy,
     noisy_strategy,
     random_strategy,
     save_strategy,
@@ -230,7 +231,7 @@ def test_strategy_rejects_missing_question():
         Strategy(state=s.state[:2], alice=s.alice, bob=s.bob)
 
 
-def test_strategy_arrays_are_frozen():
+def test_strategy_arrays_are_frozen(tmp_path):
     s = ideal_strategy(2)
     with pytest.raises(ValueError):
         s.state[0] = 0.0
@@ -238,16 +239,33 @@ def test_strategy_arrays_are_frozen():
         s.alice[0, 0, 0, 0] = 5.0
     with pytest.raises(ValueError):
         s.bob_obs["0"][0][0, 0] = 5.0
+    # the distinct stacks and classes of a built (where some repeat, and
+    # where none does), a noise-model and a loaded strategy
+    noisy = noisy_strategy(4, NoiseSpec("bob-rotation", 0.1))
+    save_strategy(noisy, tmp_path / "s.json")
+    for held in (Strategy(state=noisy.state, alice=noisy.alice, bob=noisy.bob),
+                 Strategy(state=s.state, alice=s.alice, bob=s.bob), noisy,
+                 load_strategy(tmp_path / "s.json")):
+        for distinct, cls in held._observables:
+            with pytest.raises(ValueError):
+                distinct[0, 0, 0] = 5.0
+            with pytest.raises(ValueError):
+                cls[0] = 1
 
 
 def test_strategy_copies_caller_arrays():
-    ideal = ideal_strategy(2)
-    state, alice, bob = (np.array(a) for a in (ideal.state, ideal.alice, ideal.bob))
-    s = Strategy(state=state, alice=alice, bob=bob)
-    for mine, theirs in ((state, s.state), (alice, s.alice), (bob, s.bob)):
-        kept = theirs.copy()
-        mine[...] = 7.0
-        assert np.array_equal(theirs, kept)
+    # where nothing repeats (the random strategy), the distinct stacks are
+    # the constructor's copies themselves, so the copy is all that
+    # separates them from the caller's arrays
+    for given in (ideal_strategy(2), random_strategy(4, np.random.default_rng(5))):
+        state, alice, bob = (np.array(a) for a in (given.state, given.alice, given.bob))
+        s = Strategy(state=state, alice=alice, bob=bob)
+        held = (s.state, s.alice, s.bob, *(a for player in s._observables for a in player))
+        kept = [a.copy() for a in held]
+        for mine in (state, alice, bob):
+            mine[...] = 7.0
+        for theirs, was in zip(held, kept):
+            assert theirs.tobytes() == was.tobytes()
 
 
 def test_strategy_and_operators_compare_by_identity():
@@ -561,10 +579,16 @@ def test_noise_model_stacks_match_the_kron_oracle_bit_for_bit(noise):
                                                (PAULI_Z - PAULI_X) / SQ2))
     for n in range(2, 13, 2):
         s = noisy_strategy(n, noise)
-        for got, single in ((s.alice, (PAULI_X, PAULI_Z)), (s.bob, bob_pair)):
+        for got, (distinct, cls), single in zip((s.alice, s.bob), s._observables,
+                                                ((PAULI_X, PAULI_Z), bob_pair)):
             want = kron_stack(n // 2, single)
             assert got.dtype == want.dtype == np.float64
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            # the handed classes are those grouping the oracle's stack finds
+            want_distinct, want_cls = strategy_module._classes(want.reshape(-1, *want.shape[2:]))
+            assert distinct.dtype == want_distinct.dtype
+            assert distinct.tobytes() == want_distinct.tobytes()
+            assert cls.dtype == want_cls.dtype and np.array_equal(cls, want_cls)
 
 
 def test_noise_spec_validation():

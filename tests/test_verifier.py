@@ -1,7 +1,9 @@
 """Commutation norms, certified ceilings, the swap isometry, and reports."""
 
+import dataclasses
 import json
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -24,9 +26,16 @@ from chsh_selftest import (
 )
 from chsh_selftest import bits, jsonio
 from chsh_selftest.extraction import ExtractedOperators, build_xz, relabel, search_questions
-from chsh_selftest.game import subtest_table
+from chsh_selftest.game import referee_simulate, subtest_table
 from chsh_selftest.strategy import ideal_state
-from chsh_selftest.linalg import PAULI_X, PAULI_Z, apply_on_a, apply_on_b, dagger
+from chsh_selftest.linalg import (
+    PAULI_X,
+    PAULI_Z,
+    VALIDATION_TOL,
+    apply_on_a,
+    apply_on_b,
+    dagger,
+)
 from chsh_selftest import verifier
 from chsh_selftest.verifier import (
     BOUND_SLACK,
@@ -972,3 +981,73 @@ def test_a_negative_zero_imaginary_part_keeps_a_file_complex():
     assert mixed.state.dtype == mixed.alice.dtype == np.float64
     assert strategy_to_text(mixed) == signed
     assert_reports_agree(certify(mixed), certify(real))
+
+
+# ---------------------------------------------------------------------------
+# every strategy validate accepts gets a verdict from every later stage
+
+
+def _worst_residual(s: Strategy) -> float:
+    return max(dataclasses.astuple(validate(s)))
+
+
+def _moved(s: Strategy, scale: float, rng) -> Strategy:
+    """A copy of ``s`` whose Alice observables are moved along a random
+    direction until validate's worst residual is ``scale`` x VALIDATION_TOL:
+    the residuals are linear in so small a step, up to roundoff."""
+    direction = rng.normal(size=s.alice.shape)
+    if s.alice.dtype == complex:
+        direction = direction + 1j * rng.normal(size=s.alice.shape)
+
+    def step(size):
+        return Strategy(state=s.state, alice=s.alice + size * direction, bob=s.bob)
+
+    return step(scale * VALIDATION_TOL ** 2 / _worst_residual(step(VALIDATION_TOL)))
+
+
+def _accepted_strategies(n: int, rng) -> list:
+    """Strategies at the edges of what validate accepts: random ones with
+    sides of 1 to 5 dimensions, copies whose observables or state are moved
+    to 0.4-0.95 x VALIDATION_TOL, a product state and identity observables."""
+    m, dim = n // 2, 1 << n // 2
+    cases = [random_strategy(n, rng, da, db) for da in range(1, 6) for db in range(1, 6)]
+    bases = [noisy_strategy(n, NoiseSpec("bob-rotation", 0.3)), random_strategy(n, rng)]
+    cases += [_moved(s, scale, rng) for s in bases for scale in (0.4, 0.7, 0.95)]
+    cases += [Strategy(state=s.state * (1 + 0.9 * VALIDATION_TOL), alice=s.alice, bob=s.bob)
+              for s in bases]
+    halves = [rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(2)]
+    product = np.kron(*(h / np.linalg.norm(h) for h in halves))
+    cases.append(Strategy(state=product, alice=bases[1].alice, bob=bases[1].bob))
+    ident = np.broadcast_to(np.eye(dim), (1 << m, m, dim, dim))
+    cases.append(Strategy(state=bases[1].state, alice=ident, bob=ident))
+    return cases
+
+
+def _assert_finite(doc) -> None:
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, (list, tuple)):
+        for item in doc:
+            _assert_finite(item)
+    elif isinstance(doc, float):
+        assert math.isfinite(doc)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_every_strategy_validate_accepts_gets_a_finite_verdict(n):
+    rng = np.random.default_rng(20 + n)
+    cases = _accepted_strategies(n, rng)
+    # the moved copies press validate's ceiling
+    assert max(map(_worst_residual, cases)) >= 0.9 * VALIDATION_TOL
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in cases:
+            assert validate(s).ok
+            report = certify(s)
+            assert isinstance(report.passed, bool)
+            doc = json.loads(report.to_text(), parse_constant=pytest.fail)
+            _assert_finite(doc)
+            _assert_finite(dataclasses.astuple(report.measured))
+            assert math.isfinite(exact_value(s))
+            played = referee_simulate(s, 500, np.random.default_rng(n))
+            _assert_finite(dataclasses.astuple(played))
