@@ -289,6 +289,10 @@ def test_the_fast_path_refuses_what_json_refuses(numeral):
     # refused by the numpy path itself, not only by the stdlib it falls back to
     assert jsonio._numeric(f"[[{numeral}, 0], [0, 0]]") is None
     assert jsonio._numeric(f"[[0, 0], [0, {numeral}]]") is None
+    # and where the other numerals are "0.0" and "-0.0", which numpy does
+    # not read
+    assert jsonio._numeric(f"[[{numeral}, 0.0], [-0.0, 0.0]]") is None
+    assert jsonio._numeric(f"[[0.0, -0.0], [0.0, {numeral}]]") is None
 
 
 @pytest.mark.parametrize("text", ["[]", "[[]]", "[1, [2]]", "[[1], [2, 3]]", "[[1] 2]",
@@ -400,9 +404,11 @@ def test_numpy_partial_parse_is_caught_in_every_numpy(monkeypatch):
         assert values.tolist() == [1.0, 2.0]
         assert any(issubclass(w.category, DeprecationWarning) for w in caught)
     fromstring = np.fromstring
+    handed = []
 
     def old_numpy(short: bool, warn: bool):
         def partial(data, dtype=float, sep=" "):
+            handed.append(data.split())
             if warn:
                 warnings.warn("string or file could not be read to its end due to "
                               "unmatched data", DeprecationWarning, stacklevel=2)
@@ -410,13 +416,18 @@ def test_numpy_partial_parse_is_caught_in_every_numpy(monkeypatch):
             return values[:-1] if short else values
         return partial
 
-    # a payload without zeros, and one of mostly zeros
-    for text in ("[[1, 2], [3, 4]]", "[[1, 0], [0.0, -0.0], [0, 2]]"):
+    # a payload without zeros, one of zeros spelled many ways, and one whose
+    # numerals are mostly "0.0" and "-0.0", where numpy reads only the others
+    for text, parsed in (("[[1, 2], [3, 4]]", b"1 2 3 4"),
+                         ("[[1, 0], [0.0, -0.0], [0, 2]]", b"1 0 0.0 -0.0 0 2"),
+                         ("[[1.5, 0.0], [-0.0, 0.0], [0.0, -2]]", b"1.5 -2")):
         want = json.loads(text)
         assert jsonio._numeric(text).tolist() == want
         for short, warn in ((True, True), (True, False), (False, True)):
+            handed.clear()
             monkeypatch.setattr(np, "fromstring", old_numpy(short, warn))
             assert jsonio._numeric(text) is None
+            assert handed == [parsed.split()]
             assert jsonio.loads(text) == want  # the stdlib parse instead
         monkeypatch.setattr(np, "fromstring", fromstring)
 
@@ -451,6 +462,105 @@ def test_zero_spellings_load_like_the_oracle(numerals, where):
     entries = got.reshape(-1)[at:at + len(numerals)]
     assert entries.tobytes() == np.array([float(x) for x in numerals]).tobytes()
     assert _same_bits(strategy_from_text(edited), oracle_from_text(edited))
+
+
+#: numerals beside "0.0" and "-0.0": every spelling of zero, and numerals
+#: that end in "0.0" or begin like it, or are a double's extremes
+OTHER_NUMERALS = ZERO_SPELLINGS + ["10.0", "100.0", "0.05", "-0.01", "5e-324", "1e-400",
+                                   "-1e-400"]
+#: what may follow a comma between elements
+SEPARATORS = ["", " ", "\t", "\r\n", " \r\n\t"]
+
+
+@st.composite
+def zero_heavy_arrays(draw):
+    """A rectangular JSON array nested 1 to 4 deep, a share (0 to 100%) of
+    whose numerals are "0.0" or "-0.0", written with one separator."""
+    shape = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    share = draw(st.integers(0, 100))
+    count = int(np.prod(shape))
+    numerals = [draw(st.sampled_from(["0.0", "-0.0"])) if draw(st.integers(1, 100)) <= share
+                else draw(st.sampled_from(OTHER_NUMERALS)) for _ in range(count)]
+    separator = "," + draw(st.sampled_from(SEPARATORS))
+
+    def nested(numerals, shape):
+        if not shape:
+            return numerals[0]
+        step = len(numerals) // shape[0]
+        return "[" + separator.join(nested(numerals[i:i + step], shape[1:])
+                                    for i in range(0, len(numerals), step)) + "]"
+    return nested(numerals, shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=zero_heavy_arrays())
+def test_a_zero_heavy_array_has_the_stdlib_bits(text):
+    # the numerals numpy does not read are filled in by position, each zero
+    # with its sign
+    got = jsonio._numeric(text)
+    want = np.array(json.loads(text, parse_int=float), dtype=float)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _spy_fromstring(monkeypatch) -> list:
+    """The blank-separated numerals of each text numpy parses from now on."""
+    handed = []
+    fromstring = np.fromstring
+
+    def spy(data, dtype=float, sep=" "):
+        handed.append(data.split())
+        return fromstring(data, dtype=dtype, sep=sep)
+
+    monkeypatch.setattr(np, "fromstring", spy)
+    return handed
+
+
+def dense_real_strategy(n: int, rng: np.random.Generator) -> Strategy:
+    """A real strategy with no zero entries to speak of: per question and
+    player, observables Q diag(+-1) Q^T for one random orthogonal Q, so that
+    they commute, and a real unit state."""
+    m, d = n // 2, 1 << (n // 2)
+
+    def observables():
+        stack = np.empty((1 << m, m, d, d))
+        for q in range(1 << m):
+            basis = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            for k in range(m):
+                stack[q, k] = (basis * rng.choice([-1.0, 1.0], d)) @ basis.T
+        return stack
+
+    state = rng.standard_normal(d * d)
+    return Strategy(state=state / np.linalg.norm(state), alice=observables(),
+                    bob=observables())
+
+
+@pytest.mark.parametrize("make, parsed", [
+    # a noise model's distinct matrices, and the state, without their zeros
+    (lambda: noisy_strategy(8, NoiseSpec("bob-rotation", 0.1)), None),
+    # nothing repeats in a random file: its arrays' every numeral, once
+    (lambda: random_strategy(6, np.random.default_rng(6)), 2),
+    # every imaginary part is "0.0", half the numerals: the real parts
+    (lambda: dense_real_strategy(6, np.random.default_rng(7)), 1),
+], ids=["bob-rotation", "random", "dense-real"])
+def test_numpy_reads_only_the_numerals_that_are_no_zero(monkeypatch, tmp_path, make, parsed):
+    s = make()
+    path = tmp_path / "doc.json"
+    save_strategy(s, path)
+    handed = _spy_fromstring(monkeypatch)
+    scanned = []
+    token_codes = jsonio._token_codes
+    monkeypatch.setattr(jsonio, "_token_codes",
+                        lambda chars: scanned.append(chars.size) or token_codes(chars))
+    back = load_strategy(path)
+    assert validate(back).ok and _same_strategy(back, oracle_from_text(path.read_text()))
+    numerals = [numeral for parse in handed for numeral in parse]
+    # a random file's numerals are too long for half of them to be zeros:
+    # its texts are not scanned for them
+    assert bool(scanned) == (parsed != 2)
+    if parsed != 2:
+        assert numerals and not {b"0.0", b"-0.0"} & set(numerals)
+    if parsed is not None:
+        assert len(numerals) == parsed * (s.state.size + s.alice.size + s.bob.size)
 
 
 def _spy_numeric(monkeypatch) -> list:
@@ -788,6 +898,45 @@ def _loads_like_json(text: str) -> None:
     assert _as_lists(jsonio.loads(text)) == json.loads(text)
 
 
+@pytest.mark.parametrize("kind", [str, bytes])
+@pytest.mark.parametrize("text, fast", [
+    # a payload's region ends at the next key, less the whitespace, commas
+    # and ends of objects before it
+    ('{"a": {"b": [[1, 2]]}, "c": 3}', True),
+    ('{"a": {"b": {"c": [[1, 2]]}}, "d": 3}', True),
+    ('{"a": {"b": [[1, 2]]\n}\t,\r\n "c": 3}', True),
+    # at the end of the document, with and without a line ending
+    ('{"a": [[1, 2]]}', True),
+    ('{"a": [[1, 2]]}\n', True),
+    ('{"a": [[1, 2]]}\r\n', True),
+    ('{"a": {"b": [[1, 2]]}}\r\n', True),
+    # a bracket before the end of an object: the region holds it, and the
+    # stdlib refuses the document
+    ('{"a": [[1, 2]]]}', False),
+    ('{"a": [[1, 2]]]}\n', False),
+    # more arrays after the end of an object and before the next key: the
+    # region holds them, is refused, and the stdlib parses the array
+    ('{"a": {"b": [[1, 2]]}, "c": [{"d": [[3, 4]]}, [[5, 6]]], "e": 7}', True),
+    ('{"a": [{"b": [[1, 2]]}, [[3, 4]]]}', False),
+    ('{"a": [[1, 2]]}, [[3, 4]]', False),
+])
+def test_a_payload_before_the_end_of_an_object_loads_like_json(kind, text, fast):
+    # "fast": the document's first array is a payload of the fast path
+    doc = text if kind is str else text.encode()
+    try:
+        want = json.loads(text)
+    except json.JSONDecodeError as exc:
+        with pytest.raises(json.JSONDecodeError) as caught:
+            jsonio.loads(doc)
+        assert (caught.value.msg, caught.value.pos) == (exc.msg, exc.pos)
+        return
+    got = jsonio.loads(doc)
+    assert _as_lists(got) == want
+    while isinstance(got, dict):
+        got = next(iter(got.values()))
+    assert isinstance(got, np.ndarray) == fast
+
+
 @pytest.mark.parametrize("text, parsed", [
     # the separator after "b"'s second element; "b" is ragged, so the
     # parse of its new elements refuses them, and it is parsed whole and
@@ -892,7 +1041,10 @@ def _complex_bytes(s: Strategy) -> int:
     # into its stack: measured 0.55x, against 1.01x where every payload was
     # copied into an array of its own and then into the stack
     (lambda: noisy_strategy(10, NoiseSpec("partial-entanglement", 0.6)), np.float64, 0.65),
-], ids=["bob-rotation", "random", "partial-entanglement-n10"])
+    # half its numerals are "0.0", which are filled in by position, and
+    # numpy parses the other half
+    (lambda: dense_real_strategy(8, np.random.default_rng(8)), np.float64, 1.5),
+], ids=["bob-rotation", "random", "partial-entanglement-n10", "dense-real"])
 def test_loading_holds_about_one_copy_of_the_arrays(make, dtype, bound):
     s = make()
     text = strategy_to_text(s)
